@@ -9,7 +9,8 @@
 //     (the full grids are produced by cmd/sweep and recorded in
 //     EXPERIMENTS.md).
 //   - BenchmarkMicro_*: hot-path micro-benchmarks (transition enumeration,
-//     one compiled VI sweep, Monte-Carlo simulation throughput).
+//     one compiled VI sweep, final-strategy evaluation, Monte-Carlo
+//     simulation throughput).
 //   - *_Workers{1,4,8}: the same work at pinned worker counts, tracking the
 //     speedup of the parallel solver engine (results are bitwise identical
 //     at every worker count; only wall-clock changes).
@@ -169,7 +170,7 @@ func BenchmarkFamily_SingleTree_f5(b *testing.B) { benchFamily(b, "singletree", 
 func BenchmarkFamily_Nakamoto_l20(b *testing.B)  { benchFamily(b, "nakamoto", 1, 1, 20) }
 
 // BenchmarkMicro_TransitionEnumeration measures raw transition generation
-// over the full d=2, f=2 state space (the generic solver's inner loop).
+// over the full d=2, f=2 state space (the work of one compile pass).
 func BenchmarkMicro_TransitionEnumeration(b *testing.B) {
 	m, err := core.NewModel(core.Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 2, MaxLen: 4})
 	if err != nil {
@@ -278,17 +279,22 @@ func BenchmarkMicro_Figure2Grid(b *testing.B) {
 	}
 }
 
-// BenchmarkMicro_AnalysisGeneric measures the interface-based Algorithm 1
-// on the d=2, f=1 model, for comparison against the compiled path.
-func BenchmarkMicro_AnalysisGeneric(b *testing.B) {
-	m, err := core.NewModel(core.Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 1, MaxLen: 4})
+// BenchmarkMicro_StrategyEval measures the evaluation that closes every
+// full analysis: the ERRev of the final strategy, r_A and r_A + r_H
+// evaluated in one fused fixed-policy sweep loop, on the d=2, f=2 model.
+func BenchmarkMicro_StrategyEval(b *testing.B) {
+	comp, err := core.Compile(core.Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 2, MaxLen: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
+	if _, err := comp.MeanPayoff(0.44, core.CompiledOptions{Tol: 1e-6}); err != nil {
+		b.Fatal(err)
+	}
+	policy := comp.GreedyPolicy(0.44)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := analysis.Analyze(m, analysis.Options{Epsilon: 1e-4, SkipStrategyEval: true}); err != nil {
+		if _, err := comp.EvalERRev(policy, core.CompiledOptions{Tol: 1e-5}); err != nil {
 			b.Fatal(err)
 		}
 	}

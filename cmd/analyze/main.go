@@ -33,10 +33,9 @@
 // -save are fork-only (the physical chain substrate replays fork
 // strategies).
 //
-// The command runs through selfishmining.Service and therefore always uses
-// the compiled solver backend (the service's structure cache is built on
-// it). Values can differ from the generic backend in the last binary-search
-// step — both are ε-tight bounds; see TestAnalyzeBackendsAgree.
+// The command runs through selfishmining.Service, whose solves are bitwise
+// identical to the package-level selfishmining.AnalyzeContext: both compile
+// the attack MDP onto the same kernel.
 package main
 
 import (
@@ -197,7 +196,7 @@ func run(ctx context.Context, args []string) error {
 	}
 	fmt.Printf("ERRev lower bound:  %.6f  (epsilon-tight, Corollary 3.3)\n", res.ERRev)
 	if !selfishmining.IsSkipped(res.StrategyERRev) {
-		fmt.Printf("strategy ERRev:     %.6f  (independent stationary evaluation)\n", res.StrategyERRev)
+		fmt.Printf("strategy ERRev:     %.6f  (independent fixed-policy evaluation)\n", res.StrategyERRev)
 	}
 	fmt.Printf("chain quality:      %.6f\n", res.ChainQuality())
 	fmt.Printf("binary search:      %d iterations, %d VI sweeps\n", res.Iterations, res.Sweeps)
@@ -310,7 +309,7 @@ func waitRemote(ctx context.Context, cl *jobs.Client, server, id string, showPro
 		}
 		fmt.Printf("ERRev lower bound:  %.6f  (epsilon-tight, Corollary 3.3)\n", res.ERRev)
 		if res.StrategyERRev != nil {
-			fmt.Printf("strategy ERRev:     %.6f  (independent stationary evaluation)\n", *res.StrategyERRev)
+			fmt.Printf("strategy ERRev:     %.6f  (independent fixed-policy evaluation)\n", *res.StrategyERRev)
 		}
 		fmt.Printf("chain quality:      %.6f\n", res.ChainQuality)
 		fmt.Printf("binary search:      %d iterations, %d VI sweeps (%d states)\n",

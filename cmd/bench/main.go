@@ -7,8 +7,8 @@
 //
 //	bench [-iters 3] [-workers 1] [-eps 1e-4] [-o BENCH_10.json]
 //	      [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
-//	bench -check BENCH_10.json [-min-speedup 5] [-min-batch-speedup 2]
-//	      [-max-lease-overhead 50] [-max-obs-overhead 10]
+//	bench -check BENCH_10.json [-min-speedup 5] [-max-default-gap 1.5]
+//	      [-min-batch-speedup 2] [-max-lease-overhead 50] [-max-obs-overhead 10]
 //	bench -check fresh.json -baseline BENCH_10.json [-min-ratio 0.25]
 //
 // Measurement mode solves every (point, variant, workers) cell -iters times
@@ -16,9 +16,11 @@
 // records the fastest run — fixed iteration counts, unlike `go test
 // -benchtime=1x`, so the artifact is comparable across commits. The cell
 // matrix always includes "default" (the pipeline exactly as a plain caller
-// gets it, i.e. the previous PR's behavior) alongside every named kernel
-// variant forced onto the compiled backend, so the artifact's summary is a
-// directly-read speedup of the best variant over the shipped default.
+// gets it) alongside every named kernel variant, so the artifact's summary
+// is a directly-read speedup of the best variant over the shipped default.
+// Check mode can bound that ratio from below (-min-speedup, for artifacts
+// recorded when the default was slower than its variants) or from above
+// (-max-default-gap: a plain caller must get close to the fastest path).
 //
 // Every cell's certified ERRev is cross-checked against the default cell of
 // the same point to within epsilon: a kernel variant that drifts out of the
@@ -62,7 +64,8 @@
 // cell's time or allocations go; see docs/PERFORMANCE.md.
 //
 // Check mode validates an artifact (schema, required families and variants,
-// positive timings, the fork-family speedup floor, the adaptive cell's
+// positive timings, the fork-family speedup floor and default-gap ceiling,
+// the adaptive cell's
 // point ratio and bitwise flag, the batch cell's speedup floor and bitwise
 // flag, the lease cell's overhead ceiling) and exits non-zero on violation — CI runs it against the committed
 // baseline so a missing or malformed BENCH_<n>.json fails the build. With
@@ -287,7 +290,8 @@ func run(args []string) error {
 		out        = fs.String("o", "", "write the artifact to this file (default stdout)")
 		check      = fs.String("check", "", "validate this artifact instead of measuring, and exit")
 		baseline   = fs.String("baseline", "", "with -check: compare matching cells against this committed artifact")
-		minSpeedup = fs.Float64("min-speedup", 5, "with -check: required fork-family speedup of the best variant over the default")
+		minSpeedup = fs.Float64("min-speedup", 0, "with -check: required fork-family speedup of the best variant over the default (0: no floor)")
+		maxGap     = fs.Float64("max-default-gap", 0, "with -check: ceiling on the fork-family speedup of the best variant over the default (0: no ceiling)")
 		minBatch   = fs.Float64("min-batch-speedup", 2, "with -check: required batched-vs-per-point sweep speedup of the batch cell")
 		maxLease   = fs.Float64("max-lease-overhead", 50, "with -check: ceiling on the lease cell's leased-put-vs-disk-put overhead")
 		maxObs     = fs.Float64("max-obs-overhead", 10, "with -check: ceiling (percent) on the obs cell's hooks-on-vs-off solve overhead")
@@ -299,7 +303,7 @@ func run(args []string) error {
 		return err
 	}
 	if *check != "" {
-		return runCheck(*check, *baseline, *minSpeedup, *minBatch, *maxLease, *maxObs, *minRatio)
+		return runCheck(*check, *baseline, *minSpeedup, *maxGap, *minBatch, *maxLease, *maxObs, *minRatio)
 	}
 	if *iters < 1 {
 		return fmt.Errorf("-iters %d: need >= 1", *iters)
@@ -383,14 +387,9 @@ func solveCell(pt benchPoint, variant string, workers int, eps float64) (*selfis
 		selfishmining.WithBoundOnly(),
 		selfishmining.WithWorkers(workers),
 	}
-	switch variant {
-	case "default":
-		// No kernel or backend options: exactly what a plain caller gets.
-	case "jacobi":
-		// The default kernel, but forced onto the compiled backend so the
-		// artifact separates "compiled vs generic" from "kernel variant".
-		opts = append(opts, selfishmining.WithCompiled(true))
-	default:
+	if variant != "default" {
+		// "default" passes no kernel option: exactly what a plain caller
+		// gets. The "jacobi" cell names that same kernel explicitly.
 		opts = append(opts, selfishmining.WithKernel(variant))
 	}
 	start := time.Now()
@@ -855,7 +854,7 @@ func loadArtifact(path string) (*artifact, error) {
 
 // runCheck validates an artifact and, with a baseline, guards against
 // regressions cell by cell.
-func runCheck(path, baselinePath string, minSpeedup, minBatch, maxLease, maxObs, minRatio float64) error {
+func runCheck(path, baselinePath string, minSpeedup, maxGap, minBatch, maxLease, maxObs, minRatio float64) error {
 	art, err := loadArtifact(path)
 	if err != nil {
 		return err
@@ -863,6 +862,10 @@ func runCheck(path, baselinePath string, minSpeedup, minBatch, maxLease, maxObs,
 	if art.Summary.ForkSpeedupBestVsDefault < minSpeedup {
 		return fmt.Errorf("%s: fork speedup %.2fx (best variant %s) below required %.2fx",
 			path, art.Summary.ForkSpeedupBestVsDefault, art.Summary.ForkBestVariant, minSpeedup)
+	}
+	if maxGap > 0 && art.Summary.ForkSpeedupBestVsDefault > maxGap {
+		return fmt.Errorf("%s: variant %s beats the plain default by %.2fx on fork (ceiling %.2fx): plain callers miss the fast path",
+			path, art.Summary.ForkBestVariant, art.Summary.ForkSpeedupBestVsDefault, maxGap)
 	}
 	if ad := art.Adaptive; ad.PointRatio > maxAdaptiveRatio {
 		return fmt.Errorf("%s: adaptive sweep solved %d of %d uniform points (ratio %.3f > %.2f)",

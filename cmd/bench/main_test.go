@@ -88,11 +88,11 @@ func TestSummarize(t *testing.T) {
 
 func TestCheckValidArtifact(t *testing.T) {
 	path := writeArtifact(t, testArtifact())
-	if err := runCheck(path, "", 5, 2, 50, 10, 0.25); err != nil {
+	if err := runCheck(path, "", 5, 0, 2, 50, 10, 0.25); err != nil {
 		t.Fatalf("check of a valid artifact: %v", err)
 	}
 	// Self-comparison is the identity: every cell at exactly 1.0x.
-	if err := runCheck(path, path, 5, 2, 50, 10, 0.25); err != nil {
+	if err := runCheck(path, path, 5, 0, 2, 50, 10, 0.25); err != nil {
 		t.Fatalf("self-baseline check: %v", err)
 	}
 }
@@ -123,7 +123,7 @@ func TestCheckRejectsMalformed(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			art := testArtifact()
 			tc.mutate(art)
-			err := runCheck(writeArtifact(t, art), "", 5, 2, 50, 10, 0.25)
+			err := runCheck(writeArtifact(t, art), "", 5, 0, 2, 50, 10, 0.25)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want substring %q", err, tc.want)
 			}
@@ -132,7 +132,7 @@ func TestCheckRejectsMalformed(t *testing.T) {
 }
 
 func TestCheckMissingFileFails(t *testing.T) {
-	if err := runCheck(filepath.Join(t.TempDir(), "absent.json"), "", 5, 2, 50, 10, 0.25); err == nil {
+	if err := runCheck(filepath.Join(t.TempDir(), "absent.json"), "", 5, 0, 2, 50, 10, 0.25); err == nil {
 		t.Fatal("check of a missing artifact succeeded")
 	}
 }
@@ -140,19 +140,34 @@ func TestCheckMissingFileFails(t *testing.T) {
 func TestCheckSpeedupFloor(t *testing.T) {
 	art := testArtifact()
 	path := writeArtifact(t, art)
-	if err := runCheck(path, "", 100, 2, 50, 10, 0.25); err == nil || !strings.Contains(err.Error(), "below required") {
+	if err := runCheck(path, "", 100, 0, 2, 50, 10, 0.25); err == nil || !strings.Contains(err.Error(), "below required") {
 		t.Fatalf("err = %v, want speedup-floor violation", err)
 	}
 	// The batch cell has its own floor: 3x measured, 100x demanded.
-	if err := runCheck(path, "", 5, 100, 50, 10, 0.25); err == nil || !strings.Contains(err.Error(), "batched sweep speedup") {
+	if err := runCheck(path, "", 5, 0, 100, 50, 10, 0.25); err == nil || !strings.Contains(err.Error(), "batched sweep speedup") {
 		t.Fatalf("err = %v, want batch-speedup-floor violation", err)
+	}
+}
+
+// TestCheckDefaultGapCeiling: with -max-default-gap, an artifact whose
+// best variant beats the plain default by more than the ceiling fails —
+// plain callers would be missing the fast path.
+func TestCheckDefaultGapCeiling(t *testing.T) {
+	art := testArtifact()
+	path := writeArtifact(t, art)
+	gap := art.Summary.ForkSpeedupBestVsDefault
+	if err := runCheck(path, "", 0, gap*0.9, 2, 50, 10, 0.25); err == nil || !strings.Contains(err.Error(), "plain default") {
+		t.Fatalf("err = %v, want default-gap violation", err)
+	}
+	if err := runCheck(path, "", 0, gap*1.1, 2, 50, 10, 0.25); err != nil {
+		t.Fatalf("gap %.2fx under a %.2fx ceiling rejected: %v", gap, gap*1.1, err)
 	}
 }
 
 func TestCheckLeaseOverheadCeiling(t *testing.T) {
 	// The lease cell's guard is a ceiling: 5x measured passes 50x, fails 2x.
 	path := writeArtifact(t, testArtifact())
-	if err := runCheck(path, "", 5, 2, 2, 10, 0.25); err == nil || !strings.Contains(err.Error(), "leased put costs") {
+	if err := runCheck(path, "", 5, 0, 2, 2, 10, 0.25); err == nil || !strings.Contains(err.Error(), "leased put costs") {
 		t.Fatalf("err = %v, want lease-overhead-ceiling violation", err)
 	}
 }
@@ -161,7 +176,7 @@ func TestCheckObsOverheadCeiling(t *testing.T) {
 	// The obs cell's guard is a ceiling in percent: 0.33% measured passes
 	// the default 10%, fails 0.1%.
 	path := writeArtifact(t, testArtifact())
-	if err := runCheck(path, "", 5, 2, 50, 0.1, 0.25); err == nil || !strings.Contains(err.Error(), "observability hooks cost") {
+	if err := runCheck(path, "", 5, 0, 2, 50, 0.1, 0.25); err == nil || !strings.Contains(err.Error(), "observability hooks cost") {
 		t.Fatalf("err = %v, want obs-overhead-ceiling violation", err)
 	}
 }
@@ -170,12 +185,12 @@ func TestCheckAdaptiveRatioCeiling(t *testing.T) {
 	art := testArtifact()
 	art.Adaptive.AdaptivePoints = art.Adaptive.UniformPoints
 	art.Adaptive.PointRatio = 1
-	if err := runCheck(writeArtifact(t, art), "", 1, 2, 50, 10, 0.25); err == nil || !strings.Contains(err.Error(), "ratio") {
+	if err := runCheck(writeArtifact(t, art), "", 1, 0, 2, 50, 10, 0.25); err == nil || !strings.Contains(err.Error(), "ratio") {
 		t.Fatalf("err = %v, want adaptive-ratio violation", err)
 	}
 	art = testArtifact()
 	art.Adaptive.Bitwise = false
-	if err := runCheck(writeArtifact(t, art), "", 1, 2, 50, 10, 0.25); err == nil || !strings.Contains(err.Error(), "bitwise") {
+	if err := runCheck(writeArtifact(t, art), "", 1, 0, 2, 50, 10, 0.25); err == nil || !strings.Contains(err.Error(), "bitwise") {
 		t.Fatalf("err = %v, want bitwise violation", err)
 	}
 }
@@ -188,11 +203,11 @@ func TestCheckRegressionGuard(t *testing.T) {
 	slow.Points[0].Runs[1].NsOp *= 10 // 0.1x of baseline throughput
 	slowPath := writeArtifact(t, slow)
 
-	if err := runCheck(slowPath, basePath, 1, 2, 50, 10, 0.25); err == nil || !strings.Contains(err.Error(), "regressed") {
+	if err := runCheck(slowPath, basePath, 1, 0, 2, 50, 10, 0.25); err == nil || !strings.Contains(err.Error(), "regressed") {
 		t.Fatalf("err = %v, want a regression failure", err)
 	}
 	// The same drop passes under a forgiving enough ratio.
-	if err := runCheck(slowPath, basePath, 1, 2, 50, 10, 0.05); err != nil {
+	if err := runCheck(slowPath, basePath, 1, 0, 2, 50, 10, 0.05); err != nil {
 		t.Fatalf("generous ratio still failed: %v", err)
 	}
 }
@@ -219,7 +234,7 @@ func TestCommittedArtifactValid(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("committed artifact missing: %v", err)
 	}
-	if err := runCheck(path, "", 5, 2, 50, 1, 0.25); err != nil {
+	if err := runCheck(path, "", 5, 0, 2, 50, 1, 0.25); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,7 +1,7 @@
 // Command simulate analyzes one attack configuration and replays the
 // computed ε-optimal strategy on the physical blockchain substrate,
 // reporting empirical statistics (relative revenue, races, orphaned honest
-// blocks) against the exact values. Every run self-checks consistency
+// blocks) against the analyzed values. Every run self-checks consistency
 // between the MDP's reward ledger and main-chain ownership in the block
 // tree.
 //
@@ -85,7 +85,7 @@ func run(ctx context.Context, args []string) error {
 		}
 		return err
 	}
-	fmt.Printf("exact:   ERRev bound %.6f, strategy ERRev %.6f\n", res.ERRev, res.StrategyERRev)
+	fmt.Printf("analysis: ERRev bound %.6f, strategy ERRev %.6f (fixed-policy evaluation)\n", res.ERRev, res.StrategyERRev)
 
 	st, err := res.Simulate(*steps, *seed)
 	if err != nil {
@@ -95,8 +95,8 @@ func run(ctx context.Context, args []string) error {
 	fmt.Printf("  chain length %d, releases %d, races %d (won %d), honest blocks orphaned %d\n",
 		st.ChainLength, st.Releases, st.Races, st.RaceWins, st.Orphaned)
 	if dev := math.Abs(st.ERRev - res.StrategyERRev); dev > 5*st.StdErr+1e-3 {
-		return fmt.Errorf("simulation deviates from exact value by %.6f (> 5 sigma): model/simulator divergence", dev)
+		return fmt.Errorf("simulation deviates from the evaluated strategy ERRev by %.6f (> 5 sigma): model/simulator divergence", dev)
 	}
-	fmt.Println("simulation agrees with the exact stationary analysis (within 5 sigma)")
+	fmt.Println("simulation agrees with the fixed-policy evaluation (within 5 sigma)")
 	return nil
 }

@@ -29,7 +29,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("exact strategy ERRev: %.4f (bound %.4f)\n\n", res.StrategyERRev, res.ERRev)
+	fmt.Printf("evaluated strategy ERRev: %.4f (bound %.4f)\n\n", res.StrategyERRev, res.ERRev)
 
 	for _, steps := range []int{10000, 100000, 1000000} {
 		st, err := res.Simulate(steps, 2024)
@@ -39,6 +39,6 @@ func main() {
 		fmt.Printf("%8d steps: ERRev %.4f +- %.4f | chain %6d blocks | %5d releases | %4d/%4d races won | %5d honest orphaned\n",
 			steps, st.ERRev, st.StdErr, st.ChainLength, st.Releases, st.RaceWins, st.Races, st.Orphaned)
 	}
-	fmt.Println("\nThe empirical relative revenue converges to the exact stationary value,")
+	fmt.Println("\nThe empirical relative revenue converges to the evaluated strategy ERRev,")
 	fmt.Println("and every run passes the tree-vs-MDP ledger audit.")
 }

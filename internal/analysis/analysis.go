@@ -12,15 +12,11 @@
 package analysis
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/kernel"
-	"repro/internal/obs"
-	"repro/internal/solve"
 )
 
 // Options tunes the analysis procedure.
@@ -30,9 +26,9 @@ type Options struct {
 	Epsilon float64
 	// SolverMaxIter bounds value-iteration sweeps per solve. Default 500000.
 	SolverMaxIter int
-	// SkipStrategyEval skips the exact stationary evaluation of the final
-	// strategy (which materializes the induced chain); useful for large
-	// models where only the bound is needed.
+	// SkipStrategyEval skips the independent evaluation of the final
+	// strategy's revenue; useful for large models where only the bound is
+	// needed.
 	SkipStrategyEval bool
 	// SkipStrategy skips the final full-precision solve and strategy
 	// extraction entirely, returning only the certified ERRev bracket
@@ -44,14 +40,14 @@ type Options struct {
 	SkipStrategy bool
 	// InitialValues warm-starts the first inner solve from this value
 	// vector (length NumStates; typically the converged values of a nearby
-	// (p, γ, β) point, via core.Compiled.Values). Sign-only solves certify
+	// (p, γ, β) point, via kernel.Compiled.Values). Sign-only solves certify
 	// the true gain sign from any starting vector, so the binary-search
 	// trajectory — and with it ERRev, BetaLow, BetaUp and Iterations — is
 	// bitwise identical with or without a warm start; only Sweeps (and, in
 	// full mode, low-order noise in the extracted strategy) can change.
 	InitialValues []float64
 	// Workers is the per-sweep parallelism of the inner value-iteration
-	// solves (see solve.Options.Workers): a positive value is honored
+	// solves (see kernel.Compiled.SetWorkers): a positive value is honored
 	// exactly, 0 uses all cores with a small-model cutoff. Results are
 	// bitwise identical at every worker count.
 	Workers int
@@ -88,8 +84,7 @@ type Options struct {
 	// ERRev, BetaLow, BetaUp and Iterations match the default — only sweep
 	// counts (and, in full mode, low-order strategy noise) differ.
 	// VariantExplore32 additionally runs a float32 exploration solve per
-	// step to warm-start the exact float64 decision solve; it requires the
-	// compiled backend, as does VariantSpec.
+	// step to warm-start the exact float64 decision solve.
 	Kernel kernel.Variant
 }
 
@@ -149,8 +144,8 @@ type Result struct {
 	ERRev float64
 	// Strategy is a positional strategy achieving ERRev (Corollary 3.2).
 	Strategy []int
-	// StrategyERRev is the exact expected relative revenue of Strategy,
-	// computed independently by stationary analysis (NaN if skipped).
+	// StrategyERRev is the expected relative revenue of Strategy, computed
+	// independently by fixed-policy evaluation (NaN if skipped).
 	StrategyERRev float64
 	// BetaLow and BetaUp are the final binary-search bracket.
 	BetaLow, BetaUp float64
@@ -160,142 +155,4 @@ type Result struct {
 	Sweeps int
 	// Duration is the wall-clock analysis time.
 	Duration time.Duration
-}
-
-// Analyze runs Algorithm 1 on the attack MDP with no cancellation; it is
-// AnalyzeContext under context.Background().
-func Analyze(m *core.Model, opts Options) (*Result, error) {
-	return AnalyzeContext(context.Background(), m, opts)
-}
-
-// AnalyzeContext runs Algorithm 1 on the attack MDP. The model's β is
-// mutated during the search; its final value is β_low.
-//
-// ctx is threaded into every inner solve (checked at value-iteration sweep
-// boundaries, never inside a sweep) and additionally checked between
-// binary-search steps. On cancellation the partial Result — the bracket
-// narrowed so far, the steps and sweeps completed — is returned together
-// with an error wrapping ctx.Err(), so callers can report how far the
-// search got. Completed analyses are bitwise identical whether or not a
-// (never-fired) context was attached.
-func AnalyzeContext(ctx context.Context, m *core.Model, opts Options) (*Result, error) {
-	opts.defaults()
-	analysisRuns.With(backendGeneric).Inc()
-	sp := obs.StartSpan(analysisSeconds.With(backendGeneric))
-	defer sp.End()
-	start := time.Now()
-	params := m.Params()
-
-	// Gain resolution needed so that a sign decision at distance ε from
-	// β* is reliable: |dMP*_β/dβ| equals the long-run rate of permanent
-	// blocks per step, which is at least BlockRate()/2 (each block event
-	// takes a mining step plus a decision step). A quarter of that per ε
-	// leaves a 2x safety margin.
-	zeta := opts.Epsilon * params.BlockRate() / 4
-	if zeta <= 0 { // p = 1 edge case
-		zeta = opts.Epsilon * 1e-3
-	}
-
-	m.SetMode(core.RewardBeta)
-	res := &Result{BetaLow: 0, BetaUp: 1, StrategyERRev: math.NaN()}
-	// One workspace per search: the ~log2(1/ε) inner solves and the final
-	// strategy solve all draw their scratch vectors from it instead of
-	// allocating per solve. The warm vector returned by each solve aliases
-	// the workspace; everything escaping the search (checkpoints, the
-	// strategy) is copied, and the solvers handle the warm-start self-alias.
-	var ws solve.Workspace
-	warm := opts.InitialValues
-	if ck := opts.Resume; ck != nil {
-		if err := ck.validate(); err != nil {
-			return nil, err
-		}
-		res.BetaLow, res.BetaUp = ck.BetaLow, ck.BetaUp
-		res.Iterations, res.Sweeps = ck.Iterations, ck.Sweeps
-		// The copy keeps the caller's checkpoint reusable: inner solves may
-		// reuse the warm slice as scratch. A nil Values resumes cold.
-		warm = append([]float64(nil), ck.Values...)
-	}
-	for res.BetaUp-res.BetaLow >= opts.Epsilon {
-		if err := ctx.Err(); err != nil {
-			return res, fmt.Errorf("analysis: canceled after %d binary-search steps: %w", res.Iterations, err)
-		}
-		beta := (res.BetaLow + res.BetaUp) / 2
-		m.SetBeta(beta)
-		sr, err := solve.MeanPayoffContext(ctx, m, solve.Options{
-			Tol:           zeta,
-			MaxIter:       opts.SolverMaxIter,
-			SignOnly:      true,
-			InitialValues: warm,
-			Workers:       opts.Workers,
-			Variant:       opts.Kernel,
-			Workspace:     &ws,
-		})
-		if sr != nil {
-			res.Sweeps += sr.Iters
-			warm = sr.Values
-		}
-		if err != nil {
-			return res, fmt.Errorf("analysis: solving MP*_beta at beta=%v: %w", beta, err)
-		}
-		res.Iterations++
-		analysisSteps.With(backendGeneric).Inc()
-		if sr.Hi < 0 {
-			res.BetaUp = beta
-		} else {
-			// Either the sign is certified positive, or the solve bottomed
-			// out at the numerically-zero width floor without a certified
-			// sign — which can only happen with MP*_β vanishingly close to
-			// zero, i.e. beta within ~ε·10⁻⁶ of β*. Treating that case as
-			// beta <= β* is a fixed rule: unlike the bracket midpoint's
-			// sign (noise at the 1e-17 scale), it cannot differ between
-			// solver trajectories, so the search decisions — and the final
-			// ERRev — are bitwise identical under any warm start.
-			res.BetaLow = beta
-		}
-		if opts.Progress != nil {
-			opts.Progress(res.BetaLow, res.BetaUp, res.Iterations)
-		}
-		if opts.OnCheckpoint != nil {
-			// warm is this step's converged vector — exactly what the next
-			// solve (or a resumed run's next solve) starts from.
-			opts.OnCheckpoint(Checkpoint{
-				BetaLow: res.BetaLow, BetaUp: res.BetaUp,
-				Iterations: res.Iterations, Sweeps: res.Sweeps,
-				Values: append([]float64(nil), warm...),
-			})
-		}
-	}
-	res.ERRev = res.BetaLow
-	if opts.SkipStrategy {
-		res.Duration = time.Since(start)
-		return res, nil
-	}
-
-	// Final solve at β_low for the ε-optimal strategy (Theorem 3.1, part 2).
-	m.SetBeta(res.BetaLow)
-	sr, err := solve.MeanPayoffContext(ctx, m, solve.Options{
-		Tol:           zeta,
-		MaxIter:       opts.SolverMaxIter,
-		InitialValues: warm,
-		Workers:       opts.Workers,
-		Variant:       opts.Kernel,
-		Workspace:     &ws,
-	})
-	if sr != nil {
-		res.Sweeps += sr.Iters
-	}
-	if err != nil {
-		return res, fmt.Errorf("analysis: final solve at beta=%v: %w", res.BetaLow, err)
-	}
-	res.Strategy = sr.Policy
-
-	if !opts.SkipStrategyEval {
-		errev, err := core.ERRevOfPolicy(m, res.Strategy)
-		if err != nil {
-			return res, fmt.Errorf("analysis: evaluating final strategy: %w", err)
-		}
-		res.StrategyERRev = errev
-	}
-	res.Duration = time.Since(start)
-	return res, nil
 }

@@ -5,20 +5,34 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/kernel"
 	"repro/internal/solve"
 )
 
 func mustAnalyze(t *testing.T, p core.Params, eps float64) *Result {
 	t.Helper()
+	res, err := AnalyzeCompiled(compileFor(t, p), Options{Epsilon: eps})
+	if err != nil {
+		t.Fatalf("AnalyzeCompiled(%v): %v", p, err)
+	}
+	return res
+}
+
+// exactGain is the optimal mean payoff MP*_β of the fork model at p, by
+// Howard policy iteration on the generic (on-the-fly) model.
+func exactGain(t *testing.T, p core.Params, beta float64) float64 {
+	t.Helper()
 	m, err := core.NewModel(p)
 	if err != nil {
 		t.Fatalf("NewModel(%v): %v", p, err)
 	}
-	res, err := Analyze(m, Options{Epsilon: eps})
+	m.SetMode(core.RewardBeta)
+	m.SetBeta(beta)
+	exact, err := solve.PolicyIteration(m, 0)
 	if err != nil {
-		t.Fatalf("Analyze(%v): %v", p, err)
+		t.Fatalf("PolicyIteration(%v, beta=%v): %v", p, beta, err)
 	}
-	return res
+	return exact.Gain
 }
 
 // TestAnalyzeLowResourceMatchesHonest: with little resource and no network
@@ -123,16 +137,10 @@ func TestAnalyzeAboveHonest(t *testing.T) {
 // binary search (Section 3.3): MP*_β decreases in β, is >= 0 at β=0 and
 // <= 0 at β=1.
 func TestMeanPayoffMonotoneInBeta(t *testing.T) {
-	p := core.Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 1, MaxLen: 3}
-	m, err := core.NewModel(p)
-	if err != nil {
-		t.Fatalf("NewModel: %v", err)
-	}
-	m.SetMode(core.RewardBeta)
+	c := compileFor(t, core.Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 1, MaxLen: 3})
 	prev := math.Inf(1)
 	for _, beta := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		m.SetBeta(beta)
-		sr, err := solve.MeanPayoff(m, solve.Options{Tol: 1e-9})
+		sr, err := c.MeanPayoff(beta, kernel.Options{Tol: 1e-9})
 		if err != nil {
 			t.Fatalf("MeanPayoff(beta=%v): %v", beta, err)
 		}
@@ -154,27 +162,20 @@ func TestMeanPayoffMonotoneInBeta(t *testing.T) {
 }
 
 // TestAnalyzeAgreesWithPolicyIteration cross-checks the two solver families
-// end to end on the smallest configuration: the sign of MP*_β from RVI must
-// match exact policy iteration at each binary-search midpoint.
+// end to end on the smallest configuration: MP*_β from the compiled
+// kernel's RVI must match exact policy iteration on the generic model at
+// each binary-search midpoint.
 func TestAnalyzeAgreesWithPolicyIteration(t *testing.T) {
 	p := core.Params{P: 0.3, Gamma: 0.5, Depth: 1, Forks: 1, MaxLen: 4}
-	m, err := core.NewModel(p)
-	if err != nil {
-		t.Fatalf("NewModel: %v", err)
-	}
-	m.SetMode(core.RewardBeta)
+	c := compileFor(t, p)
 	for _, beta := range []float64{0.1, 0.3, 0.5} {
-		m.SetBeta(beta)
-		exact, err := solve.PolicyIteration(m, 0)
-		if err != nil {
-			t.Fatalf("PolicyIteration(beta=%v): %v", beta, err)
-		}
-		iter, err := solve.MeanPayoff(m, solve.Options{Tol: 1e-9})
+		exact := exactGain(t, p, beta)
+		iter, err := c.MeanPayoff(beta, kernel.Options{Tol: 1e-9})
 		if err != nil {
 			t.Fatalf("MeanPayoff(beta=%v): %v", beta, err)
 		}
-		if math.Abs(exact.Gain-iter.Gain) > 1e-6 {
-			t.Errorf("beta=%v: PI gain %v vs RVI gain %v", beta, exact.Gain, iter.Gain)
+		if math.Abs(exact-iter.Gain) > 1e-6 {
+			t.Errorf("beta=%v: PI gain %v vs RVI gain %v", beta, exact, iter.Gain)
 		}
 	}
 }
@@ -192,13 +193,9 @@ func TestAnalyzeEdgeCaseZeroResource(t *testing.T) {
 // TestAnalyzeSkipStrategyEval leaves StrategyERRev as NaN.
 func TestAnalyzeSkipStrategyEval(t *testing.T) {
 	p := core.Params{P: 0.2, Gamma: 0.5, Depth: 1, Forks: 1, MaxLen: 3}
-	m, err := core.NewModel(p)
+	res, err := AnalyzeCompiled(compileFor(t, p), Options{Epsilon: 1e-3, SkipStrategyEval: true})
 	if err != nil {
-		t.Fatalf("NewModel: %v", err)
-	}
-	res, err := Analyze(m, Options{Epsilon: 1e-3, SkipStrategyEval: true})
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
+		t.Fatalf("AnalyzeCompiled: %v", err)
 	}
 	if !math.IsNaN(res.StrategyERRev) {
 		t.Errorf("StrategyERRev = %v, want NaN (skipped)", res.StrategyERRev)
@@ -208,36 +205,49 @@ func TestAnalyzeSkipStrategyEval(t *testing.T) {
 	}
 }
 
-// TestCompiledBackendAgreesWithGeneric runs full Algorithm 1 through both
-// solver backends on several configurations and requires bit-for-bit equal
-// binary-search outcomes up to epsilon.
+// TestCompiledBackendAgreesWithGeneric runs full Algorithm 1 on the
+// compiled kernel and checks it against the exact references on the
+// generic (on-the-fly) fork model: the certified bracket must contain β*,
+// the root of MP*_β by policy iteration, and the extracted strategy's exact
+// stationary revenue must match the compiled evaluator's and lie in the
+// bracket.
 func TestCompiledBackendAgreesWithGeneric(t *testing.T) {
 	configs := []core.Params{
 		{P: 0.3, Gamma: 0.5, Depth: 1, Forks: 1, MaxLen: 4},
 		{P: 0.2, Gamma: 0.75, Depth: 2, Forks: 1, MaxLen: 4},
 		{P: 0.3, Gamma: 0.25, Depth: 2, Forks: 2, MaxLen: 3},
 	}
+	if testing.Short() {
+		// Exact PI's dense solves on the 1536-state d2f2l3 model take about
+		// a minute under -race; d2f2l2 (486 states) keeps an f=2 shape.
+		configs[2].MaxLen = 2
+	}
 	const eps = 1e-4
 	for _, p := range configs {
 		t.Run(p.String(), func(t *testing.T) {
+			res, err := AnalyzeCompiled(compileFor(t, p), Options{Epsilon: eps})
+			if err != nil {
+				t.Fatalf("compiled: %v", err)
+			}
 			m, err := core.NewModel(p)
 			if err != nil {
 				t.Fatalf("NewModel: %v", err)
 			}
-			gen, err := Analyze(m, Options{Epsilon: eps, SkipStrategyEval: true})
+			exact, err := core.ERRevOfPolicy(m, res.Strategy)
 			if err != nil {
-				t.Fatalf("generic: %v", err)
+				t.Fatalf("ERRevOfPolicy: %v", err)
 			}
-			comp, err := core.Compile(p)
-			if err != nil {
-				t.Fatalf("Compile: %v", err)
+			if math.Abs(exact-res.StrategyERRev) > 1e-6 {
+				t.Errorf("strategy ERRev: compiled %v, exact %v", res.StrategyERRev, exact)
 			}
-			fast, err := AnalyzeCompiled(comp, Options{Epsilon: eps, SkipStrategyEval: true})
-			if err != nil {
-				t.Fatalf("compiled: %v", err)
+			if exact < res.ERRev-eps || exact > res.BetaUp+eps {
+				t.Errorf("exact strategy ERRev %v outside the certified bracket [%v, %v]", exact, res.ERRev, res.BetaUp)
 			}
-			if math.Abs(gen.ERRev-fast.ERRev) > 2*eps {
-				t.Errorf("backends disagree: generic %v vs compiled %v", gen.ERRev, fast.ERRev)
+			if g := exactGain(t, p, res.ERRev); g < -1e-9 {
+				t.Errorf("PI MP* at the lower end %v is %v, want >= 0", res.ERRev, g)
+			}
+			if g := exactGain(t, p, res.BetaUp); g > 1e-9 {
+				t.Errorf("PI MP* at the upper end %v is %v, want <= 0", res.BetaUp, g)
 			}
 		})
 	}

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/obs"
-	"repro/internal/solve"
 )
 
 // BatchLane describes one lane of a batched analysis: a (p, γ) parameter
@@ -122,11 +121,11 @@ func AnalyzeBatchCompiledContext(ctx context.Context, c *kernel.Compiled, lanes 
 	// triples is exactly the solo Algorithm 1's, so Iterations, Sweeps and
 	// the final bracket stay bitwise equal to the solo analysis.
 	betas := make([]float64, len(lanes))
-	srs, err := solve.BatchRun(ctx, b, solve.BatchRunOptions{
+	srs, err := b.RunCtx(ctx, kernel.BatchRunOptions{
 		MaxIter:    opts.SolverMaxIter,
 		SignOnly:   true,
 		KeepValues: true, // unseeded lanes start from zero = solo cold
-	}, func(ln int, prev *solve.Result) (solve.LaneSolve, bool) {
+	}, func(ln int, prev *kernel.Result) (kernel.LaneSolve, bool) {
 		r := results[ln]
 		if prev != nil {
 			r.Sweeps += prev.Iters
@@ -141,16 +140,16 @@ func AnalyzeBatchCompiledContext(ctx context.Context, c *kernel.Compiled, lanes 
 			}
 		}
 		if r.BetaUp-r.BetaLow < opts.Epsilon {
-			return solve.LaneSolve{}, false
+			return kernel.LaneSolve{}, false
 		}
 		betas[ln] = (r.BetaLow + r.BetaUp) / 2
-		return solve.LaneSolve{Beta: betas[ln], Tol: zetas[ln]}, true
+		return kernel.LaneSolve{Beta: betas[ln], Tol: zetas[ln]}, true
 	})
 	if err != nil {
 		// In-flight (unconverged) solves never reached the callback: fold
 		// their partial sweeps in so the totals reflect work actually done.
 		for i, sr := range srs {
-			if sr != nil && !sr.Converged {
+			if !sr.Converged {
 				results[i].Sweeps += sr.Iters
 			}
 		}

@@ -13,10 +13,10 @@ import (
 // AnalyzeCompiled runs Algorithm 1 against a compiled model of any
 // registered attack-model family: the procedure is protocol-agnostic — a
 // binary search on β over a kernel whose transition probabilities are
-// parametric in the chain parameters. For the fork family semantics match
-// Analyze; the compiled backend resolves probabilities once per (p, γ) and
-// keeps value vectors warm across the binary search, making it suitable for
-// the large configurations (d=3 and d=4) of the paper's evaluation.
+// parametric in the chain parameters. The kernel resolves probabilities
+// once per (p, γ) and keeps value vectors warm across the binary search,
+// from the small shapes up to the large configurations (d=3 and d=4) of
+// the paper's evaluation.
 //
 // Chain parameters (p, γ) are those currently set on c (SetChainParams).
 // A positive Options.Workers is installed on c (SetWorkers) so that every
@@ -54,8 +54,11 @@ func AnalyzeCompiledContext(ctx context.Context, c *kernel.Compiled, opts Option
 		c.SetWorkers(opts.Workers)
 	}
 
-	// Gain resolution calibrated from the family's permanent-block-rate
-	// lower bound, exactly as in Analyze.
+	// Gain resolution needed so that a sign decision at distance ε from
+	// β* is reliable: |dMP*_β/dβ| equals the long-run rate of permanent
+	// blocks per step, which is at least BlockRate()/2 (each block event
+	// takes a mining step plus a decision step). A quarter of that per ε
+	// leaves a 2x safety margin.
 	zeta := opts.Epsilon * c.BlockRate() / 4
 	if zeta <= 0 {
 		zeta = opts.Epsilon * 1e-3
@@ -147,11 +150,14 @@ func AnalyzeCompiledContext(ctx context.Context, c *kernel.Compiled, opts Option
 		if sr.Hi < 0 {
 			res.BetaUp = beta
 		} else {
-			// Certified positive, or a numerically-zero floor-out (MP*_β
-			// within noise of zero): both map to beta <= β* by fixed rule,
-			// never by the bracket midpoint's noise-level sign, keeping
-			// every search decision bitwise identical under any warm start.
-			// See the matching branch in Analyze.
+			// Either the sign is certified positive, or the solve bottomed
+			// out at the numerically-zero width floor without a certified
+			// sign — which can only happen with MP*_β vanishingly close to
+			// zero, i.e. beta within ~ε·10⁻⁶ of β*. Treating that case as
+			// beta <= β* is a fixed rule: unlike the bracket midpoint's
+			// sign (noise at the 1e-17 scale), it cannot differ between
+			// solver trajectories, so the search decisions — and the final
+			// ERRev — are bitwise identical under any warm start.
 			res.BetaLow = beta
 		}
 		if opts.Progress != nil {

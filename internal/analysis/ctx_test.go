@@ -3,6 +3,7 @@ package analysis
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -26,25 +27,16 @@ func (c *errAfterChecks) Err() error {
 	return nil
 }
 
-func testModel(t *testing.T) *core.Model {
-	t.Helper()
-	m, err := core.NewModel(core.Params{P: 0.3, Gamma: 0.5, Depth: 1, Forks: 1, MaxLen: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
 // TestAnalyzeContextCancelPartialResult: an interrupted binary search
 // returns the bracket narrowed so far alongside the wrapped context error,
-// on both solver backends.
+// in bound-only and in full mode.
 func TestAnalyzeContextCancelPartialResult(t *testing.T) {
-	run := func(name string, analyze func(ctx context.Context) (*Result, error)) {
-		t.Run(name, func(t *testing.T) {
-			ctx := &errAfterChecks{Context: context.Background(), n: 200}
-			res, err := analyze(ctx)
+	for _, boundOnly := range []bool{true, false} {
+		t.Run(fmt.Sprintf("boundOnly=%v", boundOnly), func(t *testing.T) {
+			ctx := &errAfterChecks{Context: context.Background(), n: 20}
+			res, err := AnalyzeCompiledContext(ctx, mustCompile(t), Options{Epsilon: 1e-3, SkipStrategy: boundOnly})
 			if err == nil {
-				t.Skip("analysis finished before 200 checkpoints")
+				t.Skip("analysis finished before 20 checkpoints")
 			}
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want wrapped context.Canceled", err)
@@ -60,36 +52,22 @@ func TestAnalyzeContextCancelPartialResult(t *testing.T) {
 			}
 		})
 	}
-	run("generic", func(ctx context.Context) (*Result, error) {
-		return AnalyzeContext(ctx, testModel(t), Options{Epsilon: 1e-3, SkipStrategy: true})
-	})
-	run("compiled", func(ctx context.Context) (*Result, error) {
-		comp, err := core.Compile(core.Params{P: 0.3, Gamma: 0.5, Depth: 1, Forks: 1, MaxLen: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return AnalyzeCompiledContext(ctx, comp, Options{Epsilon: 1e-3, SkipStrategy: true})
-	})
 }
 
 // TestAnalyzeContextCompletedBitwise: attaching a live context changes no
-// bit of a completed analysis.
+// bit of a completed full analysis.
 func TestAnalyzeContextCompletedBitwise(t *testing.T) {
-	ref, err := Analyze(testModel(t), Options{Epsilon: 1e-3})
+	ref, err := AnalyzeCompiled(mustCompile(t), Options{Epsilon: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	got, err := AnalyzeContext(ctx, testModel(t), Options{Epsilon: 1e-3})
+	got, err := AnalyzeCompiledContext(ctx, mustCompile(t), Options{Epsilon: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Float64bits(got.ERRev) != math.Float64bits(ref.ERRev) ||
-		math.Float64bits(got.BetaUp) != math.Float64bits(ref.BetaUp) ||
-		got.Iterations != ref.Iterations || got.Sweeps != ref.Sweeps {
-		t.Fatalf("ctx analysis %+v != plain analysis %+v", got, ref)
-	}
+	equalResults(t, "ctx vs plain", ref, got)
 }
 
 // TestProgressReportsEveryStep: the Progress hook fires once per

@@ -3,9 +3,8 @@ package analysis
 import "repro/internal/obs"
 
 // Algorithm 1 instruments, on the shared default registry, labeled by the
-// solving backend: "generic" (mdp.Model value iteration), "compiled"
-// (flat-CSR kernel), and "batch" (multi-lane engine, one run per lane
-// group). Step counters tick at binary-search step boundaries — where the
+// solving backend: "compiled" (flat-CSR kernel, one run per analysis) and
+// "batch" (multi-lane engine, one run per lane group). Step counters tick at binary-search step boundaries — where the
 // context checks and Progress hooks already fire — never inside a solve.
 var (
 	analysisRuns = obs.Default().CounterVec("analysis_runs_total",
@@ -18,7 +17,6 @@ var (
 )
 
 const (
-	backendGeneric  = "generic"
 	backendCompiled = "compiled"
 	backendBatch    = "batch"
 )

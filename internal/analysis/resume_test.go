@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/families"
+	"repro/internal/kernel"
 )
 
 // equalResults asserts bitwise equality of everything Algorithm 1 certifies:
@@ -62,19 +64,20 @@ func TestResumeBitwiseCompiled(t *testing.T) {
 	}
 }
 
-// TestResumeBitwiseGeneric: the same property on the generic (on-the-fly
-// fork model) backend.
+// TestResumeBitwiseGeneric: the same property holds for any registered
+// family, not just fork — here the nakamoto family, compiled through the
+// family registry and resumed from a mid-search checkpoint.
 func TestResumeBitwiseGeneric(t *testing.T) {
-	params := core.Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 1, MaxLen: 3}
-	newModel := func() *core.Model {
-		m, err := core.NewModel(params)
+	params := core.Params{P: 0.35, Gamma: 0.5, Depth: 1, Forks: 1, MaxLen: 10}
+	compile := func() *kernel.Compiled {
+		c, err := families.Compile("nakamoto", params)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m
+		return c
 	}
 	var cks []Checkpoint
-	ref, err := Analyze(newModel(), Options{
+	ref, err := AnalyzeCompiled(compile(), Options{
 		Epsilon:      1e-3,
 		OnCheckpoint: func(ck Checkpoint) { cks = append(cks, ck) },
 	})
@@ -85,11 +88,11 @@ func TestResumeBitwiseGeneric(t *testing.T) {
 		t.Fatal("no checkpoints emitted")
 	}
 	ck := cks[len(cks)/2]
-	got, err := Analyze(newModel(), Options{Epsilon: 1e-3, Resume: &ck})
+	got, err := AnalyzeCompiled(compile(), Options{Epsilon: 1e-3, Resume: &ck})
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
-	equalResults(t, "generic resume", ref, got)
+	equalResults(t, "nakamoto resume", ref, got)
 }
 
 // TestResumeCheckpointReusable: resuming must not corrupt the caller's
@@ -122,7 +125,7 @@ func TestResumeCheckpointReusable(t *testing.T) {
 }
 
 // TestResumeRejectsMalformedCheckpoints: brackets and counters no run could
-// have produced are rejected up front, on both backends.
+// have produced are rejected up front.
 func TestResumeRejectsMalformedCheckpoints(t *testing.T) {
 	params := core.Params{P: 0.3, Gamma: 0.5, Depth: 1, Forks: 1, MaxLen: 3}
 	bad := []Checkpoint{
@@ -136,13 +139,6 @@ func TestResumeRejectsMalformedCheckpoints(t *testing.T) {
 		if _, err := AnalyzeCompiled(compileFor(t, params), Options{Epsilon: 1e-3, Resume: &ck}); err == nil {
 			t.Errorf("compiled accepted malformed checkpoint %d: %+v", i, ck)
 		}
-	}
-	m, err := core.NewModel(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Analyze(m, Options{Epsilon: 1e-3, Resume: &bad[0]}); err == nil {
-		t.Error("generic backend accepted an inverted bracket")
 	}
 	// A wrong-length value vector is caught by the solver's length check.
 	ck := Checkpoint{BetaLow: 0.1, BetaUp: 0.5, Values: []float64{1, 2, 3}}

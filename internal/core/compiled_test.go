@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/linalg"
 	"repro/internal/mdp"
 	"repro/internal/solve"
 )
@@ -17,14 +18,40 @@ func mustCompile(t *testing.T, p Params) *Compiled {
 	return c
 }
 
+// exactPolicyGain is the exact mean payoff of a fixed policy on a generic
+// mdp.Model, from the stationary distribution of the induced chain.
+func exactPolicyGain(t *testing.T, m mdp.Model, policy []int) float64 {
+	t.Helper()
+	chain, rewards, err := mdp.InducedChain(m, policy)
+	if err != nil {
+		t.Fatalf("InducedChain: %v", err)
+	}
+	pi, err := linalg.Stationary(chain, linalg.StationaryOptions{})
+	if err != nil {
+		t.Fatalf("Stationary: %v", err)
+	}
+	var g float64
+	for s := range pi {
+		g += pi[s] * rewards[s]
+	}
+	return g
+}
+
 // TestCompiledMatchesGenericGain is the central compiled-path cross-check:
-// the compiled mean-payoff must agree with the generic interface-based
-// solver over several configurations and β values.
+// over several configurations and β values, the compiled mean payoff must
+// equal the optimal gain that exact policy iteration finds on the generic
+// interface-based model, and the compiled solve's greedy strategy must
+// attain that optimum on the generic model.
 func TestCompiledMatchesGenericGain(t *testing.T) {
 	configs := []Params{
 		{P: 0.3, Gamma: 0.5, Depth: 1, Forks: 1, MaxLen: 4},
 		{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 1, MaxLen: 4},
 		{P: 0.15, Gamma: 0.25, Depth: 2, Forks: 2, MaxLen: 3},
+	}
+	if testing.Short() {
+		// Exact PI's dense solves on the 1536-state d2f2l3 model take about
+		// a minute under -race; d2f2l2 (486 states) keeps an f=2 shape.
+		configs[2].MaxLen = 2
 	}
 	for _, p := range configs {
 		t.Run(p.String(), func(t *testing.T) {
@@ -33,16 +60,19 @@ func TestCompiledMatchesGenericGain(t *testing.T) {
 			c := mustCompile(t, p)
 			for _, beta := range []float64{0.1, 0.35, 0.6} {
 				m.SetBeta(beta)
-				want, err := solve.MeanPayoff(m, solve.Options{Tol: 1e-9})
+				want, err := solve.PolicyIteration(m, 0)
 				if err != nil {
-					t.Fatalf("generic solve: %v", err)
+					t.Fatalf("policy iteration: %v", err)
 				}
 				got, err := c.MeanPayoff(beta, CompiledOptions{Tol: 1e-9})
 				if err != nil {
 					t.Fatalf("compiled solve: %v", err)
 				}
 				if math.Abs(got.Gain-want.Gain) > 1e-6 {
-					t.Errorf("beta=%v: compiled gain %v, generic gain %v", beta, got.Gain, want.Gain)
+					t.Errorf("beta=%v: compiled gain %v, PI gain %v", beta, got.Gain, want.Gain)
+				}
+				if g := exactPolicyGain(t, m, c.GreedyPolicy(beta)); math.Abs(g-want.Gain) > 1e-6 {
+					t.Errorf("beta=%v: exact gain of the compiled greedy strategy %v, PI gain %v", beta, g, want.Gain)
 				}
 			}
 		})
@@ -177,7 +207,7 @@ func TestReachableSubmodelSameGain(t *testing.T) {
 	m := mustModel(t, p)
 	m.SetMode(RewardBeta)
 	m.SetBeta(0.35)
-	full, err := solve.MeanPayoff(m, solve.Options{Tol: 1e-9})
+	full, err := solve.PolicyIteration(m, 0)
 	if err != nil {
 		t.Fatalf("full solve: %v", err)
 	}
@@ -188,7 +218,7 @@ func TestReachableSubmodelSameGain(t *testing.T) {
 	if sub.NumStates() > m.NumStates() {
 		t.Fatalf("reachable model larger than full: %d > %d", sub.NumStates(), m.NumStates())
 	}
-	restricted, err := solve.MeanPayoff(sub, solve.Options{Tol: 1e-9})
+	restricted, err := solve.PolicyIteration(sub, 0)
 	if err != nil {
 		t.Fatalf("restricted solve: %v", err)
 	}

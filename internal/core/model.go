@@ -86,7 +86,6 @@ type Model struct {
 
 var _ mdp.Model = (*Model)(nil)
 var _ mdp.ActionLabeler = (*Model)(nil)
-var _ mdp.Cloner = (*Model)(nil)
 var _ kernel.Source = (*Model)(nil)
 
 // NewModel constructs the MDP for validated parameters.
@@ -109,10 +108,6 @@ func (m *Model) Clone() *Model {
 	c.tmp = m.codec.NewState()
 	return c
 }
-
-// CloneModel implements mdp.Cloner, letting the parallel solvers in package
-// solve give each sweep worker its own scratch-carrying view.
-func (m *Model) CloneModel() mdp.Model { return m.Clone() }
 
 // Params returns the model parameters.
 func (m *Model) Params() Params { return m.params }

@@ -393,7 +393,8 @@ func rewardTable(tab *[rwdTableSize]float64, beta float64) {
 	}
 }
 
-// Result reports a compiled solve, mirroring solve.Result.
+// Result reports a compiled solve: the certified gain bracket [Lo, Hi],
+// its midpoint, and the sweeps it took.
 type Result struct {
 	Gain      float64
 	Lo, Hi    float64
@@ -472,8 +473,16 @@ func (c *Compiled) MeanPayoff(beta float64, opts Options) (*Result, error) {
 }
 
 // MeanPayoffCtx runs relative value iteration for reward r_β over the
-// compiled structure. Semantics match solve.MeanPayoff on the equivalent
-// model.
+// compiled structure. It returns a certified bracket [Lo, Hi] containing
+// the optimal gain g* = max_σ MP(σ): for any value vector h,
+//
+//	min_s (T h − h)(s)  ≤  g*  ≤  max_s (T h − h)(s)
+//
+// for unichain models, where T is the Bellman operator; brackets of
+// successive sweeps all contain g*, so they are intersected. Damping
+// (Options.Damping) replaces T with (1−τ)I + τT, which keeps the bounds
+// contracting on periodic structures. Values are renormalized against
+// state 0 after every sweep.
 //
 // Each sweep is parallelized across SetWorkers goroutines; the result is
 // bitwise identical at any worker count (see the Compiled type comment).
@@ -642,97 +651,135 @@ func (c *Compiled) EvalERRev(policy []int, opts Options) (float64, error) {
 	return c.EvalERRevCtx(context.Background(), policy, opts)
 }
 
-// EvalERRevCtx brackets the expected relative revenue of a fixed policy by
-// two iterative fixed-policy gain evaluations: gain(r_A) / gain(r_A + r_H).
-// ctx is checked at sweep boundaries, exactly as in MeanPayoffCtx.
+// EvalERRevCtx brackets the expected relative revenue of a fixed policy as
+// gain(r_A) / gain(r_A + r_H), each gain from fixed-policy relative value
+// iteration. Both iterations share one sweep loop that streams the chosen
+// action's transition range of every row once for the two value vectors;
+// each vector keeps its own bracket and freezes once that bracket
+// converges, so both gains are bitwise what two separate evaluations would
+// return. Sweeps are parallelized like MeanPayoff and equally independent
+// of the worker count; ctx is checked at sweep boundaries, exactly as in
+// MeanPayoffCtx.
+//
+// Every policy entry must name an action of its state; a bad entry is
+// rejected up front, naming the state and the action.
 func (c *Compiled) EvalERRevCtx(ctx context.Context, policy []int, opts Options) (float64, error) {
-	gainA, err := c.evalPolicyGain(ctx, policy, true, opts)
-	if err != nil {
-		return 0, fmt.Errorf("kernel: evaluating adversary gain: %w", err)
+	opts.defaults()
+	n := c.NumStates()
+	if len(policy) != n {
+		return 0, fmt.Errorf("kernel: policy covers %d states, model has %d", len(policy), n)
 	}
-	gainTotal, err := c.evalPolicyGain(ctx, policy, false, opts)
-	if err != nil {
-		return 0, fmt.Errorf("kernel: evaluating total gain: %w", err)
+	for s, a := range policy {
+		if na := int(c.stateAct[s+1] - c.stateAct[s]); a < 0 || a >= na {
+			return 0, fmt.Errorf("kernel: policy selects action %d in state %d with %d actions", a, s, na)
+		}
 	}
+	w := c.sweepWorkers()
+	chunks := par.NumChunks(n, w)
+	adv, total := newPolicyEval(n, chunks), newPolicyEval(n, chunks)
+	tau := opts.Damping
+	for iter := 1; !adv.done || !total.done; iter++ {
+		if iter > opts.MaxIter {
+			if !adv.done {
+				return 0, fmt.Errorf("kernel: evaluating adversary gain: %w", adv.noConvergence())
+			}
+			return 0, fmt.Errorf("kernel: evaluating total gain: %w", total.noConvergence())
+		}
+		if err := ctx.Err(); err != nil {
+			return 0, fmt.Errorf("kernel: policy evaluation canceled after %d sweeps: %w", iter-1, err)
+		}
+		par.For(n, w, func(chunk, from, to int) {
+			c.evalBothRange(policy, adv, total, tau, chunk, from, to)
+		})
+		// A converged vector is still swept until the other one stops, but
+		// skips finishSweep: its values and bracket stay frozen.
+		for _, pe := range []*policyEval{adv, total} {
+			if !pe.done {
+				pe.finishSweep(w, opts.Tol)
+			}
+		}
+	}
+	gainA, gainTotal := adv.gain(), total.gain()
 	if gainTotal <= 0 {
 		return 0, fmt.Errorf("kernel: total block rate %v is not positive", gainTotal)
 	}
 	return gainA / gainTotal, nil
 }
 
-// evalPolicyGain runs fixed-policy relative value iteration with reward
-// r_A (advOnly) or r_A + r_H. Sweeps are parallelized like MeanPayoff and
-// equally independent of the worker count; ctx is checked between sweeps.
-func (c *Compiled) evalPolicyGain(ctx context.Context, policy []int, advOnly bool, opts Options) (float64, error) {
-	opts.defaults()
-	n := c.NumStates()
-	if len(policy) != n {
-		return 0, fmt.Errorf("kernel: policy covers %d states, model has %d", len(policy), n)
+// policyEval is the state of one fixed-policy relative value iteration
+// inside EvalERRevCtx: its value vectors, its running gain bracket, and the
+// per-chunk extrema of the sweep in progress.
+type policyEval struct {
+	h, next []float64
+	lo, hi  float64
+	red     *par.MinMax
+	done    bool
+}
+
+func newPolicyEval(n, chunks int) *policyEval {
+	return &policyEval{
+		h:    make([]float64, n),
+		next: make([]float64, n),
+		lo:   math.Inf(-1),
+		hi:   math.Inf(1),
+		red:  par.NewMinMax(chunks),
 	}
-	var rwd [rwdTableSize]float64
-	for idx := 0; idx < rwdTableSize; idx++ {
-		ra := float64(idx >> (metaRAShift - metaRwdShift))
-		rh := float64(idx & ((1 << (metaRAShift - metaRwdShift)) - 1))
-		if advOnly {
-			rwd[idx] = ra
-		} else {
-			rwd[idx] = ra + rh
-		}
+}
+
+// finishSweep reduces the sweep's extrema into the running bracket,
+// renormalizes against state 0, swaps the vectors, and marks the iteration
+// done once the bracket is narrower than tol.
+func (pe *policyEval) finishSweep(workers int, tol float64) {
+	lo, hi := pe.red.Reduce()
+	par.Shift(pe.next, pe.next[0], workers)
+	pe.h, pe.next = pe.next, pe.h
+	if lo > pe.lo {
+		pe.lo = lo
 	}
-	h := make([]float64, n)
-	next := make([]float64, n)
-	tau := opts.Damping
-	resLo, resHi := math.Inf(-1), math.Inf(1)
-	w := c.sweepWorkers()
-	red := par.NewMinMax(par.NumChunks(n, w))
-	for iter := 1; iter <= opts.MaxIter; iter++ {
-		if err := ctx.Err(); err != nil {
-			return (resLo + resHi) / 2, fmt.Errorf("kernel: policy evaluation canceled after %d sweeps: %w", iter-1, err)
-		}
-		hv, nx := h, next
-		par.For(n, w, func(chunk, from, to int) {
-			lo, hi := math.Inf(1), math.Inf(-1)
-			for s := from; s < to; s++ {
-				// Walk to the policy[s]-th action of state s.
-				k := c.transStart[s]
-				kEnd := c.transStart[s+1]
-				act := -1
-				var q float64
-				for ; k < kEnd; k++ {
-					mv := c.meta[k]
-					if mv&metaNewAction != 0 {
-						act++
-						if act > policy[s] {
-							break
-						}
-					}
-					if act == policy[s] {
-						q += float64(c.probs[k]) * (rwd[(mv>>metaRwdShift)&metaRwdMask] + hv[c.dst[k]])
-					}
-				}
-				d := q - hv[s]
-				if d < lo {
-					lo = d
-				}
-				if d > hi {
-					hi = d
-				}
-				nx[s] = hv[s] + tau*d
-			}
-			red.Set(chunk, lo, hi)
-		})
-		lo, hi := red.Reduce()
-		par.Shift(next, next[0], w)
-		h, next = next, h
-		if lo > resLo {
-			resLo = lo
-		}
-		if hi < resHi {
-			resHi = hi
-		}
-		if resHi-resLo < opts.Tol {
-			return (resLo + resHi) / 2, nil
-		}
+	if hi < pe.hi {
+		pe.hi = hi
 	}
-	return (resLo + resHi) / 2, fmt.Errorf("kernel: policy evaluation did not converge: bracket [%v, %v]", resLo, resHi)
+	pe.done = pe.hi-pe.lo < tol
+}
+
+func (pe *policyEval) gain() float64 { return (pe.lo + pe.hi) / 2 }
+
+func (pe *policyEval) noConvergence() error {
+	return fmt.Errorf("kernel: policy evaluation did not converge: bracket [%v, %v]", pe.lo, pe.hi)
+}
+
+// evalBothRange runs one damped fixed-policy sweep over states [from, to)
+// for r_A (adv) and r_A + r_H (total) at once. Each row's sums accumulate
+// in transition order from zero, exactly as a sweep of either vector alone.
+func (c *Compiled) evalBothRange(policy []int, adv, total *policyEval, tau float64, chunk, from, to int) {
+	hA, nA, hT, nT := adv.h, adv.next, total.h, total.next
+	loA, hiA := math.Inf(1), math.Inf(-1)
+	loT, hiT := loA, hiA
+	for s := from; s < to; s++ {
+		act := int(c.stateAct[s]) + policy[s]
+		var qA, qT float64
+		for k := c.actStart[act]; k < c.actStart[act+1]; k++ {
+			mv, pr, d := c.meta[k], float64(c.probs[k]), c.dst[k]
+			ra := float64((mv >> metaRAShift) & MaxReward)
+			qA += pr * (ra + hA[d])
+			qT += pr * (ra + float64((mv>>metaRHShift)&MaxReward) + hT[d])
+		}
+		dA, dT := qA-hA[s], qT-hT[s]
+		if dA < loA {
+			loA = dA
+		}
+		if dA > hiA {
+			hiA = dA
+		}
+		if dT < loT {
+			loT = dT
+		}
+		if dT > hiT {
+			hiT = dT
+		}
+		nA[s] = hA[s] + tau*dA
+		nT[s] = hT[s] + tau*dT
+	}
+	adv.red.Set(chunk, loA, hiA)
+	total.red.Set(chunk, loT, hiT)
 }

@@ -112,9 +112,8 @@ const (
 	// width, the bursts are assumed to be hurting (oscillation) and the
 	// solve degrades to the pure specialized Jacobi iteration.
 	fastStallRounds = 64
-	// DefaultSOROmega is the default over-relaxation factor of VariantSOR,
-	// shared with the generic backend (see solve.Options.Omega).
-	DefaultSOROmega = 1.1
+	// defaultSOROmega is the default over-relaxation factor of VariantSOR.
+	defaultSOROmega = 1.1
 )
 
 // ensureWeights (re)builds the per-transition β-weighted reward cache
@@ -252,7 +251,7 @@ func (c *Compiled) meanPayoffFast(ctx context.Context, beta float64, opts Option
 		if opts.Omega > 0 && opts.Omega < 2 {
 			omega = opts.Omega
 		} else {
-			omega = DefaultSOROmega
+			omega = defaultSOROmega
 		}
 	}
 	res := &Result{Lo: math.Inf(-1), Hi: math.Inf(1)}

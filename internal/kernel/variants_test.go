@@ -30,8 +30,7 @@ func (r ringSource) RawTransitions(s, a int, buf []Raw) []Raw {
 	if a == 0 {
 		// State-dependent rewards keep the model far from symmetric (a
 		// symmetric ring converges in one sweep and exercises nothing); the
-		// 10% mix into state 0 keeps it aperiodic and fast-mixing, like the
-		// generic backend's randomUnichain fixture.
+		// 10% mix into state 0 keeps it aperiodic and fast-mixing.
 		next := (s + 1) % r.n
 		return append(buf,
 			Raw{Dst: next, Kind: 1, RA: uint8(1 + s%3)},

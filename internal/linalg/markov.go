@@ -102,8 +102,8 @@ func AbsorbingCycle(q *CSR, r []float64) ([]float64, error) {
 //	g + h(s) = r(s) + Σ_s' P(s,s') h(s'),   h(ref) = 0.
 //
 // It returns the gain g and bias vector h using a dense linear solve
-// (intended for small chains; large chains should use iterative evaluation
-// in package solve).
+// (intended for small chains; large chains should use the compiled
+// kernel's iterative evaluation).
 func GainBias(p *CSR, r []float64, ref int) (float64, []float64, error) {
 	if p.Rows != p.Cols {
 		return 0, nil, fmt.Errorf("linalg: GainBias needs a square matrix, got %dx%d", p.Rows, p.Cols)

@@ -4,8 +4,9 @@
 // reachability analysis, and induction of the Markov chain obtained by
 // fixing a positional strategy.
 //
-// The mean-payoff solvers live in package solve; the selfish-mining attack
-// MDP of the paper is built in package core on top of these abstractions.
+// The exact mean-payoff reference solvers live in package solve; the
+// selfish-mining attack MDP of the paper is built in package core on top of
+// these abstractions.
 package mdp
 
 import (
@@ -45,17 +46,6 @@ type ActionLabeler interface {
 	ActionLabel(s, a int) string
 }
 
-// Cloner is an optional interface for models that can produce independent
-// views for concurrent readers. Implementations whose Transitions method
-// uses internal scratch (like the on-the-fly attack MDP) return a view with
-// its own scratch; implementations that are already safe for concurrent
-// reads (like Explicit) may return the receiver. The parallel solvers in
-// package solve fan a sweep out across goroutines only when the model
-// implements Cloner, giving each worker its own view.
-type Cloner interface {
-	CloneModel() Model
-}
-
 // Choice is one action of an explicit model: a label and its successor
 // distribution.
 type Choice struct {
@@ -71,11 +61,6 @@ type Explicit struct {
 
 var _ Model = (*Explicit)(nil)
 var _ ActionLabeler = (*Explicit)(nil)
-var _ Cloner = (*Explicit)(nil)
-
-// CloneModel implements Cloner. An Explicit model is read-only during
-// solving, so the receiver itself is a valid concurrent view.
-func (e *Explicit) CloneModel() Model { return e }
 
 // NumStates implements Model.
 func (e *Explicit) NumStates() int { return len(e.Choices) }

@@ -8,7 +8,7 @@
 // results with associative, commutative, exact operations (min, max, integer
 // sums) produce results bitwise identical to a serial loop, for every worker
 // count. This is the argument that makes the parallel value-iteration sweeps
-// in internal/core and internal/solve reproducible at any -workers setting.
+// of internal/kernel reproducible at any -workers setting.
 package par
 
 import (
@@ -19,8 +19,8 @@ import (
 
 // Workers normalizes a worker-count option: n if positive, otherwise
 // runtime.NumCPU(). This is the single defaulting rule for every Workers
-// knob in the repository (solve.Options, analysis.Options, the
-// selfishmining functional options, and the -workers CLI flags).
+// knob in the repository (analysis.Options, the selfishmining functional
+// options, and the -workers CLI flags).
 func Workers(n int) int {
 	if n > 0 {
 		return n

@@ -14,9 +14,13 @@ func analyzed(t *testing.T, p core.Params) (*core.Model, []int, float64) {
 	if err != nil {
 		t.Fatalf("NewModel(%v): %v", p, err)
 	}
-	res, err := analysis.Analyze(m, analysis.Options{Epsilon: 1e-4})
+	comp, err := core.Compile(p)
 	if err != nil {
-		t.Fatalf("Analyze(%v): %v", p, err)
+		t.Fatalf("Compile(%v): %v", p, err)
+	}
+	res, err := analysis.AnalyzeCompiled(comp, analysis.Options{Epsilon: 1e-4})
+	if err != nil {
+		t.Fatalf("AnalyzeCompiled(%v): %v", p, err)
 	}
 	return m, res.Strategy, res.StrategyERRev
 }

@@ -6,9 +6,11 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/kernel"
 )
 
-// errAfterChecks cancels after n Err() observations; the solver polls
+// errAfterChecks cancels after n Err() observations; the kernel polls
 // Err() once per sweep, so n pins the cancellation to an exact boundary.
 type errAfterChecks struct {
 	context.Context
@@ -26,7 +28,7 @@ func (c *errAfterChecks) Err() error {
 func TestMeanPayoffContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := MeanPayoffContext(ctx, chooseLoop(), Options{Tol: 1e-9})
+	res, err := chooseLoop().compile(t).MeanPayoffCtx(ctx, 0.3, kernel.Options{Tol: 1e-9})
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -40,7 +42,7 @@ func TestMeanPayoffContextCancelsAtBoundary(t *testing.T) {
 	ctx := &errAfterChecks{Context: context.Background(), n: n}
 	// stayOrCycle's damped 2-cycle contracts slowly, so it cannot converge
 	// before the fourth sweep boundary.
-	res, err := MeanPayoffContext(ctx, stayOrCycle(), Options{Tol: 1e-15, MaxIter: 100000})
+	res, err := stayOrCycle().compile(t).MeanPayoffCtx(ctx, 0.5, kernel.Options{Tol: 1e-15, MaxIter: 100000})
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -52,13 +54,15 @@ func TestMeanPayoffContextCancelsAtBoundary(t *testing.T) {
 // TestMeanPayoffContextCompletedBitwise: a live context changes nothing
 // about a completed solve — the check sits between sweeps, never inside.
 func TestMeanPayoffContextCompletedBitwise(t *testing.T) {
-	ref, err := MeanPayoff(chooseLoop(), Options{Tol: 1e-9})
+	plain := stayOrCycle().compile(t)
+	ref, err := plain.MeanPayoff(0.5, kernel.Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	got, err := MeanPayoffContext(ctx, chooseLoop(), Options{Tol: 1e-9})
+	withCtx := stayOrCycle().compile(t)
+	got, err := withCtx.MeanPayoffCtx(ctx, 0.5, kernel.Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +70,9 @@ func TestMeanPayoffContextCompletedBitwise(t *testing.T) {
 		t.Fatalf("ctx solve (gain %v, %d sweeps) != plain solve (gain %v, %d sweeps)",
 			got.Gain, got.Iters, ref.Gain, ref.Iters)
 	}
-	for i := range ref.Values {
-		if math.Float64bits(got.Values[i]) != math.Float64bits(ref.Values[i]) {
+	want, have := plain.Values(), withCtx.Values()
+	for i := range want {
+		if math.Float64bits(have[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("value vectors diverge at state %d", i)
 		}
 	}

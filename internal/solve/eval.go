@@ -1,12 +1,8 @@
 package solve
 
 import (
-	"fmt"
-	"math"
-
 	"repro/internal/linalg"
 	"repro/internal/mdp"
-	"repro/internal/par"
 )
 
 // EvalPolicyExact computes the exact gain and bias of a fixed positional
@@ -18,134 +14,4 @@ func EvalPolicyExact(m mdp.Model, policy []int) (gain float64, bias []float64, e
 		return 0, nil, err
 	}
 	return linalg.GainBias(chain, rewards, m.Initial())
-}
-
-// EvalPolicyIterative brackets the gain of a fixed positional policy by
-// relative value iteration restricted to that policy. It scales to large
-// models where the dense solve of EvalPolicyExact is infeasible. Sweeps
-// are parallelized like MeanPayoff and equally independent of the worker
-// count.
-func EvalPolicyIterative(m mdp.Model, policy []int, opts Options) (*Result, error) {
-	opts.defaults()
-	n := m.NumStates()
-	if len(policy) != n {
-		return nil, fmt.Errorf("solve: policy covers %d states, model has %d", len(policy), n)
-	}
-	if opts.InitialValues != nil && len(opts.InitialValues) != n {
-		return nil, fmt.Errorf("solve: warm-start vector has %d entries, model has %d states", len(opts.InitialValues), n)
-	}
-	h, next := solveVectors(opts.Workspace, n, opts.InitialValues)
-	tau := opts.Damping
-	ref := m.Initial()
-
-	views, fellBack := workerViews(m, sweepChunks(n, opts.Workers))
-	chunks := len(views)
-	red := par.NewMinMax(chunks)
-	bufs := make([][]mdp.Transition, chunks)
-
-	res := &Result{Lo: math.Inf(-1), Hi: math.Inf(1), Policy: policy}
-	res.SerialFallback = fellBack && opts.Workers > 1
-	for iter := 1; iter <= opts.MaxIter; iter++ {
-		hv, nx := h, next
-		par.For(n, chunks, func(chunk, from, to int) {
-			mm := views[chunk]
-			buf := bufs[chunk]
-			lo, hi := math.Inf(1), math.Inf(-1)
-			for s := from; s < to; s++ {
-				buf = mm.Transitions(s, policy[s], buf[:0])
-				var q float64
-				for _, tr := range buf {
-					q += tr.Prob * (tr.Reward + hv[tr.Dst])
-				}
-				d := q - hv[s]
-				if d < lo {
-					lo = d
-				}
-				if d > hi {
-					hi = d
-				}
-				nx[s] = hv[s] + tau*d
-			}
-			bufs[chunk] = buf
-			red.Set(chunk, lo, hi)
-		})
-		lo, hi := red.Reduce()
-		par.Shift(next, next[ref], chunks)
-		h, next = next, h
-		res.Iters = iter
-		if lo > res.Lo {
-			res.Lo = lo
-		}
-		if hi < res.Hi {
-			res.Hi = hi
-		}
-		if res.Hi-res.Lo < opts.Tol || (opts.SignOnly && (res.Lo > 0 || res.Hi < 0)) {
-			res.Converged = true
-			break
-		}
-	}
-	res.Gain = (res.Lo + res.Hi) / 2
-	res.Values = h
-	if !res.Converged {
-		return res, fmt.Errorf("%w: bracket [%v, %v] after %d sweeps", ErrNoConvergence, res.Lo, res.Hi, res.Iters)
-	}
-	return res, nil
-}
-
-// GainRatio evaluates the long-run ratio g_num / g_den of two reward
-// structures under a fixed policy on the same chain, via exact stationary
-// analysis. numFn and denFn map each transition (under the policy's action)
-// to its contribution. This is how the expected relative revenue of a
-// computed strategy is certified: ERRev(σ) = gain(r_A) / gain(r_A + r_H)
-// by the renewal-reward theorem for ergodic chains.
-func GainRatio(m mdp.Model, policy []int, numFn, denFn func(s, a int, tr mdp.Transition) float64) (float64, error) {
-	return GainRatioWorkspace(m, policy, numFn, denFn, nil)
-}
-
-// GainRatioWorkspace is GainRatio with the per-state accumulators and the
-// chain's entry buffer drawn from ws (when non-nil), so a caller
-// certifying many strategies reuses one allocation. See Workspace for
-// ownership rules.
-func GainRatioWorkspace(m mdp.Model, policy []int, numFn, denFn func(s, a int, tr mdp.Transition) float64, ws *Workspace) (float64, error) {
-	if err := mdp.Policy(policy).Validate(m); err != nil {
-		return 0, err
-	}
-	n := m.NumStates()
-	var numVec, denVec []float64
-	var entries []linalg.Entry
-	if ws != nil {
-		numVec, denVec, entries = ws.ratioScratch(n)
-	} else {
-		numVec = make([]float64, n)
-		denVec = make([]float64, n)
-	}
-	var buf []mdp.Transition
-	for s := 0; s < n; s++ {
-		buf = m.Transitions(s, policy[s], buf[:0])
-		for _, tr := range buf {
-			entries = append(entries, linalg.Entry{Row: s, Col: tr.Dst, Val: tr.Prob})
-			numVec[s] += tr.Prob * numFn(s, policy[s], tr)
-			denVec[s] += tr.Prob * denFn(s, policy[s], tr)
-		}
-	}
-	if ws != nil {
-		ws.entries = entries // keep the grown backing for the next call
-	}
-	chain, err := linalg.NewCSR(n, n, entries)
-	if err != nil {
-		return 0, err
-	}
-	pi, err := linalg.Stationary(chain, linalg.StationaryOptions{})
-	if err != nil {
-		return 0, err
-	}
-	var gNum, gDen float64
-	for s := range pi {
-		gNum += pi[s] * numVec[s]
-		gDen += pi[s] * denVec[s]
-	}
-	if gDen <= 0 {
-		return 0, fmt.Errorf("solve: denominator gain %v is not positive", gDen)
-	}
-	return gNum / gDen, nil
 }

@@ -4,14 +4,14 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/linalg"
 	"repro/internal/mdp"
 )
 
 // PolicyIteration runs Howard's policy iteration with exact gain/bias
 // evaluation via a dense linear solve. It is exact up to linear-algebra
 // round-off and intended for small and medium models (the dense solve is
-// O(n^3)); it serves as an independent cross-check of MeanPayoff.
+// O(n^3)); it serves as an independent cross-check of the compiled
+// kernel's value iteration.
 //
 // The model must be unichain: every positional strategy must induce a chain
 // with a single recurrent class (so the gain is a scalar).
@@ -24,18 +24,16 @@ func PolicyIteration(m mdp.Model, maxIter int) (*Result, error) {
 		return nil, fmt.Errorf("solve: model has no states")
 	}
 	policy := make([]int, n)
-	ref := m.Initial()
 	var buf []mdp.Transition
 	const improveTol = 1e-10
 
-	var gain float64
-	var bias []float64
+	var (
+		gain float64
+		bias []float64
+		err  error
+	)
 	for iter := 1; iter <= maxIter; iter++ {
-		chain, rewards, err := mdp.InducedChain(m, policy)
-		if err != nil {
-			return nil, fmt.Errorf("solve: inducing chain: %w", err)
-		}
-		gain, bias, err = linalg.GainBias(chain, rewards, ref)
+		gain, bias, err = EvalPolicyExact(m, policy)
 		if err != nil {
 			return nil, fmt.Errorf("solve: evaluating policy: %w", err)
 		}
@@ -63,15 +61,7 @@ func PolicyIteration(m mdp.Model, maxIter int) (*Result, error) {
 			}
 		}
 		if !improved {
-			return &Result{
-				Gain:      gain,
-				Lo:        gain,
-				Hi:        gain,
-				Policy:    policy,
-				Values:    bias,
-				Iters:     iter,
-				Converged: true,
-			}, nil
+			return &Result{Gain: gain, Policy: policy, Values: bias, Iters: iter}, nil
 		}
 	}
 	return nil, fmt.Errorf("%w: policy iteration did not stabilize in %d rounds", ErrNoConvergence, maxIter)

@@ -1,68 +1,40 @@
 package solve
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/kernel"
 	"repro/internal/mdp"
 )
 
-// chooseLoop is a 1-state MDP with two self-loop actions of rewards 0.3, 0.7.
-func chooseLoop() *mdp.Explicit {
-	return &mdp.Explicit{
-		Init: 0,
-		Choices: [][]mdp.Choice{
-			{
-				{Label: "low", Succ: []mdp.Transition{{Dst: 0, Prob: 1, Reward: 0.3}}},
-				{Label: "high", Succ: []mdp.Transition{{Dst: 0, Prob: 1, Reward: 0.7}}},
-			},
-		},
-	}
-}
-
-// stayOrCycle: state 0 may self-loop (reward 0.5) or enter a 2-cycle via
-// state 1 with rewards 0 then 2 (average 1). Optimal gain is 1.
-func stayOrCycle() *mdp.Explicit {
-	return &mdp.Explicit{
-		Init: 0,
-		Choices: [][]mdp.Choice{
-			{
-				{Label: "stay", Succ: []mdp.Transition{{Dst: 0, Prob: 1, Reward: 0.5}}},
-				{Label: "cycle", Succ: []mdp.Transition{{Dst: 1, Prob: 1, Reward: 0}}},
-			},
-			{
-				{Label: "back", Succ: []mdp.Transition{{Dst: 0, Prob: 1, Reward: 2}}},
-			},
-		},
-	}
-}
-
 func TestMeanPayoffChooseLoop(t *testing.T) {
-	res, err := MeanPayoff(chooseLoop(), Options{Tol: 1e-10})
+	c := chooseLoop().compile(t)
+	res, err := c.MeanPayoff(0.3, kernel.Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatalf("MeanPayoff: %v", err)
 	}
 	if math.Abs(res.Gain-0.7) > 1e-9 {
 		t.Errorf("gain = %v, want 0.7", res.Gain)
 	}
-	if res.Policy[0] != 1 {
-		t.Errorf("policy picks action %d, want 1 (high)", res.Policy[0])
+	if pol := c.GreedyPolicy(0.3); pol[0] != 1 {
+		t.Errorf("policy picks action %d, want 1 (high)", pol[0])
 	}
 }
 
 func TestMeanPayoffStayOrCycle(t *testing.T) {
-	res, err := MeanPayoff(stayOrCycle(), Options{Tol: 1e-9})
+	c := stayOrCycle().compile(t)
+	res, err := c.MeanPayoff(0.5, kernel.Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatalf("MeanPayoff: %v", err)
 	}
 	if math.Abs(res.Gain-1) > 1e-7 {
 		t.Errorf("gain = %v, want 1", res.Gain)
 	}
-	if res.Policy[0] != 1 {
-		t.Errorf("policy picks action %d in state 0, want 1 (cycle)", res.Policy[0])
+	if pol := c.GreedyPolicy(0.5); pol[0] != 1 {
+		t.Errorf("policy picks action %d in state 0, want 1 (cycle)", pol[0])
 	}
 	if res.Lo > 1 || res.Hi < 1 {
 		t.Errorf("bracket [%v, %v] does not contain the true gain 1", res.Lo, res.Hi)
@@ -70,16 +42,10 @@ func TestMeanPayoffStayOrCycle(t *testing.T) {
 }
 
 func TestMeanPayoffPeriodicChain(t *testing.T) {
-	// Pure 2-cycle with rewards 1, 0: gain 0.5. Undamped VI would oscillate;
-	// damping must still converge.
-	m := &mdp.Explicit{
-		Init: 0,
-		Choices: [][]mdp.Choice{
-			{{Succ: []mdp.Transition{{Dst: 1, Prob: 1, Reward: 1}}}},
-			{{Succ: []mdp.Transition{{Dst: 0, Prob: 1, Reward: 0}}}},
-		},
-	}
-	res, err := MeanPayoff(m, Options{Tol: 1e-9})
+	// Pure 2-cycle with rewards 1, 0 at β = 0.5: gain 0.5. Undamped VI
+	// would oscillate; damping must still converge.
+	c := fixture{{sure(1, 2, 0)}, {sure(0, 0, 0)}}.compile(t)
+	res, err := c.MeanPayoff(0.5, kernel.Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatalf("MeanPayoff: %v", err)
 	}
@@ -89,18 +55,16 @@ func TestMeanPayoffPeriodicChain(t *testing.T) {
 }
 
 func TestMeanPayoffSignOnly(t *testing.T) {
-	res, err := MeanPayoff(chooseLoop(), Options{SignOnly: true})
+	c := chooseLoop().compile(t)
+	res, err := c.MeanPayoff(0.3, kernel.Options{SignOnly: true})
 	if err != nil {
 		t.Fatalf("MeanPayoff: %v", err)
 	}
 	if !res.SignKnown() || res.Lo <= 0 {
 		t.Errorf("sign-only solve should certify positive gain, bracket [%v, %v]", res.Lo, res.Hi)
 	}
-	// Negative-gain variant.
-	m := chooseLoop()
-	m.Choices[0][0].Succ[0].Reward = -0.5
-	m.Choices[0][1].Succ[0].Reward = -0.2
-	res, err = MeanPayoff(m, Options{SignOnly: true})
+	// At β = 1.2 both rewards are negative (−0.2 and −1.2).
+	res, err = c.MeanPayoff(1.2, kernel.Options{SignOnly: true})
 	if err != nil {
 		t.Fatalf("MeanPayoff: %v", err)
 	}
@@ -110,12 +74,12 @@ func TestMeanPayoffSignOnly(t *testing.T) {
 }
 
 func TestMeanPayoffWarmStart(t *testing.T) {
-	m := stayOrCycle()
-	cold, err := MeanPayoff(m, Options{Tol: 1e-9})
+	c := stayOrCycle().compile(t)
+	cold, err := c.MeanPayoff(0.5, kernel.Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatalf("cold solve: %v", err)
 	}
-	warm, err := MeanPayoff(m, Options{Tol: 1e-9, InitialValues: cold.Values})
+	warm, err := c.MeanPayoff(0.5, kernel.Options{Tol: 1e-9, KeepValues: true})
 	if err != nil {
 		t.Fatalf("warm solve: %v", err)
 	}
@@ -128,23 +92,23 @@ func TestMeanPayoffWarmStart(t *testing.T) {
 }
 
 func TestMeanPayoffIterationLimit(t *testing.T) {
-	res, err := MeanPayoff(stayOrCycle(), Options{Tol: 1e-12, MaxIter: 2})
-	if !errors.Is(err, ErrNoConvergence) {
-		t.Fatalf("expected ErrNoConvergence, got %v", err)
+	res, err := stayOrCycle().compile(t).MeanPayoff(0.5, kernel.Options{Tol: 1e-12, MaxIter: 2})
+	if err == nil {
+		t.Fatal("expected a non-convergence error")
 	}
-	if res == nil || res.Converged {
-		t.Error("non-converged result should still carry the partial bracket")
+	if res == nil || res.Converged || res.Iters != 2 {
+		t.Error("non-converged result should still carry the partial bracket of both sweeps")
 	}
 }
 
 func TestMeanPayoffBadWarmStart(t *testing.T) {
-	if _, err := MeanPayoff(chooseLoop(), Options{InitialValues: []float64{1, 2}}); err == nil {
+	if err := chooseLoop().compile(t).SetValues([]float64{1, 2}); err == nil {
 		t.Fatal("expected error for mis-sized warm-start vector, got nil")
 	}
 }
 
 func TestPolicyIterationChooseLoop(t *testing.T) {
-	res, err := PolicyIteration(chooseLoop(), 0)
+	res, err := PolicyIteration(chooseLoop().explicit(0.3), 0)
 	if err != nil {
 		t.Fatalf("PolicyIteration: %v", err)
 	}
@@ -154,7 +118,7 @@ func TestPolicyIterationChooseLoop(t *testing.T) {
 }
 
 func TestPolicyIterationStayOrCycle(t *testing.T) {
-	res, err := PolicyIteration(stayOrCycle(), 0)
+	res, err := PolicyIteration(stayOrCycle().explicit(0.5), 0)
 	if err != nil {
 		t.Fatalf("PolicyIteration: %v", err)
 	}
@@ -166,34 +130,15 @@ func TestPolicyIterationStayOrCycle(t *testing.T) {
 	}
 }
 
-// randomUnichain builds a random MDP where every action mixes 10% of its
-// probability into state 0, forcing a single recurrent class.
-func randomUnichain(r *rand.Rand, n, maxActions int) *mdp.Explicit {
-	choices := make([][]mdp.Choice, n)
-	for s := 0; s < n; s++ {
-		na := 1 + r.Intn(maxActions)
-		for a := 0; a < na; a++ {
-			d1 := r.Intn(n)
-			d2 := r.Intn(n)
-			p1 := 0.2 + 0.5*r.Float64()
-			succ := []mdp.Transition{
-				{Dst: 0, Prob: 0.1, Reward: r.Float64()},
-				{Dst: d1, Prob: p1, Reward: r.Float64()},
-				{Dst: d2, Prob: 0.9 - p1, Reward: r.Float64()},
-			}
-			choices[s] = append(choices[s], mdp.Choice{Succ: succ})
-		}
-	}
-	return &mdp.Explicit{Init: 0, Choices: choices}
-}
-
 // TestRVIAgreesWithPolicyIteration is the central solver cross-check: on
-// random unichain MDPs the iterative bracket must contain the exact gain
-// computed by Howard policy iteration.
+// random unichain MDPs the compiled kernel's value iteration must find the
+// exact gain computed by Howard policy iteration.
 func TestRVIAgreesWithPolicyIteration(t *testing.T) {
 	property := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		m := randomUnichain(r, 2+r.Intn(10), 3)
+		f := randomUnichain(r, 2+r.Intn(10), 3)
+		beta := r.Float64()
+		m := f.explicit(beta)
 		if err := mdp.Validate(m, 1e-9); err != nil {
 			t.Fatalf("generated invalid model: %v", err)
 		}
@@ -201,7 +146,7 @@ func TestRVIAgreesWithPolicyIteration(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		iter, err := MeanPayoff(m, Options{Tol: 1e-9})
+		iter, err := f.compile(t).MeanPayoff(beta, kernel.Options{Tol: 1e-9})
 		if err != nil {
 			return false
 		}
@@ -213,78 +158,89 @@ func TestRVIAgreesWithPolicyIteration(t *testing.T) {
 	}
 }
 
+// exactERRev is gain(r_A) / gain(r_A + r_H) of a policy, each gain by the
+// exact dense evaluation.
+func exactERRev(t *testing.T, f fixture, policy []int) float64 {
+	t.Helper()
+	gA, _, err := EvalPolicyExact(f.explicitWith(func(ra, _ float64) float64 { return ra }), policy)
+	if err != nil {
+		t.Fatalf("EvalPolicyExact(r_A): %v", err)
+	}
+	gT, _, err := EvalPolicyExact(f.explicitWith(func(ra, rh float64) float64 { return ra + rh }), policy)
+	if err != nil {
+		t.Fatalf("EvalPolicyExact(r_A + r_H): %v", err)
+	}
+	return gA / gT
+}
+
 func TestEvalPolicyExactMatchesIterative(t *testing.T) {
-	m := stayOrCycle()
+	f := stayOrCycle()
 	policy := []int{1, 0}
-	gain, _, err := EvalPolicyExact(m, policy)
+	gain, _, err := EvalPolicyExact(f.explicit(0.5), policy)
 	if err != nil {
 		t.Fatalf("EvalPolicyExact: %v", err)
-	}
-	res, err := EvalPolicyIterative(m, policy, Options{Tol: 1e-10})
-	if err != nil {
-		t.Fatalf("EvalPolicyIterative: %v", err)
-	}
-	if math.Abs(gain-res.Gain) > 1e-8 {
-		t.Errorf("exact gain %v, iterative gain %v", gain, res.Gain)
 	}
 	if math.Abs(gain-1) > 1e-10 {
 		t.Errorf("gain = %v, want 1", gain)
 	}
+	errev, err := f.compile(t).EvalERRev(policy, kernel.Options{Tol: 1e-10})
+	if err != nil {
+		t.Fatalf("EvalERRev: %v", err)
+	}
+	if want := exactERRev(t, f, policy); math.Abs(errev-want) > 1e-8 {
+		t.Errorf("iterative ERRev %v, exact %v", errev, want)
+	}
+	if math.Abs(errev-0.75) > 1e-8 {
+		t.Errorf("ERRev of the cycle = %v, want 6/8", errev)
+	}
 }
 
 func TestEvalPolicyIterativeSuboptimal(t *testing.T) {
-	res, err := EvalPolicyIterative(stayOrCycle(), []int{0, 0}, Options{Tol: 1e-10})
+	errev, err := stayOrCycle().compile(t).EvalERRev([]int{0, 0}, kernel.Options{Tol: 1e-10})
 	if err != nil {
-		t.Fatalf("EvalPolicyIterative: %v", err)
+		t.Fatalf("EvalERRev: %v", err)
 	}
-	if math.Abs(res.Gain-0.5) > 1e-8 {
-		t.Errorf("gain of stay policy = %v, want 0.5", res.Gain)
+	if math.Abs(errev-2.0/3) > 1e-8 {
+		t.Errorf("ERRev of the stay policy = %v, want 2/3", errev)
 	}
 }
 
 func TestEvalPolicyWrongLength(t *testing.T) {
-	if _, err := EvalPolicyIterative(stayOrCycle(), []int{0}, Options{}); err == nil {
+	if _, err := stayOrCycle().compile(t).EvalERRev([]int{0}, kernel.Options{}); err == nil {
 		t.Fatal("expected error for short policy, got nil")
 	}
 }
 
 func TestGainRatio(t *testing.T) {
-	// 2-cycle; numerator counts reward on 0->1 (=1 per 2 steps), denominator
-	// counts both transitions (=2 per 2 steps). Ratio = 0.5.
-	m := &mdp.Explicit{
-		Init: 0,
-		Choices: [][]mdp.Choice{
-			{{Succ: []mdp.Transition{{Dst: 1, Prob: 1, Reward: 1}}}},
-			{{Succ: []mdp.Transition{{Dst: 0, Prob: 1, Reward: 0}}}},
-		},
-	}
-	ratio, err := GainRatio(m, []int{0, 0},
-		func(s, a int, tr mdp.Transition) float64 { return tr.Reward },
-		func(s, a int, tr mdp.Transition) float64 { return 1 },
-	)
+	// 2-cycle paying an adversary block on 0->1 and an honest block on
+	// 1->0: ERRev = gain(r_A) / gain(r_A + r_H) = 0.5.
+	f := fixture{{sure(1, 1, 0)}, {sure(0, 0, 1)}}
+	ratio, err := f.compile(t).EvalERRev([]int{0, 0}, kernel.Options{Tol: 1e-10})
 	if err != nil {
-		t.Fatalf("GainRatio: %v", err)
+		t.Fatalf("EvalERRev: %v", err)
 	}
 	if math.Abs(ratio-0.5) > 1e-9 {
 		t.Errorf("ratio = %v, want 0.5", ratio)
 	}
+	if want := exactERRev(t, f, []int{0, 0}); math.Abs(ratio-want) > 1e-9 {
+		t.Errorf("ratio = %v, exact %v", ratio, want)
+	}
 }
 
 func TestGainRatioZeroDenominator(t *testing.T) {
-	m := chooseLoop()
-	_, err := GainRatio(m, []int{0},
-		func(s, a int, tr mdp.Transition) float64 { return 1 },
-		func(s, a int, tr mdp.Transition) float64 { return 0 },
-	)
-	if err == nil {
+	// No transition makes a block permanent: the total gain is zero.
+	f := fixture{{sure(0, 0, 0)}}
+	if _, err := f.compile(t).EvalERRev([]int{0}, kernel.Options{Tol: 1e-10}); err == nil {
 		t.Fatal("expected error for zero denominator gain, got nil")
 	}
 }
 
 func TestGreedyPolicy(t *testing.T) {
-	m := chooseLoop()
-	policy := GreedyPolicy(m, []float64{0})
-	if policy[0] != 1 {
+	c := chooseLoop().compile(t)
+	if err := c.SetValues([]float64{0}); err != nil {
+		t.Fatal(err)
+	}
+	if policy := c.GreedyPolicy(0.3); policy[0] != 1 {
 		t.Errorf("greedy policy = %v, want action 1", policy)
 	}
 }

@@ -3,35 +3,35 @@ package solve
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/kernel"
 )
 
-// TestVariantsAgreeOnRandomUnichains: the generic GS/SOR relaxation paths
-// must converge to the same gain bracket as the default Jacobi iteration —
-// the in-place bursts may reshape the value vector arbitrarily, but the
-// certified bracket comes from Jacobi sweeps that bound the gain for any
-// vector.
+// TestVariantsAgreeOnRandomUnichains: on random unichains every kernel
+// variant must certify the optimal gain that exact policy iteration finds —
+// the in-place GS/SOR bursts may reshape the value vector arbitrarily, but
+// the certified bracket comes from Jacobi sweeps that bound the gain for
+// any vector.
 func TestVariantsAgreeOnRandomUnichains(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 20; trial++ {
-		m := randomUnichain(r, 2+r.Intn(30), 3)
-		ref, err := MeanPayoff(m, Options{Tol: 1e-9})
+		f := randomUnichain(r, 2+r.Intn(30), 3)
+		beta := r.Float64()
+		exact, err := PolicyIteration(f.explicit(beta), 0)
 		if err != nil {
-			t.Fatalf("trial %d: jacobi: %v", trial, err)
+			t.Fatalf("trial %d: policy iteration: %v", trial, err)
 		}
-		for _, v := range []kernel.Variant{kernel.VariantGS, kernel.VariantSOR} {
-			res, err := MeanPayoff(m, Options{Tol: 1e-9, Variant: v})
+		for _, v := range []kernel.Variant{kernel.VariantJacobi, kernel.VariantGS, kernel.VariantSOR} {
+			res, err := f.compile(t).MeanPayoff(beta, kernel.Options{Tol: 1e-9, Variant: v})
 			if err != nil {
 				t.Fatalf("trial %d: %v: %v", trial, v, err)
 			}
-			if math.Abs(res.Gain-ref.Gain) > 1e-8 {
-				t.Errorf("trial %d: %v gain %v, jacobi %v", trial, v, res.Gain, ref.Gain)
+			if math.Abs(res.Gain-exact.Gain) > 1e-8 {
+				t.Errorf("trial %d: %v gain %v, PI %v", trial, v, res.Gain, exact.Gain)
 			}
-			if res.Lo > res.Hi {
-				t.Errorf("trial %d: %v inverted bracket [%v, %v]", trial, v, res.Lo, res.Hi)
+			if res.Lo > exact.Gain+1e-12 || res.Hi < exact.Gain-1e-12 {
+				t.Errorf("trial %d: %v bracket [%v, %v] misses the PI gain %v", trial, v, res.Lo, res.Hi, exact.Gain)
 			}
 		}
 	}
@@ -40,8 +40,7 @@ func TestVariantsAgreeOnRandomUnichains(t *testing.T) {
 // TestVariantSORHonorsOmega: an explicit in-range Omega is accepted, and the
 // solve still certifies the Jacobi gain.
 func TestVariantSORHonorsOmega(t *testing.T) {
-	m := stayOrCycle()
-	res, err := MeanPayoff(m, Options{Tol: 1e-9, Variant: kernel.VariantSOR, Omega: 1.3})
+	res, err := stayOrCycle().compile(t).MeanPayoff(0.5, kernel.Options{Tol: 1e-9, Variant: kernel.VariantSOR, Omega: 1.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,46 +49,26 @@ func TestVariantSORHonorsOmega(t *testing.T) {
 	}
 }
 
-// TestCompiledOnlyVariantsRejected: the generic backend has no specialized
-// or float32 kernels; asking for them must be an explicit error, not a
-// silent fallback.
-func TestCompiledOnlyVariantsRejected(t *testing.T) {
-	for _, v := range []kernel.Variant{kernel.VariantSpec, kernel.VariantExplore32} {
-		_, err := MeanPayoff(chooseLoop(), Options{Tol: 1e-9, Variant: v})
-		if err == nil || !strings.Contains(err.Error(), "requires the compiled backend") {
-			t.Errorf("%v: err = %v, want compiled-backend rejection", v, err)
-		}
-	}
-}
-
 // TestVariantSignOnlyDecisionsMatch: sign-only solves drive binary-search
-// decisions, so GS must certify the same sign as Jacobi from any start.
+// decisions, so every variant may only certify the sign of the exact gain.
 func TestVariantSignOnlyDecisionsMatch(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
-		m := randomUnichain(r, 2+r.Intn(20), 3)
-		ref, err := MeanPayoff(m, Options{Tol: 1e-6, SignOnly: true})
+		f := randomUnichain(r, 2+r.Intn(20), 3)
+		beta := r.Float64()
+		exact, err := PolicyIteration(f.explicit(beta), 0)
 		if err != nil {
-			t.Fatalf("trial %d: jacobi: %v", trial, err)
+			t.Fatalf("trial %d: policy iteration: %v", trial, err)
 		}
-		res, err := MeanPayoff(m, Options{Tol: 1e-6, SignOnly: true, Variant: kernel.VariantGS})
-		if err != nil {
-			t.Fatalf("trial %d: gs: %v", trial, err)
-		}
-		refSign, gsSign := sign(ref), sign(res)
-		if refSign != 0 && gsSign != 0 && refSign != gsSign {
-			t.Errorf("trial %d: gs sign %d, jacobi sign %d (brackets [%v,%v] vs [%v,%v])",
-				trial, gsSign, refSign, res.Lo, res.Hi, ref.Lo, ref.Hi)
+		for _, v := range []kernel.Variant{kernel.VariantJacobi, kernel.VariantGS} {
+			res, err := f.compile(t).MeanPayoff(beta, kernel.Options{Tol: 1e-6, SignOnly: true, Variant: v})
+			if err != nil {
+				t.Fatalf("trial %d: %v: %v", trial, v, err)
+			}
+			if (res.Lo > 0 && exact.Gain <= 0) || (res.Hi < 0 && exact.Gain >= 0) {
+				t.Errorf("trial %d: %v certified the sign of [%v, %v], PI gain %v",
+					trial, v, res.Lo, res.Hi, exact.Gain)
+			}
 		}
 	}
-}
-
-func sign(r *Result) int {
-	switch {
-	case r.Lo > 0:
-		return 1
-	case r.Hi < 0:
-		return -1
-	}
-	return 0
 }

@@ -192,16 +192,15 @@ func (p AttackParams) NumStates() int {
 
 // config collects analysis options.
 type config struct {
-	epsilon     float64
-	maxIter     int
-	workers     int
-	useCompiled *bool // nil = auto by state count and kernel variant
-	kernel      string
-	skipEval    bool
-	boundOnly   bool
-	progress    func(betaLow, betaUp float64, iteration int)
-	checkpoint  func(Checkpoint)
-	resume      *Checkpoint
+	epsilon    float64
+	maxIter    int
+	workers    int
+	kernel     string
+	skipEval   bool
+	boundOnly  bool
+	progress   func(betaLow, betaUp float64, iteration int)
+	checkpoint func(Checkpoint)
+	resume     *Checkpoint
 }
 
 // Option customizes Analyze.
@@ -223,11 +222,6 @@ func WithSolverMaxIter(n int) Option { return func(c *config) { c.maxIter = n } 
 // exactly — only wall-clock time changes.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
-// WithCompiled forces the compiled (flattened) solver backend on or off;
-// by default models with at least 50 000 states — and every analysis with a
-// non-default WithKernel variant — use it.
-func WithCompiled(on bool) Option { return func(c *config) { c.useCompiled = &on } }
-
 // WithKernel selects the value-iteration sweep variant of the inner solves
 // by name: "jacobi" (the default — the bitwise-deterministic kernel all
 // golden results pin), "spec" (branch-free specialized rows), "gs"
@@ -235,9 +229,7 @@ func WithCompiled(on bool) Option { return func(c *config) { c.useCompiled = &on
 // "explore32" (float32 exploration warm-starting exact float64 decisions).
 // See KernelVariants. Non-default variants certify the same ERRev bracket
 // as the default — every binary-search decision is an exact sign
-// certification — but take a different sweep trajectory, and default to
-// the compiled backend regardless of model size. "spec" and "explore32"
-// exist only there; combining them with WithCompiled(false) fails.
+// certification — but take a different sweep trajectory.
 func WithKernel(name string) Option { return func(c *config) { c.kernel = name } }
 
 // KernelVariants lists the kernel variant names accepted by WithKernel,
@@ -251,8 +243,8 @@ func ValidateKernel(name string) error {
 	return err
 }
 
-// WithoutStrategyEval skips the independent exact evaluation of the final
-// strategy, saving time on very large models.
+// WithoutStrategyEval skips the independent evaluation of the final
+// strategy's revenue, saving time on very large models.
 func WithoutStrategyEval() Option { return func(c *config) { c.skipEval = true } }
 
 // WithBoundOnly restricts the analysis to the certified ERRev bracket: the
@@ -276,10 +268,6 @@ func WithProgress(f func(betaLow, betaUp float64, iteration int)) Option {
 	return func(c *config) { c.progress = f }
 }
 
-// compiledThreshold is the state count above which Analyze defaults to the
-// compiled backend.
-const compiledThreshold = 50000
-
 // Analysis is the outcome of the automated analysis for one configuration.
 type Analysis struct {
 	// Params echoes the analyzed configuration.
@@ -295,8 +283,9 @@ type Analysis struct {
 	// upper bounds as future work; this exposes the two-sided bound that
 	// Algorithm 1 already certifies for the modeled strategy class.
 	ERRevUpper float64
-	// StrategyERRev is the independently computed exact revenue of
-	// Strategy (NaN if skipped via WithoutStrategyEval).
+	// StrategyERRev is the revenue of Strategy, evaluated independently of
+	// the search by fixed-policy value iteration to the search's gain
+	// precision (NaN if skipped via WithoutStrategyEval).
 	StrategyERRev float64
 	// Strategy is the ε-optimal positional strategy (an action index per
 	// MDP state).
@@ -322,10 +311,10 @@ func Analyze(p AttackParams, opts ...Option) (*Analysis, error) {
 }
 
 // AnalyzeContext runs the paper's Algorithm 1 on the given configuration of
-// any registered model family (AttackParams.Model). Non-fork families
-// always use the compiled kernel backend; WithCompiled(false) is only
-// meaningful for the fork family, whose on-the-fly state machine doubles as
-// a generic mdp.Model.
+// any registered model family (AttackParams.Model): it compiles the
+// family's attack MDP onto the flat-CSR kernel and runs the binary search
+// over it — the same path a Service takes, so both entry points return
+// bitwise identical analyses.
 //
 // ctx cancels the analysis cooperatively at deterministic checkpoints
 // (value-iteration sweep and binary-search step boundaries); an interrupted
@@ -342,27 +331,9 @@ func AnalyzeContext(ctx context.Context, p AttackParams, opts ...Option) (*Analy
 	if math.IsNaN(cfg.epsilon) || math.IsInf(cfg.epsilon, 0) {
 		return nil, fmt.Errorf("selfishmining: epsilon = %v is not a finite precision", cfg.epsilon)
 	}
-	fam, err := p.family()
-	if err != nil {
-		return nil, err
-	}
-	cp := p.core()
-	if err := fam.Validate(cp); err != nil {
-		return nil, err
-	}
 	kv, err := kernel.ParseVariant(cfg.kernel)
 	if err != nil {
 		return nil, fmt.Errorf("selfishmining: %w", err)
-	}
-	if !p.isFork() && cfg.useCompiled != nil && !*cfg.useCompiled {
-		return nil, fmt.Errorf("selfishmining: model family %q has no generic (non-compiled) backend; only %q does", fam.Name(), families.DefaultName)
-	}
-	useCompiled := !p.isFork() || cp.NumStates() >= compiledThreshold || kv != kernel.VariantJacobi
-	if cfg.useCompiled != nil {
-		useCompiled = *cfg.useCompiled
-	}
-	if !useCompiled && (kv == kernel.VariantSpec || kv == kernel.VariantExplore32) {
-		return nil, fmt.Errorf("selfishmining: kernel variant %q requires the compiled backend (drop WithCompiled(false))", kv)
 	}
 	aOpts := analysis.Options{
 		Epsilon:          cfg.epsilon,
@@ -374,30 +345,16 @@ func AnalyzeContext(ctx context.Context, p AttackParams, opts ...Option) (*Analy
 		Kernel:           kv,
 	}
 	cfg.analysisCheckpointOpts(&aOpts)
-	var res *analysis.Result
-	var numStates int
-	if useCompiled {
-		comp, err := families.Compile(fam.Name(), cp)
-		if err != nil {
-			return nil, err
-		}
-		numStates = comp.NumStates()
-		res, err = analysis.AnalyzeCompiledContext(ctx, comp, aOpts)
-		if err != nil {
-			return nil, analysisError(p, res, err)
-		}
-	} else {
-		m, err := core.NewModel(cp)
-		if err != nil {
-			return nil, err
-		}
-		numStates = m.NumStates()
-		res, err = analysis.AnalyzeContext(ctx, m, aOpts)
-		if err != nil {
-			return nil, analysisError(p, res, err)
-		}
+	cp := p.core()
+	comp, err := families.Compile(p.Model, cp)
+	if err != nil {
+		return nil, err
 	}
-	return newAnalysis(p, cp, res, !cfg.boundOnly && p.isFork(), numStates)
+	res, err := analysis.AnalyzeCompiledContext(ctx, comp, aOpts)
+	if err != nil {
+		return nil, analysisError(p, res, err)
+	}
+	return newAnalysis(p, cp, res, !cfg.boundOnly && p.isFork(), comp.NumStates())
 }
 
 // analysisError classifies an inner analysis failure: context

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"math"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/solve"
 )
 
 func smallParams() AttackParams {
@@ -29,18 +32,46 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestAnalyzeBackendsAgree checks the package-level analysis against the
+// exact references on the generic (on-the-fly) fork model: the compiled
+// kernel's evaluation of the computed strategy agrees with exact stationary
+// analysis of that strategy, which reaches the certified bound, and the
+// certified bracket contains β*, the root of MP*_β by policy iteration.
 func TestAnalyzeBackendsAgree(t *testing.T) {
-	p := smallParams()
-	generic, err := Analyze(p, WithCompiled(false))
+	res, err := Analyze(smallParams())
 	if err != nil {
-		t.Fatalf("generic: %v", err)
+		t.Fatalf("Analyze: %v", err)
 	}
-	compiled, err := Analyze(p, WithCompiled(true))
+	exact, err := core.ERRevOfPolicy(res.model, res.Strategy)
 	if err != nil {
-		t.Fatalf("compiled: %v", err)
+		t.Fatalf("ERRevOfPolicy: %v", err)
 	}
-	if math.Abs(generic.ERRev-compiled.ERRev) > 2e-4 {
-		t.Errorf("backends disagree: generic %v, compiled %v", generic.ERRev, compiled.ERRev)
+	if math.Abs(exact-res.StrategyERRev) > 1e-6 {
+		t.Errorf("backends disagree: compiled strategy ERRev %v, exact %v", res.StrategyERRev, exact)
+	}
+	if exact < res.ERRev-2e-4 {
+		t.Errorf("exact strategy ERRev %v below the certified bound %v", exact, res.ERRev)
+	}
+
+	m, err := core.NewModel(smallParams().core())
+	if err != nil {
+		t.Fatalf("NewModel: %v", err)
+	}
+	m.SetMode(core.RewardBeta)
+	mpStar := func(beta float64) float64 {
+		t.Helper()
+		m.SetBeta(beta)
+		pi, err := solve.PolicyIteration(m, 0)
+		if err != nil {
+			t.Fatalf("PolicyIteration(beta=%v): %v", beta, err)
+		}
+		return pi.Gain
+	}
+	if g := mpStar(res.ERRev); g < -1e-9 {
+		t.Errorf("PI MP* at the lower end %v is %v, want >= 0", res.ERRev, g)
+	}
+	if g := mpStar(res.ERRevUpper); g > 1e-9 {
+		t.Errorf("PI MP* at the upper end %v is %v, want <= 0", res.ERRevUpper, g)
 	}
 }
 

@@ -11,7 +11,7 @@ func nonDefaultKernels() []string { return KernelVariants()[1:] }
 
 // TestKernelVariantsCertifySameERRev: the kernel variants change the solve
 // trajectory, never the answer — every variant must certify bitwise the
-// same ERRev bracket as the compiled Jacobi default, across families and
+// same ERRev bracket as the Jacobi default, across families and
 // (p, γ) anchor points. The binary search consumes only exact sign
 // certificates, so the midpoint sequences coincide exactly.
 func TestKernelVariantsCertifySameERRev(t *testing.T) {
@@ -23,7 +23,7 @@ func TestKernelVariantsCertifySameERRev(t *testing.T) {
 		}
 		for _, a := range anchors {
 			p.Adversary, p.Switching = a.p, a.gamma
-			ref, err := Analyze(p, WithCompiled(true), WithBoundOnly())
+			ref, err := Analyze(p, WithBoundOnly())
 			if err != nil {
 				t.Fatalf("%s jacobi at (%v, %v): %v", fam.Name, a.p, a.gamma, err)
 			}
@@ -47,7 +47,7 @@ func TestKernelVariantsCertifySameERRev(t *testing.T) {
 // independently evaluated revenue lands in the same bracket.
 func TestKernelVariantFullAnalysisAgrees(t *testing.T) {
 	p := smallParams()
-	ref, err := Analyze(p, WithCompiled(true))
+	ref, err := Analyze(p)
 	if err != nil {
 		t.Fatalf("jacobi: %v", err)
 	}
@@ -66,29 +66,11 @@ func TestKernelVariantFullAnalysisAgrees(t *testing.T) {
 }
 
 // TestKernelValidation: unknown names fail up front with the valid list;
-// the compiled-only variants cannot be forced onto the generic backend;
-// the generic backend does accept its own relaxation variants.
+// documented aliases are accepted.
 func TestKernelValidation(t *testing.T) {
 	p := smallParams()
 	if _, err := Analyze(p, WithKernel("turbo")); err == nil || !strings.Contains(err.Error(), "jacobi") {
 		t.Errorf("unknown kernel error %v does not list the valid names", err)
-	}
-	for _, kv := range []string{"spec", "explore32"} {
-		if _, err := Analyze(p, WithCompiled(false), WithKernel(kv)); err == nil ||
-			!strings.Contains(err.Error(), "compiled backend") {
-			t.Errorf("WithCompiled(false)+%q: err = %v, want compiled-backend rejection", kv, err)
-		}
-	}
-	ref, err := Analyze(p, WithCompiled(false), WithBoundOnly())
-	if err != nil {
-		t.Fatalf("generic jacobi: %v", err)
-	}
-	res, err := Analyze(p, WithCompiled(false), WithKernel("gs"), WithBoundOnly())
-	if err != nil {
-		t.Fatalf("generic gs: %v", err)
-	}
-	if math.Float64bits(res.ERRev) != math.Float64bits(ref.ERRev) {
-		t.Errorf("generic gs ERRev %v, generic jacobi %v", res.ERRev, ref.ERRev)
 	}
 	if err := ValidateKernel("gauss-seidel"); err != nil {
 		t.Errorf("ValidateKernel rejected a documented alias: %v", err)

@@ -155,12 +155,6 @@ func TestNonForkFullAnalysisAndSubstrateGates(t *testing.T) {
 	if err := res.WriteStrategy(&strings.Builder{}); !errors.Is(err, ErrNoSubstrate) {
 		t.Errorf("WriteStrategy on non-fork family: err = %v, want ErrNoSubstrate", err)
 	}
-	// The generic backend is fork-only.
-	if _, err := Analyze(AttackParams{
-		Model: "nakamoto", Adversary: 0.4, Depth: 1, Forks: 1, MaxForkLen: 10,
-	}, WithCompiled(false)); err == nil {
-		t.Error("WithCompiled(false) accepted for a non-fork family")
-	}
 }
 
 // TestNonForkSweep: a sweep over a non-fork family produces the honest

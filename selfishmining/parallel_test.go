@@ -36,30 +36,26 @@ func equalAnalyses(t *testing.T, label string, a, b *Analysis) {
 
 // TestAnalyzeWorkersDeterminism is the end-to-end half of the chunked-sweep
 // determinism argument: Analyze returns bitwise identical results at
-// Workers=1 and Workers=4, on both solver backends, across several (d, f)
-// configurations.
+// Workers=1 and Workers=4 across several (d, f) configurations.
 func TestAnalyzeWorkersDeterminism(t *testing.T) {
 	cases := []struct {
-		name     string
-		params   AttackParams
-		backends []bool // values for WithCompiled
+		name   string
+		params AttackParams
 	}{
-		{"d1_f1", AttackParams{Adversary: 0.25, Switching: 0.5, Depth: 1, Forks: 1, MaxForkLen: 4}, []bool{false, true}},
-		{"d2_f1", AttackParams{Adversary: 0.3, Switching: 0.5, Depth: 2, Forks: 1, MaxForkLen: 4}, []bool{false, true}},
-		{"d2_f2", AttackParams{Adversary: 0.3, Switching: 0.25, Depth: 2, Forks: 2, MaxForkLen: 4}, []bool{true}},
+		{"d1_f1", AttackParams{Adversary: 0.25, Switching: 0.5, Depth: 1, Forks: 1, MaxForkLen: 4}},
+		{"d2_f1", AttackParams{Adversary: 0.3, Switching: 0.5, Depth: 2, Forks: 1, MaxForkLen: 4}},
+		{"d2_f2", AttackParams{Adversary: 0.3, Switching: 0.25, Depth: 2, Forks: 2, MaxForkLen: 4}},
 	}
 	for _, tc := range cases {
-		for _, compiled := range tc.backends {
-			serial, err := Analyze(tc.params, WithWorkers(1), WithCompiled(compiled))
-			if err != nil {
-				t.Fatalf("%s compiled=%v workers=1: %v", tc.name, compiled, err)
-			}
-			parallel, err := Analyze(tc.params, WithWorkers(4), WithCompiled(compiled))
-			if err != nil {
-				t.Fatalf("%s compiled=%v workers=4: %v", tc.name, compiled, err)
-			}
-			equalAnalyses(t, tc.name, serial, parallel)
+		serial, err := Analyze(tc.params, WithWorkers(1))
+		if err != nil {
+			t.Fatalf("%s workers=1: %v", tc.name, err)
 		}
+		parallel, err := Analyze(tc.params, WithWorkers(4))
+		if err != nil {
+			t.Fatalf("%s workers=4: %v", tc.name, err)
+		}
+		equalAnalyses(t, tc.name, serial, parallel)
 	}
 }
 

@@ -253,9 +253,8 @@ func (s *Service) Analyze(p AttackParams, opts ...Option) (*Analysis, error) {
 }
 
 // AnalyzeContext runs (or replays) the fully automated analysis for one
-// attack configuration. Options mirror the package-level AnalyzeContext;
-// WithCompiled(false) bypasses the service and runs the generic backend
-// uncached.
+// attack configuration. Options mirror the package-level AnalyzeContext,
+// and a fresh solve returns bitwise the package-level result.
 //
 // ctx governs the whole request: a cancellation or deadline unblocks it
 // promptly whether it is solving (checked at sweep boundaries), queued on
@@ -293,13 +292,6 @@ func (s *Service) AnalyzeDetailedContext(ctx context.Context, p AttackParams, op
 	}
 	if _, err := kernel.ParseVariant(cfg.kernel); err != nil {
 		return nil, AnalyzeInfo{}, fmt.Errorf("selfishmining: %w", err)
-	}
-	if cfg.useCompiled != nil && !*cfg.useCompiled {
-		// Explicitly requested generic backend: serve uncached for exact
-		// drop-in semantics with the package-level AnalyzeContext (which
-		// rejects the request for families without a generic backend).
-		a, err := AnalyzeContext(ctx, p, opts...)
-		return a, AnalyzeInfo{}, s.countCancel(err)
 	}
 	cp := p.core()
 	if err := p.Validate(); err != nil {

@@ -12,21 +12,43 @@ import (
 
 func newTestService(cfg ServiceConfig) *Service { return NewService(cfg) }
 
-// TestServiceAnalyzeMatchesPackageAnalyze: the service's compiled, cached
-// path returns results bitwise identical to the package-level compiled
-// analysis.
+// TestServiceAnalyzeMatchesPackageAnalyze: a fresh service's solve and the
+// package-level AnalyzeContext run the same compiled path, so every result
+// field matches bitwise — bracket, counters, strategy and its revenue — for
+// fork shapes and the other families' default shapes, in full and
+// bound-only mode.
 func TestServiceAnalyzeMatchesPackageAnalyze(t *testing.T) {
-	p := smallParams()
-	direct, err := Analyze(p, WithCompiled(true))
-	if err != nil {
-		t.Fatalf("package Analyze: %v", err)
+	shapes := []AttackParams{
+		{Depth: 2, Forks: 1, MaxForkLen: 4},
+		{Depth: 2, Forks: 2, MaxForkLen: 4},
 	}
-	svc := newTestService(ServiceConfig{})
-	served, err := svc.Analyze(p)
-	if err != nil {
-		t.Fatalf("service Analyze: %v", err)
+	for _, name := range []string{"nakamoto", "singletree"} {
+		info, ok := ModelInfoFor(name)
+		if !ok {
+			t.Fatalf("family %q not registered", name)
+		}
+		shapes = append(shapes, AttackParams{
+			Model: name, Depth: info.DefaultDepth, Forks: info.DefaultForks, MaxForkLen: info.DefaultMaxForkLen,
+		})
 	}
-	equalAnalyses(t, "service vs package", direct, served)
+	for _, p := range shapes {
+		p.Adversary, p.Switching = 0.3, 0.5
+		for _, mode := range []struct {
+			name string
+			opts []Option
+		}{{"full", nil}, {"bound-only", []Option{WithBoundOnly()}}} {
+			label := p.String() + " " + mode.name
+			direct, err := Analyze(p, mode.opts...)
+			if err != nil {
+				t.Fatalf("%s: package Analyze: %v", label, err)
+			}
+			served, err := newTestService(ServiceConfig{}).Analyze(p, mode.opts...)
+			if err != nil {
+				t.Fatalf("%s: service Analyze: %v", label, err)
+			}
+			equalAnalyses(t, label, direct, served)
+		}
+	}
 }
 
 // TestServiceCacheHitBitwise: a repeated query is served from the cache,
@@ -361,25 +383,6 @@ func TestServiceMaxConcurrent(t *testing.T) {
 			t.Fatalf("ref p=%v: %v", p, err)
 		}
 		equalAnalyses(t, "limited vs unlimited", want, res[i])
-	}
-}
-
-// TestServiceGenericBypass: WithCompiled(false) routes around the caches
-// and matches the package-level generic backend bitwise.
-func TestServiceGenericBypass(t *testing.T) {
-	svc := newTestService(ServiceConfig{})
-	p := smallParams()
-	served, err := svc.Analyze(p, WithCompiled(false))
-	if err != nil {
-		t.Fatalf("service generic: %v", err)
-	}
-	direct, err := Analyze(p, WithCompiled(false))
-	if err != nil {
-		t.Fatalf("package generic: %v", err)
-	}
-	equalAnalyses(t, "generic bypass", direct, served)
-	if st := svc.Stats(); st.Solves != 0 || st.Compiles != 0 {
-		t.Errorf("generic bypass touched the serving caches: %+v", st)
 	}
 }
 
