@@ -36,11 +36,11 @@
 // point matched its uniform counterpart bit for bit.
 //
 // The batch cell times one fork panel twice at equal fidelity: per-point
-// (SweepOptions.BatchLanes = 0, the solo scheduler) and batched
-// (AutoBatchLanes, multi-lane solves sharing one pass over the structure
-// per sweep), cross-checking the two figures bit for bit. The recorded
-// speedup — per-point wall-clock over batched wall-clock — is the PR-8
-// headline, guarded in check mode by -min-batch-speedup.
+// (one SweepContext call per grid point, each solved solo) and batched
+// (one SweepContext call for the panel, whose points share multi-lane
+// passes over the structure), cross-checking the two figures bit for bit.
+// The recorded speedup — per-point wall-clock over batched wall-clock — is
+// guarded in check mode by -min-batch-speedup.
 //
 // The lease cell prices the multi-replica write path: a batch of
 // realistic running-sweep records (31-point checkpoint each) is persisted
@@ -89,6 +89,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/kernel"
 	"repro/internal/results"
 	"repro/selfishmining"
 	"repro/selfishmining/jobs"
@@ -185,8 +186,8 @@ type batchReport struct {
 	PMin   float64 `json:"pmin"`
 	PMax   float64 `json:"pmax"`
 	PStep  float64 `json:"pstep"`
-	// Points is the panel's grid size; Lanes the auto-sized lane count
-	// the batched run grouped solves into.
+	// Points is the panel's grid size; Lanes the unit width the batched
+	// run grouped solves into (kernel.DenseBatchWidth).
 	Points int `json:"points"`
 	Lanes  int `json:"lanes"`
 	// PerPointNsOp / BatchedNsOp are the fastest wall-clocks of the two
@@ -530,27 +531,25 @@ func measureAdaptive(eps float64) (*adaptiveReport, error) {
 
 // measureBatch runs the batched-vs-per-point sweep cell: the paper-grid
 // fork panel at d=2, f=2, l=5 (7776 states — big enough that the attack
-// solves dominate the panel) solved once with the solo per-point
-// scheduler and once with auto-sized lane batching, each on a fresh
-// ephemeral service so neither mode rides the other's caches. The
-// single-tree baseline runs at TreeWidth 3 (like the adaptive cell) so
-// its identical cost in both modes does not dilute the ratio the cell
-// exists to measure. Both figures must agree bit for bit; the recorded
-// speedup is the fastest per-point wall-clock over the fastest batched
-// one across -iters runs.
+// solves dominate the panel) solved once point by point and once as one
+// panel, each on a fresh service so neither mode rides the other's
+// caches. The per-point mode makes one SweepContext call per grid point on
+// one Service: a one-point sweep always solves solo, and the shared
+// Service gives each point the warm start a solo pool would. The batched
+// mode is the plain panel call, which solves the points in multi-lane
+// units. The single-tree baseline runs at TreeWidth 3 (like the adaptive
+// cell) so its identical cost in both modes does not dilute the ratio the
+// cell exists to measure. Both figures must agree bit for bit; the
+// recorded speedup is the fastest per-point wall-clock over the fastest
+// batched one across -iters runs.
 func measureBatch(iters int, eps float64) (*batchReport, error) {
 	rep := &batchReport{
 		Family: selfishmining.DefaultModel, Depth: 2, Forks: 2, Len: 5,
 		Gamma: 0.5, PMin: 0, PMax: 0.3, PStep: 0.01,
+		Lanes: kernel.DenseBatchWidth,
 	}
 	grid := results.Grid(rep.PMin, rep.PMax, rep.PStep)
 	rep.Points = len(grid)
-	lanes, err := selfishmining.BatchLaneCount(rep.Family,
-		selfishmining.AttackConfig{Depth: rep.Depth, Forks: rep.Forks}, rep.Len)
-	if err != nil {
-		return nil, err
-	}
-	rep.Lanes = lanes
 	opts := selfishmining.SweepOptions{
 		Gamma: rep.Gamma, PGrid: grid,
 		Configs:    []selfishmining.AttackConfig{{Depth: rep.Depth, Forks: rep.Forks}},
@@ -561,7 +560,7 @@ func measureBatch(iters int, eps float64) (*batchReport, error) {
 	rep.PerPointNsOp, rep.BatchedNsOp = math.MaxInt64, math.MaxInt64
 	for it := 0; it < iters; it++ {
 		start := time.Now()
-		fig, err := selfishmining.SweepContext(context.Background(), opts)
+		fig, err := sweepPerPoint(opts)
 		if err != nil {
 			return nil, fmt.Errorf("per-point sweep: %w", err)
 		}
@@ -570,10 +569,8 @@ func measureBatch(iters int, eps float64) (*batchReport, error) {
 		}
 		perPointFig = fig
 
-		bOpts := opts
-		bOpts.BatchLanes = selfishmining.AutoBatchLanes
 		start = time.Now()
-		bfig, err := selfishmining.SweepContext(context.Background(), bOpts)
+		bfig, err := selfishmining.SweepContext(context.Background(), opts)
 		if err != nil {
 			return nil, fmt.Errorf("batched sweep: %w", err)
 		}
@@ -598,6 +595,31 @@ func measureBatch(iters int, eps float64) (*batchReport, error) {
 		rep.Depth, rep.Forks, rep.Points, rep.Lanes,
 		float64(rep.BatchedNsOp)/1e6, float64(rep.PerPointNsOp)/1e6, rep.Speedup, rep.Bitwise)
 	return rep, nil
+}
+
+// sweepPerPoint computes opts' panel with one SweepContext call per grid
+// point on a single Service, assembling the one-point figures into one.
+func sweepPerPoint(opts selfishmining.SweepOptions) (*results.Figure, error) {
+	svc := selfishmining.NewService(selfishmining.ServiceConfig{})
+	fig := &results.Figure{X: opts.PGrid}
+	for i, p := range opts.PGrid {
+		o := opts
+		o.PGrid = []float64{p}
+		f, err := svc.SweepContext(context.Background(), o)
+		if err != nil {
+			return nil, err
+		}
+		if i == 0 {
+			fig.Title, fig.XLabel, fig.YLabel = f.Title, f.XLabel, f.YLabel
+			for _, s := range f.Series {
+				fig.Series = append(fig.Series, results.Series{Name: s.Name, Values: make([]float64, len(opts.PGrid))})
+			}
+		}
+		for si, s := range f.Series {
+			fig.Series[si].Values[i] = s.Values[0]
+		}
+	}
+	return fig, nil
 }
 
 // leaseBenchRecord builds one realistic running-sweep record: a paper-grid

@@ -8,7 +8,7 @@
 //	sweep -gamma 0.5 [-model fork] [-pmin 0] [-pmax 0.3] [-pstep 0.01]
 //	      [-configs 1x1,2x1,2x2,3x2] [-l 4] [-width 5] [-eps 1e-4]
 //	      [-adaptive [-tolerance 1e-3] [-max-depth 4] [-max-points N]]
-//	      [-kernel jacobi] [-batch-lanes N] [-workers N] [-timeout 0]
+//	      [-kernel jacobi] [-workers N] [-timeout 0]
 //	      [-o figure2c.csv] [-markdown]
 //	sweep -server http://host:8080 -submit [-wait] [-priority N] ...
 //	sweep -server http://host:8080 -resume JOBID [-wait]
@@ -42,13 +42,10 @@
 // default shape, and the single-tree baseline series (which accompanies
 // the fork figure) is omitted.
 //
-// -batch-lanes turns on batched multi-lane solving: grid points of one
-// attack configuration are grouped and solved together, streaming the
-// shared transition structure once per value-iteration sweep for the whole
-// group (-1 auto-sizes the group to a cache budget, K >= 2 forces K-lane
-// groups, 0 — the default — keeps per-point solves). Requires the default
-// jacobi kernel; the figure is bitwise identical either way. See
-// docs/PERFORMANCE.md. Local sweeps only: not carried by -submit jobs.
+// Grid points of one attack configuration are solved in batched groups
+// wherever that is faster (the default jacobi kernel on hardware with the
+// AVX2 dense sweep, and structures small enough to batch); see
+// docs/SWEEPS.md. The figure is bitwise identical either way.
 package main
 
 import (
@@ -96,7 +93,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		maxDepth = fs.Int("max-depth", 0, "adaptive bisection depth bound (0 = default 4; requires -adaptive)")
 		maxPts   = fs.Int("max-points", 0, "cap on refined points an adaptive sweep may add (0 = unlimited; requires -adaptive)")
 		kern     = fs.String("kernel", "", fmt.Sprintf("value-iteration kernel variant: %s (default jacobi; the figure is identical either way)", strings.Join(selfishmining.KernelVariants(), ", ")))
-		lanes    = fs.Int("batch-lanes", 0, "batched multi-lane solving: lanes per same-config group (-1 = auto-size to cache budget, 0 = off, >= 2 = forced); jacobi kernel only, figures are bitwise identical")
 		workers  = fs.Int("workers", 0, "worker pool size over grid points (0 = all cores); results are identical at any setting")
 		timeout  = fs.Duration("timeout", 0, "abort the sweep after this long (0 = none); completed points were already streamed to stderr")
 		out      = fs.String("o", "", "write CSV to this file (default stdout)")
@@ -125,12 +121,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	if err := selfishmining.ValidateKernel(*kern); err != nil {
 		return err
-	}
-	if *lanes < selfishmining.AutoBatchLanes {
-		return fmt.Errorf("-batch-lanes %d: need -1 (auto), 0 (off), or a positive lane count", *lanes)
-	}
-	if *lanes != 0 && (*server != "" || *submit || *resumeID != "") {
-		return fmt.Errorf("-batch-lanes applies to local sweeps only; async jobs schedule their own solves")
 	}
 	if !*adaptive && (*tol != 0 || *maxDepth != 0 || *maxPts != 0) {
 		return fmt.Errorf("-tolerance/-max-depth/-max-points require -adaptive")
@@ -223,7 +213,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		TreeWidth:  *width,
 		Epsilon:    *eps,
 		Kernel:     *kern,
-		BatchLanes: *lanes,
 		Adaptive:   *adaptive,
 		Tolerance:  *tol,
 		MaxDepth:   *maxDepth,

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/kernel"
-	"repro/internal/obs"
 )
 
 // BatchLane describes one lane of a batched analysis: a (p, γ) parameter
@@ -64,10 +63,17 @@ type LaneResult struct {
 // far) return with an error wrapping ctx.Err().
 func AnalyzeBatchCompiledContext(ctx context.Context, c *kernel.Compiled, lanes []BatchLane, opts Options) ([]*LaneResult, error) {
 	opts.defaults()
-	analysisRuns.With(backendBatch).Inc()
-	sp := obs.StartSpan(analysisSeconds.With(backendBatch))
-	defer sp.End()
+	// Each lane is one Algorithm 1 analysis: one run, timed at the batch's
+	// wall clock (the Duration every lane reports).
+	analysisRuns.With(backendBatch).Add(uint64(len(lanes)))
 	start := time.Now()
+	defer func() {
+		seconds := analysisSeconds.With(backendBatch)
+		dur := time.Since(start).Seconds()
+		for range lanes {
+			seconds.Observe(dur)
+		}
+	}()
 	if len(lanes) == 0 {
 		return nil, fmt.Errorf("analysis: batched analysis needs at least one lane")
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/families"
 	"repro/internal/kernel"
+	"repro/internal/obs"
 )
 
 // batchLaneGrid spreads K lanes over (p, γ) so lanes converge at different
@@ -186,6 +187,49 @@ func TestAnalyzeBatchCancel(t *testing.T) {
 	for ln, r := range res {
 		if r.BetaLow != 0 || r.BetaUp != 1 || r.Iterations != 0 {
 			t.Errorf("lane %d: partial result %+v after zero steps", ln, r.Result)
+		}
+	}
+}
+
+// TestAnalyzeBatchCountsRequestedLanes pins the batch backend's counters to
+// the definitions in docs/OBSERVABILITY.md: a 3-lane batched analysis (padded
+// to the dense width where the assembly sweep runs) is three Algorithm 1
+// runs, and its step, kernel solve and sweep counters move by exactly the
+// three lanes' Iterations and Sweeps — idle padding lanes count nowhere.
+func TestAnalyzeBatchCountsRequestedLanes(t *testing.T) {
+	comp, err := core.Compile(core.Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 1, MaxLen: 4})
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	reg := obs.Default()
+	runs, steps := analysisRuns.With(backendBatch), analysisSteps.With(backendBatch)
+	solves := reg.CounterVec("kernel_solves_total", "", "variant").With(kernel.VariantJacobi.String())
+	sweeps := reg.CounterVec("kernel_solve_sweeps_total", "", "variant").With(kernel.VariantJacobi.String())
+	lanesTotal := reg.Counter("kernel_batch_lanes_total", "")
+	before := []uint64{runs.Value(), steps.Value(), solves.Value(), sweeps.Value(), lanesTotal.Value()}
+
+	res, err := AnalyzeBatchCompiledContext(context.Background(), comp, batchLaneGrid(3), Options{Epsilon: 1e-3, SkipStrategy: true})
+	if err != nil {
+		t.Fatalf("batched analysis: %v", err)
+	}
+	var wantSteps, wantSweeps uint64
+	for _, r := range res {
+		wantSteps += uint64(r.Iterations)
+		wantSweeps += uint64(r.Sweeps)
+	}
+	for _, c := range []struct {
+		name string
+		got  uint64
+		want uint64
+	}{
+		{"analysis_runs_total{backend=batch}", runs.Value() - before[0], 3},
+		{"analysis_steps_total{backend=batch}", steps.Value() - before[1], wantSteps},
+		{"kernel_solves_total{variant=jacobi}", solves.Value() - before[2], wantSteps},
+		{"kernel_solve_sweeps_total{variant=jacobi}", sweeps.Value() - before[3], wantSweeps},
+		{"kernel_batch_lanes_total", lanesTotal.Value() - before[4], 3},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s moved by %d, want %d", c.name, c.got, c.want)
 		}
 	}
 }

@@ -31,12 +31,18 @@ import (
 //     solo kernel; min/max are order-independent, so the chunk count (and
 //     therefore the worker count and lane count) cannot perturb it.
 //   - A converged lane retires: its slots are frozen (copied out, never
-//     read or written again) and the remaining lanes' per-lane op
-//     sequences are unaffected — each lane's arithmetic never touched the
-//     retired lane's slots in the first place.
+//     read again) and the remaining lanes' per-lane op sequences are
+//     unaffected — each lane's arithmetic never touched the retired lane's
+//     slots in the first place.
 //
 // Retirement also means a batch of lanes with different convergence speeds
 // costs max(iters) sweeps of structure traffic, not sum(iters).
+//
+// Where the assembly dense sweep runs (asmFits), NewBatch widens a batch of
+// 2..7 lanes to the dense width with idle lanes: zero probabilities and
+// rewards, never issued a solve, never read. The 8-wide assembly sweep
+// costs less than two generic per-lane passes, so computing idle slots is
+// cheaper than running narrow, and callers never need to know the width.
 
 // LaneParams fixes one lane's chain parameters. The β view of the reward
 // is chosen per solve (the betas argument of BatchMeanPayoff), matching
@@ -76,15 +82,15 @@ type BatchOptions struct {
 // fine: the Batch materialized its own per-lane probabilities).
 type Batch struct {
 	c     *Compiled
-	k     int
-	lanes []LaneParams
+	k     int          // lane stride: len(lanes) plus any idle padding lanes
+	lanes []LaneParams // the requested lanes, 0..len(lanes)-1
 
 	probs []float32 // lane-major probabilities: probs[t*k+lane]
 	rwd   []float64 // lane-major β-view reward table: rwd[idx*k+lane]
 
 	h, next []float64 // lane-major value buffers: h[s*k+lane]
 
-	cur [][]float64 // per-lane value vectors carried between solves
+	cur [][]float64 // per-lane value vectors carried between solves (requested lanes)
 	has []bool      // cur[lane] holds a vector
 
 	workers int
@@ -107,7 +113,9 @@ type Batch struct {
 
 // NewBatch builds a batch of lanes over c's compiled structure, resolving
 // each lane's transition probabilities through the family law table
-// exactly as Compiled.SetChainParams would.
+// exactly as Compiled.SetChainParams would. On hardware running the
+// assembly dense sweep, 2..7 lanes are padded to DenseBatchWidth with idle
+// lanes (see the file comment); NumLanes still reports len(lanes).
 func NewBatch(c *Compiled, lanes []LaneParams) (*Batch, error) {
 	if len(lanes) == 0 {
 		return nil, fmt.Errorf("kernel: batch needs at least one lane")
@@ -122,6 +130,9 @@ func NewBatch(c *Compiled, lanes []LaneParams) (*Batch, error) {
 	}
 	n := c.NumStates()
 	k := len(lanes)
+	if k > 1 && k < denseLaneWidth && asmFits(c) {
+		k = denseLaneWidth
+	}
 	b := &Batch{
 		c:     c,
 		k:     k,
@@ -130,8 +141,8 @@ func NewBatch(c *Compiled, lanes []LaneParams) (*Batch, error) {
 		rwd:   make([]float64, rwdTableSize*k),
 		h:     make([]float64, n*k),
 		next:  make([]float64, n*k),
-		cur:   make([][]float64, k),
-		has:   make([]bool, k),
+		cur:   make([][]float64, len(lanes)),
+		has:   make([]bool, len(lanes)),
 	}
 	for ln := range b.cur {
 		b.cur[ln] = make([]float64, n)
@@ -164,8 +175,9 @@ func (b *Batch) resolveLane(ln int) {
 	}
 }
 
-// NumLanes returns the lane count K.
-func (b *Batch) NumLanes() int { return b.k }
+// NumLanes returns the requested lane count K (idle padding lanes are not
+// counted).
+func (b *Batch) NumLanes() int { return len(b.lanes) }
 
 // NumStates returns the shared structure's state count.
 func (b *Batch) NumStates() int { return b.c.NumStates() }
@@ -307,7 +319,7 @@ type BatchRunOptions struct {
 // per-lane Results are returned alongside an error wrapping ctx.Err(),
 // and each lane keeps its current vector for a later KeepValues resume.
 func (b *Batch) MeanPayoffCtx(ctx context.Context, betas []float64, opts BatchOptions) ([]Result, error) {
-	k := b.k
+	k := b.NumLanes()
 	if len(betas) != k {
 		return nil, fmt.Errorf("kernel: batched solve got %d betas for %d lanes", len(betas), k)
 	}
@@ -380,8 +392,18 @@ func (b *Batch) installSolve(ln int, s LaneSolve, iter int, r *Result) {
 func (b *Batch) RunCtx(ctx context.Context, opts BatchRunOptions, src func(ln int, prev *Result) (LaneSolve, bool)) ([]Result, error) {
 	sp := obs.StartSpan(batchRunSeconds)
 	defer sp.End()
+	nl := b.NumLanes()
 	batchRunsTotal.Inc()
-	batchLanesTotal.Add(uint64(b.k))
+	batchLanesTotal.Add(uint64(nl))
+	// Every lane solve that ends — converged, out of sweeps, or cut off —
+	// counts like one solo MeanPayoffCtx call, so the kernel solve and
+	// sweep totals cover batched lanes too.
+	variant := VariantJacobi.String()
+	laneSolves, laneSweeps := solvesTotal.With(variant), solveSweeps.With(variant)
+	endSolve := func(r *Result) {
+		laneSolves.Inc()
+		laneSweeps.Add(uint64(r.Iters))
+	}
 	k := b.k
 	if opts.MaxIter <= 0 {
 		opts.MaxIter = 500000
@@ -394,9 +416,11 @@ func (b *Batch) RunCtx(ctx context.Context, opts BatchRunOptions, src func(ln in
 	w := b.sweepWorkers()
 	chunks := par.NumChunks(n, w)
 	b.sizeScratch(chunks)
-	// Pack each lane's starting vector into the lane-major buffer.
+	// Pack each lane's starting vector into the lane-major buffer; idle
+	// padding lanes start at zero, which their zero probabilities and
+	// rewards keep them at.
 	for ln := 0; ln < k; ln++ {
-		if opts.KeepValues && b.has[ln] {
+		if ln < nl && opts.KeepValues && b.has[ln] {
 			cv := b.cur[ln]
 			for s := 0; s < n; s++ {
 				b.h[s*k+ln] = cv[s]
@@ -407,9 +431,9 @@ func (b *Batch) RunCtx(ctx context.Context, opts BatchRunOptions, src func(ln in
 			}
 		}
 	}
-	res := make([]Result, k)
+	res := make([]Result, nl)
 	act := b.act[:0]
-	for ln := 0; ln < k; ln++ {
+	for ln := 0; ln < nl; ln++ {
 		if s, ok := src(ln, nil); ok {
 			b.installSolve(ln, s, 0, &res[ln])
 			act = append(act, ln)
@@ -528,6 +552,7 @@ func (b *Batch) RunCtx(ctx context.Context, opts BatchRunOptions, src func(ln in
 				r := &res[ln]
 				r.Lo, r.Hi = b.resLo[ln], b.resHi[ln]
 				r.Gain = (r.Lo + r.Hi) / 2
+				endSolve(r)
 			}
 			b.h, b.next = h, next
 			b.act = act[:0]
@@ -535,17 +560,16 @@ func (b *Batch) RunCtx(ctx context.Context, opts BatchRunOptions, src func(ln in
 		}
 		hv, nx = h, next
 		dense = len(act) == k
-		// Dispatch order: the assembly sweep, when present, stays on even
-		// after lanes retire — it always computes all 8 lanes, and its
-		// whole-batch cost is low enough that recomputing a few retired
-		// lanes' (frozen-elsewhere, never re-read) slots beats the generic
-		// per-lane loop down to two live lanes. Retired slots are write-only
-		// from the batch's point of view: their results were frozen by
-		// unpack, and the reductions below only visit live lanes, so the
-		// extra arithmetic cannot perturb anything (the bitwise argument in
-		// the file comment — lanes never mix — covers it).
+		// Dispatch order: the assembly sweep, when present, stays on while
+		// any lane is live — it always computes all 8 lanes, and its
+		// whole-batch cost is well under even one generic single-lane pass.
+		// Retired and idle slots are write-only from the batch's point of
+		// view: retired results were frozen by unpack, idle lanes have none,
+		// and the reductions below only visit live lanes, so the extra
+		// arithmetic cannot perturb anything (the bitwise argument in the
+		// file comment — lanes never mix — covers it).
 		switch {
-		case haveAsm && k == denseLaneWidth && len(act) >= 2:
+		case haveAsm:
 			par.For(n, w, asm8)
 		case dense && k == denseLaneWidth:
 			par.For(n, w, sweep8)
@@ -597,6 +621,7 @@ func (b *Batch) RunCtx(ctx context.Context, opts BatchRunOptions, src func(ln in
 			case r.Converged:
 				r.Lo, r.Hi = b.resLo[ln], b.resHi[ln]
 				r.Gain = (r.Lo + r.Hi) / 2
+				endSolve(r)
 				if s, ok := src(ln, r); ok {
 					// Next solve for this lane: continue in place from the
 					// converged vector, exactly solo KeepValues chaining.
@@ -611,6 +636,7 @@ func (b *Batch) RunCtx(ctx context.Context, opts BatchRunOptions, src func(ln in
 				}
 				r.Lo, r.Hi = b.resLo[ln], b.resHi[ln]
 				r.Gain = (r.Lo + r.Hi) / 2
+				endSolve(r)
 				unpack(ln, h)
 			default:
 				keep = append(keep, ln)
@@ -622,6 +648,7 @@ func (b *Batch) RunCtx(ctx context.Context, opts BatchRunOptions, src func(ln in
 				r := &res[ln]
 				r.Lo, r.Hi = b.resLo[ln], b.resHi[ln]
 				r.Gain = (r.Lo + r.Hi) / 2
+				endSolve(r)
 				unpack(ln, h)
 			}
 			b.h, b.next = h, next
@@ -636,21 +663,18 @@ func (b *Batch) RunCtx(ctx context.Context, opts BatchRunOptions, src func(ln in
 }
 
 // DenseBatchWidth is the lane count the specialized dense sweeps (scalar
-// and assembly) are built for. Callers sizing lane groups should prefer
-// exactly this width; see denseLaneWidth. When DenseBatchAsm reports true,
-// padding a smaller group to this width with duplicate lanes is usually a
-// win: the assembly sweep's whole-batch cost is well under two generic
-// per-lane passes.
+// and assembly) are built for; callers cutting points into lane groups
+// should use exactly this width. Where DenseBatchAsm reports true, NewBatch
+// pads narrower groups to it (see the file comment).
 const DenseBatchWidth = denseLaneWidth
 
 // denseLaneWidth is the lane count the hand-specialized dense sweep is
-// built for. autoBatchLanes-style sizing should prefer this width: the
-// specialized sweep keeps all 8 action accumulators in registers across an
-// action span and fully unrolls the lane math behind array-pointer
-// conversions, which is where the batched kernel's per-lane advantage over
-// the solo sweep actually comes from. Other lane counts run the generic
-// sweep, which is correct but carries per-lane loop and bounds-check
-// overhead that roughly cancels the shared-structure savings.
+// built for: the specialized sweep keeps all 8 action accumulators in
+// registers across an action span and fully unrolls the lane math behind
+// array-pointer conversions, which is where the batched kernel's per-lane
+// advantage over the solo sweep actually comes from. Other lane counts run
+// the generic sweep, which is correct but carries per-lane loop and
+// bounds-check overhead that roughly cancels the shared-structure savings.
 const denseLaneWidth = 8
 
 // makeSweep8 builds the dense 8-lane sweep body. It is only called while

@@ -57,7 +57,7 @@ func detectAVX2() bool {
 }
 
 // DenseBatchAsm reports whether this machine runs the assembly dense
-// sweep, i.e. whether padding lane groups to DenseBatchWidth pays off.
+// sweep, the one place an 8-lane batch beats solo solves by a wide margin.
 func DenseBatchAsm() bool { return haveAVX2 }
 
 // maxAsmStates bounds the models the packed transition program can
@@ -65,12 +65,18 @@ func DenseBatchAsm() bool { return haveAVX2 }
 // 32 bits.
 const maxAsmStates = 1 << 26
 
+// asmFits reports whether the assembly sweep can run over c's structure
+// on this machine.
+func asmFits(c *Compiled) bool {
+	return haveAVX2 && len(c.meta) > 0 && c.NumStates() < maxAsmStates
+}
+
 // asmSweep returns the dense 8-lane assembly sweep body, or false when
-// the hardware or the model shape rules it out (then the scalar
-// makeSweep8 specialization runs instead).
+// the hardware, the lane count or the model shape rules it out (then the
+// scalar makeSweep8 specialization or the generic sweep runs instead).
 func (b *Batch) asmSweep(tau float64, hvp, nxp *[]float64) (func(chunk, from, to int), bool) {
 	c := b.c
-	if !haveAVX2 || b.k != denseLaneWidth || len(c.meta) == 0 || c.NumStates() >= maxAsmStates {
+	if b.k != denseLaneWidth || !asmFits(c) {
 		return nil, false
 	}
 	b.buildTransProgram()

@@ -8,6 +8,10 @@ func (b *Batch) asmSweep(tau float64, hvp, nxp *[]float64) (func(chunk, from, to
 	return nil, false
 }
 
+// asmFits reports whether the assembly sweep can run; off amd64 it never
+// can, so batches are never padded.
+func asmFits(*Compiled) bool { return false }
+
 // DenseBatchAsm reports whether this machine runs the assembly dense
 // sweep; off amd64 it never does.
 func DenseBatchAsm() bool { return false }

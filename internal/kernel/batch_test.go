@@ -315,3 +315,39 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state batched solve: %.0f allocs/run, budget %d", allocs, maxAllocs)
 	}
 }
+
+// TestBatchLastLiveLaneMatchesSolo: one lane of an 8-lane batch asks for a
+// far tighter bracket than the other seven, so it runs alone for most of
+// the solve — on the dense sweep, which keeps computing the retired
+// slots. That lane, and every early finisher, must stay bitwise equal to
+// its solo solve.
+func TestBatchLastLiveLaneMatchesSolo(t *testing.T) {
+	c := compileRing(t, 300, 0.3)
+	lanes, betas, _ := laneFixture(denseLaneWidth)
+	tols := make([]float64, denseLaneWidth)
+	for ln := range tols {
+		tols[ln] = 1e-4
+	}
+	const slow = 5
+	tols[slow] = 1e-13
+	b, err := NewBatch(c, lanes)
+	if err != nil {
+		t.Fatalf("NewBatch: %v", err)
+	}
+	got, err := BatchMeanPayoff(context.Background(), b, betas, BatchOptions{Tol: tols})
+	if err != nil {
+		t.Fatalf("BatchMeanPayoff: %v", err)
+	}
+	others := 0
+	for ln := range lanes {
+		want, wantVals := soloSolve(t, c, lanes[ln], betas[ln], Options{Tol: tols[ln]}, nil)
+		sameResult(t, "last-live", ln, &got[ln], want)
+		sameValues(t, "last-live", ln, b.Values(ln), wantVals)
+		if ln != slow {
+			others = max(others, got[ln].Iters)
+		}
+	}
+	if got[slow].Iters < 2*others {
+		t.Fatalf("slow lane ran %d sweeps, the others up to %d: it never ran alone for long", got[slow].Iters, others)
+	}
+}

@@ -55,7 +55,7 @@ while IFS= read -r code; do
 done < <(sed -n 's/.*httpErrorCode(w, r, err, [^,]*, "\([a-z_]*\)").*/\1/p' cmd/serve/jobs.go)
 
 # --- the adaptive sweep surface is documented ----------------------------
-for flag in adaptive tolerance max-depth max-points batch-lanes; do
+for flag in adaptive tolerance max-depth max-points; do
   grep -qE "\"$flag\"" cmd/sweep/main.go || err "cmd/sweep no longer registers -$flag; update docs/SWEEPS.md"
   grep -qF -- "-$flag" docs/SWEEPS.md || err "flag -$flag missing from docs/SWEEPS.md"
 done

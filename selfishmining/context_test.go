@@ -347,19 +347,26 @@ func TestSweepCancelAndRetry(t *testing.T) {
 		MaxForkLen: 3,
 		TreeWidth:  3,
 		Epsilon:    1e-3,
-		Workers:    1, // serial draw order makes the cancellation point land mid-panel
+		Workers:    1, // serial draw order makes the checkpoint sequence reproducible
 	}
-	ref, err := SweepContext(context.Background(), opts)
+	// The reference run counts the sweep's checkpoints; the canceled run
+	// stops halfway through the same sequence, so it lands mid-panel
+	// whether the points batch (one checkpoint per shared sweep) or solve
+	// one at a time.
+	counter := &cancelAfterChecks{Context: context.Background(), n: math.MaxInt64}
+	ref, err := SweepContext(counter, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	svc := NewService(ServiceConfig{})
-	cctx := &cancelAfterChecks{Context: context.Background(), n: 300}
+	n := counter.calls.Load() / 2
+	cctx := &cancelAfterChecks{Context: context.Background(), n: n}
 	if _, cerr := svc.SweepContext(cctx, opts); cerr == nil {
-		t.Skip("sweep finished before 300 checkpoints; grid too small for this assertion")
+		t.Fatalf("sweep survived cancellation after %d of %d checkpoints", n, counter.calls.Load())
 	} else if !errors.Is(cerr, ErrCanceled) {
 		t.Fatalf("sweep cancel error %v, want ErrCanceled", cerr)
 	}
+	t.Logf("canceled after %d of %d checkpoints", n, counter.calls.Load())
 	if n := svc.Stats().Canceled; n != 1 {
 		t.Errorf("Canceled = %d after one canceled sweep, want 1", n)
 	}

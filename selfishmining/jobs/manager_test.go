@@ -701,11 +701,14 @@ func BenchmarkJobSubmitOverhead(b *testing.B) {
 
 // TestJobSweepResumeResetsPointProgress: a sweep canceled mid-grid and
 // resumed recomputes from scratch, so the re-run's point counter restarts
-// instead of accumulating past PointsTotal.
+// instead of accumulating past PointsTotal. The cancel fires on the second
+// streamed point: the two configurations' p = 0 points, which the sweep
+// answers before it starts any solve, so the first run is still
+// interrupted however many points one solve unit holds.
 func TestJobSweepResumeResetsPointProgress(t *testing.T) {
 	spec := SweepSpec{
 		Gamma: 0.5, PGrid: []float64{0, 0.05, 0.1, 0.15, 0.2},
-		Configs: []SweepConfig{{Depth: 1, Forks: 1}}, Len: 3, Epsilon: 1e-3,
+		Configs: []SweepConfig{{Depth: 1, Forks: 1}, {Depth: 2, Forks: 1}}, Len: 3, Epsilon: 1e-3,
 	}
 	m := newTestManager(t, Config{})
 	var once sync.Once

@@ -5,16 +5,16 @@ import (
 	"repro/selfishmining/obs"
 )
 
-// Batched-sweep scheduling instruments, on the shared default registry:
-// how the lane scheduler carved pending grid points into multi-lane
-// groups versus solo fallbacks.
+// Sweep scheduling instruments, on the shared default registry: how the
+// scheduler cut fresh grid points into multi-lane units versus one-point
+// solo units.
 var (
 	batchGroupsScheduled = obs.Default().Counter("sweep_batch_groups_total",
-		"Multi-lane groups scheduled by batched sweeps.")
+		"Multi-lane units solved by sweeps.")
 	batchGroupLanes = obs.Default().Counter("sweep_batch_group_lanes_total",
-		"Grid points scheduled into multi-lane batch groups.")
+		"Grid points solved in multi-lane units.")
 	batchSoloPoints = obs.Default().Counter("sweep_batch_solo_points_total",
-		"Single-point groups that fell back to the solo per-point path.")
+		"Grid points solved as one-point units on the solo kernel.")
 )
 
 // RegisterMetrics wires this service's accounting into a metrics registry

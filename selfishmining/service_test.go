@@ -187,11 +187,13 @@ func TestServiceBoundOnly(t *testing.T) {
 // TestServiceWarmVsColdBitwise is the warm-start acceptance test: a fine
 // p-grid swept with warm starts enabled is bitwise identical to the same
 // sweep with warm starts disabled, while the warm service demonstrably
-// seeds solves and does less sweep work.
+// seeds solves and does less sweep work. The grid is longer than one
+// batched unit, so later units seed from the vectors earlier ones cached.
 func TestServiceWarmVsColdBitwise(t *testing.T) {
 	opts := SweepOptions{
-		Gamma:      0.5,
-		PGrid:      []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3},
+		Gamma: 0.5,
+		PGrid: []float64{0.02, 0.04, 0.06, 0.08, 0.1, 0.12, 0.14, 0.16, 0.18, 0.2,
+			0.22, 0.24, 0.26, 0.28, 0.3},
 		Configs:    []AttackConfig{{Depth: 1, Forks: 1}, {Depth: 2, Forks: 1}},
 		MaxForkLen: 3,
 		TreeWidth:  3,

@@ -49,12 +49,6 @@ type AttackConfig struct {
 // default the sweep will use.
 const DefaultSweepMaxForkLen = 4
 
-// AutoBatchLanes, as SweepOptions.BatchLanes, sizes each batched lane
-// group automatically: the lane count is chosen so one group's per-lane
-// data (probabilities plus value vectors) fits a fixed cache budget,
-// clamped to [2, 16] lanes.
-const AutoBatchLanes = -1
-
 // Defaults of the adaptive refinement options (see SweepOptions.Adaptive).
 // Exported so the HTTP and CLI layers document and apply the same values
 // the sweep would substitute.
@@ -108,26 +102,15 @@ type SweepOptions struct {
 	// solved with ("" or "jacobi" for the bitwise-deterministic default; see
 	// KernelVariants). All variants certify the same ERRev values — the
 	// figure is identical — but their sweep counts and runtimes differ.
+	// Only the default kernel batches grid points (see SweepContext); every
+	// other variant solves each point on its own.
 	Kernel string
-	// Workers is the size of the worker pool the (configuration, p) grid
-	// points are distributed over; 0, the default, uses runtime.NumCPU().
-	// Each attack structure is compiled once and shared; every worker
-	// solves on its own clone (private probability and value buffers).
-	// The computed figure is bitwise identical at every worker count.
+	// Workers is the size of the worker pool the sweep's units — batched
+	// groups of nearby grid points, or single points — are distributed
+	// over; 0, the default, uses runtime.NumCPU(). Each attack structure is
+	// compiled once and shared. The computed figure is bitwise identical at
+	// every worker count.
 	Workers int
-	// BatchLanes groups same-configuration grid points into multi-lane
-	// batched solves: K nearby p values ride one pass over the shared
-	// compiled structure per value-iteration sweep (kernel.Batch), which
-	// is substantially faster on memory-bound models than K separate
-	// solves. 0, the default, keeps the solo per-point path;
-	// AutoBatchLanes sizes lane groups to a cache budget from the panel's
-	// structure sizes; 1 forces the solo path; K >= 2 forces K-lane
-	// groups. Batched sweeps require the default "jacobi" kernel — the
-	// batch replicates exactly its floating-point op sequence — and
-	// compute bitwise-identical figures: batching changes scheduling,
-	// never results. OnPoint streaming, Resume checkpoints and the result
-	// cache keep their per-point semantics in either mode.
-	BatchLanes int
 
 	// Adaptive switches the sweep from the uniform grid to threshold-
 	// refining bisection: PGrid is solved as a coarse pass, then cells
@@ -177,8 +160,10 @@ type SweepOptions struct {
 	// it completes — solved, coalesced, answered from the result cache, or
 	// short-circuited (p = 0) — instead of only appearing in the final
 	// figure. Calls are serialized but follow the parallel completion
-	// order; the values streamed are exactly the values the final figure
-	// will carry (bitwise — streaming changes delivery, never results).
+	// order, and the points of one batched unit arrive together when the
+	// unit finishes; the values streamed are exactly the values the final
+	// figure will carry (bitwise — streaming changes delivery, never
+	// results).
 	// Adaptive sweeps instead emit deterministically: refinement proceeds
 	// in waves (one per bisection depth), and within a wave points are
 	// held back so they stream in task order — config-major, ascending p.
@@ -329,11 +314,13 @@ func Sweep(opts SweepOptions) (*results.Figure, error) {
 //
 // SweepContext runs through an ephemeral Service, so every call benefits
 // from the serving layer's structure sharing (each attack structure is
-// compiled once) and warm starts (each grid point seeds value iteration
-// from the nearest solved p). Long-lived callers that sweep repeatedly
-// should hold their own Service and call its SweepContext method, which
-// additionally reuses results and structures across calls. The computed
-// figure is bitwise identical at every worker count and cache state.
+// compiled once), warm starts (each grid point seeds value iteration from
+// the nearest solved p) and lane batching (nearby grid points share one
+// pass over the structure per sweep). Long-lived callers that sweep
+// repeatedly should hold their own Service and call its SweepContext
+// method, which additionally reuses results and structures across calls.
+// The computed figure is bitwise identical at every worker count and cache
+// state.
 func SweepContext(ctx context.Context, opts SweepOptions) (*results.Figure, error) {
 	return NewService(ServiceConfig{}).SweepContext(ctx, opts)
 }
@@ -348,10 +335,19 @@ func (s *Service) Sweep(opts SweepOptions) (*results.Figure, error) {
 
 // SweepContext computes one Figure-2 panel through the service's caches:
 // attack structures come from the structure cache, every grid point is
-// answered from the result cache when possible (and coalesced with
-// identical in-flight points otherwise), and fresh points warm-start from
-// the nearest solved p. See the package-level SweepContext for the panel's
-// contents.
+// answered from the result cache when possible, and fresh points
+// warm-start from the nearest solved p. See the package-level SweepContext
+// for the panel's contents.
+//
+// Fresh points are solved in units. Where a configuration batches — the
+// default kernel, the machine's assembly dense sweep (kernel.DenseBatchAsm)
+// and a structure within the per-lane size budget (see batches) — its
+// points are cut, in ascending p, into units of kernel.DenseBatchWidth
+// points, each solved as one multi-lane analysis over the shared
+// structure; elsewhere every point is its own unit, solved alone and
+// coalesced with identical in-flight points. Each lane is bitwise
+// identical to the solo solve of its point, so batching changes
+// scheduling and speed, never the figure.
 //
 // With opts.Adaptive the x-axis is refined around the profitability
 // threshold instead of staying on the uniform grid: PGrid becomes the
@@ -377,20 +373,19 @@ func (s *Service) Sweep(opts SweepOptions) (*results.Figure, error) {
 // would have carried, and a checkpoint built from them can skip their
 // solves in a later run (SweepOptions.Resume).
 func (s *Service) SweepContext(ctx context.Context, opts SweepOptions) (*results.Figure, error) {
+	return s.sweepContext(ctx, opts, kernel.DenseBatchWidth)
+}
+
+// sweepContext is SweepContext with the unit width of batching
+// configurations as a parameter; tests run width 1 (every point solo) as
+// the reference the default width must match bit for bit.
+func (s *Service) sweepContext(ctx context.Context, opts SweepOptions, width int) (*results.Figure, error) {
 	opts.defaults()
 	if opts.Gamma < 0 || opts.Gamma > 1 || math.IsNaN(opts.Gamma) {
 		return nil, fmt.Errorf("selfishmining: sweep gamma = %v outside [0, 1]", opts.Gamma)
 	}
 	if err := ValidateKernel(opts.Kernel); err != nil {
 		return nil, fmt.Errorf("selfishmining: %w", err)
-	}
-	if opts.BatchLanes < AutoBatchLanes {
-		return nil, fmt.Errorf("selfishmining: sweep BatchLanes = %d (want 0 to disable, AutoBatchLanes, or a positive lane count)", opts.BatchLanes)
-	}
-	if opts.BatchLanes != 0 {
-		if kv, _ := kernel.ParseVariant(opts.Kernel); kv != kernel.VariantJacobi {
-			return nil, fmt.Errorf("selfishmining: batched sweeps support only the default %q kernel, got %q", kernel.VariantJacobi, kv)
-		}
 	}
 	if opts.Adaptive {
 		if err := opts.validateAdaptive(); err != nil {
@@ -443,7 +438,7 @@ func (s *Service) SweepContext(ctx context.Context, opts SweepOptions) (*results
 	if opts.Adaptive {
 		// Adaptive sweeps discover their x-axis, so the attack curves run
 		// first and the baselines follow on the refined grid.
-		res, err := s.sweepAdaptive(ctx, opts, workers, progress)
+		res, err := s.sweepAdaptive(ctx, opts, workers, width, progress)
 		if err != nil {
 			return nil, s.countCancel(err)
 		}
@@ -466,7 +461,7 @@ func (s *Service) SweepContext(ctx context.Context, opts SweepOptions) (*results
 	}
 	progress("baselines done (gamma=%g, %d points)", opts.Gamma, len(opts.PGrid))
 
-	series, err := s.sweepConfigs(ctx, opts, workers, progress)
+	series, err := s.sweepConfigs(ctx, opts, workers, width, progress)
 	if err != nil {
 		return nil, s.countCancel(err)
 	}
@@ -548,33 +543,76 @@ type gridTask struct {
 	p      float64
 }
 
-// solveTasks answers one batch of grid points on a worker pool: from the
-// resume checkpoint when present, the p = 0 shortcut, the result cache,
-// or a fresh (warm-started, coalesced) solve. onDone runs exactly once
-// per task, serialized under one mutex, in parallel completion order; ctx
-// stops workers from drawing new points and interrupts the one being
-// solved at its next sweep boundary.
-func (s *Service) solveTasks(ctx context.Context, opts SweepOptions, bases []*core.Compiled, workers int,
+// solveTasks answers one wave of grid points. Points that need no solve —
+// the p = 0 shortcut, the resume checkpoint, and for configurations that
+// batch (see batches) the result cache — are answered first. Each
+// configuration's remaining points are then cut, in task order (ascending
+// p), into units: `width` points when the configuration batches, one point
+// otherwise. All units run on one worker pool: a one-point unit is a solo
+// sweepPoint solve, which looks up the result cache itself and coalesces
+// with identical in-flight points; a longer one is a single multi-lane
+// sweepBatch solve. onDone runs exactly once per task, serialized under
+// one mutex, in completion order; ctx stops workers from drawing new units
+// and interrupts the ones being solved at their next sweep boundary.
+func (s *Service) solveTasks(ctx context.Context, opts SweepOptions, bases []*core.Compiled, workers, width int,
 	resume map[sweepResumeKey]SweepPoint, tasks []gridTask, onDone func(ti int, errev float64, sweeps int)) error {
-	if len(tasks) == 0 {
-		return nil
-	}
-	if lanes := opts.batchLanes(bases); lanes >= 2 {
-		return s.solveTasksBatched(ctx, opts, bases, workers, lanes, resume, tasks, onDone)
-	}
-	errs := make([]error, len(tasks))
 	var doneMu sync.Mutex
 	done := func(ti int, errev float64, sweeps int) {
 		doneMu.Lock()
 		defer doneMu.Unlock()
 		onDone(ti, errev, sweeps)
 	}
-	poolSize := min(workers, len(tasks))
+	kv, _ := kernel.ParseVariant(opts.Kernel) // validated by SweepContext
+	unitLen := make([]int, len(opts.Configs))
+	for ci := range unitLen {
+		unitLen[ci] = 1
+		if batches(kv, bases[ci]) {
+			unitLen[ci] = width
+		}
+	}
+	pending := make([][]int, len(opts.Configs))
+	for ti, tk := range tasks {
+		if err := ctx.Err(); err != nil {
+			return cancelError(err, nil)
+		}
+		cfg := opts.Configs[tk.ci]
+		if tk.p == 0 {
+			done(ti, 0, 0) // no resource, no revenue; the p=0 MDP is degenerate
+			continue
+		}
+		if pt, ok := resume[sweepResumeKey{cfg.Depth, cfg.Forks, math.Float64bits(tk.p)}]; ok {
+			// Checkpointed by an earlier run of this same sweep: the bitwise
+			// contract lets the recorded value stand in for the solve verbatim.
+			done(ti, pt.ERRev, pt.Sweeps)
+			continue
+		}
+		if unitLen[tk.ci] > 1 {
+			if a, ok := s.results.Get(s.sweepPointKey(opts, cfg, tk.p)); ok {
+				s.sweepPoints.Add(1)
+				done(ti, a.ERRev, a.Sweeps)
+				continue
+			}
+		}
+		pending[tk.ci] = append(pending[tk.ci], ti)
+	}
+	var units [][]int
+	for ci, idxs := range pending {
+		for len(idxs) > 0 {
+			u := min(unitLen[ci], len(idxs))
+			units = append(units, idxs[:u])
+			idxs = idxs[u:]
+		}
+	}
+	if len(units) == 0 {
+		return nil
+	}
+	errs := make([]error, len(units))
+	poolSize := min(workers, len(units))
 	var cursor atomic.Int64
 	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < poolSize; w++ {
-		// Split the worker budget: the pool takes the outer (point) level;
+		// Split the worker budget: the pool takes the outer (unit) level;
 		// any leftover cores deepen the per-solve sweep parallelism, with
 		// the remainder spread so no core idles. Neither split affects
 		// results.
@@ -582,49 +620,56 @@ func (s *Service) solveTasks(ctx context.Context, opts SweepOptions, bases []*co
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker solves on a clone of the drawn config's base:
-			// shared immutable structure, private buffers. Only the current
-			// config's clone is retained — tasks are drawn in config-major
+			// A solo unit solves on a clone of its config's base: shared
+			// immutable structure, private buffers. Only the current
+			// config's clone is retained — units are drawn in config-major
 			// order, so a worker re-clones at most once per config while
-			// peak memory stays at one clone per worker even when the panel
-			// includes multi-million-state configurations.
+			// peak memory stays at one clone per worker. Batched units read
+			// only the base's immutable structure and need no clone.
 			cloneOf := -1
 			var comp *core.Compiled
 			for !failed.Load() {
-				idx := int(cursor.Add(1)) - 1
-				if idx >= len(tasks) {
+				ui := int(cursor.Add(1)) - 1
+				if ui >= len(units) {
 					return
 				}
 				if err := ctx.Err(); err != nil {
-					errs[idx] = cancelError(err, nil)
+					errs[ui] = cancelError(err, nil)
 					failed.Store(true)
 					return
 				}
-				tk := tasks[idx]
-				cfg := opts.Configs[tk.ci]
-				if tk.p == 0 {
-					done(idx, 0, 0) // no resource, no revenue; the p=0 MDP is degenerate
+				unit := units[ui]
+				ci := tasks[unit[0]].ci
+				cfg := opts.Configs[ci]
+				if len(unit) > 1 {
+					ps := make([]float64, len(unit))
+					for i, ti := range unit {
+						ps[i] = tasks[ti].p
+					}
+					as, err := s.sweepBatch(ctx, bases[ci], cfg, ps, opts, innerWorkers)
+					if err != nil {
+						errs[ui] = fmt.Errorf("selfishmining: sweeping d=%d f=%d (batch of %d): %w", cfg.Depth, cfg.Forks, len(unit), err)
+						failed.Store(true)
+						return
+					}
+					for i, ti := range unit {
+						done(ti, as[i].ERRev, as[i].Sweeps)
+					}
 					continue
 				}
-				if pt, ok := resume[sweepResumeKey{cfg.Depth, cfg.Forks, math.Float64bits(tk.p)}]; ok {
-					// Checkpointed by an earlier run of this same sweep:
-					// the bitwise contract lets the recorded value stand in
-					// for the solve verbatim.
-					done(idx, pt.ERRev, pt.Sweeps)
-					continue
-				}
-				if cloneOf != tk.ci {
-					comp = bases[tk.ci].Clone()
+				if cloneOf != ci {
+					comp = bases[ci].Clone()
 					comp.SetWorkers(innerWorkers)
-					cloneOf = tk.ci
+					cloneOf = ci
 				}
-				res, err := s.sweepPoint(ctx, comp, cfg, tk.p, opts)
+				p := tasks[unit[0]].p
+				res, err := s.sweepPoint(ctx, comp, cfg, p, opts)
 				if err != nil {
-					errs[idx] = fmt.Errorf("selfishmining: sweeping d=%d f=%d: p=%g: %w", cfg.Depth, cfg.Forks, tk.p, err)
+					errs[ui] = fmt.Errorf("selfishmining: sweeping d=%d f=%d: p=%g: %w", cfg.Depth, cfg.Forks, p, err)
 					failed.Store(true)
 					return
 				}
-				done(idx, res.ERRev, res.Sweeps)
+				done(unit[0], res.ERRev, res.Sweeps)
 			}
 		}()
 	}
@@ -650,68 +695,34 @@ func splitWorkers(workers, poolSize, w int) int {
 	return max(base, 1)
 }
 
-// batchLanes resolves the sweep's effective lane count: 0 and 1 keep the
-// solo per-point path, AutoBatchLanes is sized from the panel's compiled
-// structures, and explicit counts pass through.
-func (o *SweepOptions) batchLanes(bases []*core.Compiled) int {
-	if o.BatchLanes == AutoBatchLanes {
-		return autoBatchLanes(bases)
-	}
-	return o.BatchLanes
+// batchLaneBudget bounds the per-lane data of a batching configuration:
+// two lanes must fit an 8 MiB cache share. Every Figure-2 shape up to fork
+// d2f2l5 (0.38 MiB per lane) fits. Fork d3f2l4 (9.5 MiB per lane) does
+// not, and its two-point panel solved as a padded 8-lane unit took as
+// long as solo (2.89 vs 2.88 s on a 2-vCPU host) at 200 instead of 111
+// MiB peak, so it solves solo.
+const batchLaneBudget = 4 << 20
+
+// laneBytes is the data one batch lane adds over base's shared structure:
+// a float32 probability per transition and two float64 values per state.
+func laneBytes(base *core.Compiled) int64 {
+	return base.NumTransitions()*4 + int64(base.NumStates())*16
 }
 
-// autoBatchLanes sizes a lane group from the panel's largest structure:
-// each lane adds a float32 probability per transition and two float64
-// value-vector entries per state, and the group works best while that
-// per-lane footprint times the lane count stays cache-resident. The 8 MiB
-// budget approximates a shared L3 slice; the result is clamped to [2, 8],
-// and any budget allowing 8 or more lanes snaps to exactly 8 — the width
-// the kernel's hand-specialized dense sweep is built for (see
-// kernel.NewBatch), which holds all eight action accumulators in registers
-// and is where batching's per-lane advantage over a solo sweep comes from.
-func autoBatchLanes(bases []*core.Compiled) int {
-	const budget = 8 << 20
-	laneBytes := int64(1)
-	for _, b := range bases {
-		lb := b.NumTransitions()*4 + int64(b.NumStates())*16
-		if lb > laneBytes {
-			laneBytes = lb
-		}
-	}
-	k := budget / laneBytes
-	if k < 2 {
-		return 2
-	}
-	if k > 8 {
-		return 8
-	}
-	return int(k)
-}
-
-// BatchLaneCount reports the lane count AutoBatchLanes resolves to for one
-// attack structure — deterministic across machines, since it depends only
-// on the structure's size and a fixed cache budget. Exported so tooling
-// (cmd/bench) can stamp the effective group size into artifacts.
-func BatchLaneCount(model string, cfg AttackConfig, maxLen int) (int, error) {
-	if model == "" {
-		model = families.DefaultName
-	}
-	// Chain parameters are placeholders; lane sizing reads only the
-	// structure's state and transition counts.
-	comp, err := families.Compile(model, core.Params{
-		P: 0.1, Gamma: 0.5,
-		Depth: cfg.Depth, Forks: cfg.Forks, MaxLen: maxLen,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return autoBatchLanes([]*core.Compiled{comp}), nil
+// batches reports whether a configuration's fresh points are solved in
+// multi-lane units. All three conditions are needed for a batch to beat
+// solo solves: the batch replicates exactly the default Jacobi kernel's
+// floating-point sequence (other variants have no batched twin); only the
+// assembly dense sweep does the work of several solo sweeps per pass (4.2
+// to 7.3 on the Figure-2 shapes, against 1.2 to 1.8 for the portable
+// 8-lane loop); and the structure must fit batchLaneBudget per lane.
+func batches(kv kernel.Variant, base *core.Compiled) bool {
+	return kv == kernel.VariantJacobi && kernel.DenseBatchAsm() && laneBytes(base) <= batchLaneBudget
 }
 
 // sweepPointKey is the result-cache key of one (configuration, p) sweep
-// point — the same key sweepPoint builds, shared by the batched scheduler
-// (batched and solo solves are bitwise identical, so sharing entries is
-// sound).
+// point, shared by solo and batched solves (they are bitwise identical, so
+// sharing entries is sound).
 func (s *Service) sweepPointKey(opts SweepOptions, cfg AttackConfig, p float64) resultKey {
 	params := AttackParams{
 		Model:     sweepModel(opts),
@@ -722,170 +733,10 @@ func (s *Service) sweepPointKey(opts SweepOptions, cfg AttackConfig, p float64) 
 	return s.key(params, &pointCfg)
 }
 
-// solveTasksBatched is solveTasks' multi-lane twin: points answered by the
-// p = 0 shortcut, the resume checkpoint or the result cache are emitted
-// up front, and each configuration's remaining points are solved in lane
-// groups — one batched bound-only analysis per group, streaming the shared
-// structure once per sweep for all lanes (analysis.
-// AnalyzeBatchCompiledContext). Configurations spread over a worker pool;
-// within one, groups run sequentially and stride the pending points so
-// group g+1's lanes sit one stride from group g's and warm-start from its
-// freshly solved vectors. onDone keeps the solo contract — exactly once
-// per task, serialized — and every emitted value is bitwise identical to
-// the solo path's: batching changes scheduling, never results.
-func (s *Service) solveTasksBatched(ctx context.Context, opts SweepOptions, bases []*core.Compiled, workers, lanes int,
-	resume map[sweepResumeKey]SweepPoint, tasks []gridTask, onDone func(ti int, errev float64, sweeps int)) error {
-	var doneMu sync.Mutex
-	done := func(ti int, errev float64, sweeps int) {
-		doneMu.Lock()
-		defer doneMu.Unlock()
-		onDone(ti, errev, sweeps)
-	}
-	// Pass 1: answer every point that needs no solve; the rest queue per
-	// configuration, in task order (config-major, ascending p).
-	pending := make([][]int, len(opts.Configs))
-	for idx, tk := range tasks {
-		if err := ctx.Err(); err != nil {
-			return cancelError(err, nil)
-		}
-		cfg := opts.Configs[tk.ci]
-		if tk.p == 0 {
-			done(idx, 0, 0) // no resource, no revenue; the p=0 MDP is degenerate
-			continue
-		}
-		if pt, ok := resume[sweepResumeKey{cfg.Depth, cfg.Forks, math.Float64bits(tk.p)}]; ok {
-			done(idx, pt.ERRev, pt.Sweeps)
-			continue
-		}
-		if a, ok := s.results.Get(s.sweepPointKey(opts, cfg, tk.p)); ok {
-			s.sweepPoints.Add(1)
-			done(idx, a.ERRev, a.Sweeps)
-			continue
-		}
-		pending[tk.ci] = append(pending[tk.ci], idx)
-	}
-	work := make([]int, 0, len(pending))
-	for ci := range pending {
-		if len(pending[ci]) > 0 {
-			work = append(work, ci)
-		}
-	}
-	if len(work) == 0 {
-		return nil
-	}
-	// Pass 2: a pool over configurations. The outer level stops at the
-	// configuration (not the point, as in solveTasks): lane groups already
-	// use the point-level parallelism budget, and a group must see its
-	// predecessor's vectors to warm-start.
-	poolSize := min(workers, len(work))
-	errs := make([]error, len(work))
-	var cursor atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < poolSize; w++ {
-		innerWorkers := splitWorkers(workers, poolSize, w)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				wi := int(cursor.Add(1)) - 1
-				if wi >= len(work) {
-					return
-				}
-				ci := work[wi]
-				if err := s.solveConfigBatched(ctx, opts, bases[ci], innerWorkers, lanes, tasks, pending[ci], done); err != nil {
-					errs[wi] = err
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// solveConfigBatched solves one configuration's pending points on one
-// clone of its base structure, in contiguous lane groups of at most
-// `lanes` points: group g takes the next `lanes` pending points in
-// ascending p. Neighboring p values converge at similar speeds, so the
-// lanes of a group finish their searches close together and the batch
-// stays at full width — the dense specialized sweep — for almost the
-// whole run; a spread-out group would leave its slowest lane running
-// alone in a long thin tail. Each group seeds from the previous group's
-// converged vectors (nearest p per lane, the batched analog of the warm
-// cache's nearest-p rule), which adjoins it in p. A group that
-// degenerates to one point takes the solo sweepPoint path, which also
-// coalesces it with identical in-flight requests.
-func (s *Service) solveConfigBatched(ctx context.Context, opts SweepOptions, base *core.Compiled,
-	innerWorkers, lanes int, tasks []gridTask, idxs []int, done func(ti int, errev float64, sweeps int)) error {
-	cfg := opts.Configs[tasks[idxs[0]].ci]
-	comp := base.Clone()
-	comp.SetWorkers(innerWorkers)
-	groups := (len(idxs) + lanes - 1) / lanes
-	var prevPs []float64
-	var prevVals [][]float64
-	for g := 0; g < groups; g++ {
-		group := idxs[g*lanes : min((g+1)*lanes, len(idxs))]
-		if len(group) == 1 {
-			batchSoloPoints.Inc()
-			tk := tasks[group[0]]
-			res, err := s.sweepPoint(ctx, comp, cfg, tk.p, opts)
-			if err != nil {
-				return fmt.Errorf("selfishmining: sweeping d=%d f=%d: p=%g: %w", cfg.Depth, cfg.Forks, tk.p, err)
-			}
-			done(group[0], res.ERRev, res.Sweeps)
-			continue
-		}
-		batchGroupsScheduled.Inc()
-		batchGroupLanes.Add(uint64(len(group)))
-		ps := make([]float64, len(group))
-		seeds := make([][]float64, len(group))
-		for i, idx := range group {
-			ps[i] = tasks[idx].p
-			seeds[i] = nearestSeed(prevPs, prevVals, ps[i])
-		}
-		as, vals, err := s.sweepBatch(ctx, comp, cfg, ps, seeds, opts, innerWorkers)
-		if err != nil {
-			return fmt.Errorf("selfishmining: sweeping d=%d f=%d (batch of %d): %w", cfg.Depth, cfg.Forks, len(group), err)
-		}
-		for i, idx := range group {
-			done(idx, as[i].ERRev, as[i].Sweeps)
-		}
-		prevPs, prevVals = ps, vals
-	}
-	return nil
-}
-
-// nearestSeed picks the previous lane group's converged vector closest in
-// p to the queried point. Seeds change sweep counts, never results (see
-// the Service determinism notes), so a nil return — first group, or a
-// previous lane without a vector — just means a colder start.
-func nearestSeed(ps []float64, vals [][]float64, p float64) []float64 {
-	best := -1
-	for i := range ps {
-		if vals[i] == nil {
-			continue
-		}
-		if best < 0 || math.Abs(ps[i]-p) < math.Abs(ps[best]-p) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	return vals[best]
-}
-
 // sweepConfigs computes the attack curves of a uniform-grid panel with a
 // worker pool over all (configuration, p) points. Completed points are
 // streamed through opts.OnPoint (serialized) as they finish.
-func (s *Service) sweepConfigs(ctx context.Context, opts SweepOptions, workers int, progress func(string, ...any)) ([][]float64, error) {
+func (s *Service) sweepConfigs(ctx context.Context, opts SweepOptions, workers, width int, progress func(string, ...any)) ([][]float64, error) {
 	bases, err := s.sweepBases(opts, workers)
 	if err != nil {
 		return nil, err
@@ -901,7 +752,7 @@ func (s *Service) sweepConfigs(ctx context.Context, opts SweepOptions, workers i
 		out[ci] = make([]float64, len(opts.PGrid))
 	}
 	resume := resumePoints(opts.Resume)
-	err = s.solveTasks(ctx, opts, bases, workers, resume, tasks, func(ti int, errev float64, sweeps int) {
+	err = s.solveTasks(ctx, opts, bases, workers, width, resume, tasks, func(ti int, errev float64, sweeps int) {
 		tk := tasks[ti]
 		cfg := opts.Configs[tk.ci]
 		out[tk.ci][tk.pIndex] = errev
@@ -934,7 +785,7 @@ func (s *Service) sweepConfigs(ctx context.Context, opts SweepOptions, workers i
 // back until every earlier task of the wave (config-major, ascending p)
 // has finished, so the OnPoint stream — and any checkpoint built from a
 // prefix of it — is reproducible point for point.
-func (s *Service) sweepAdaptive(ctx context.Context, opts SweepOptions, workers int, progress func(string, ...any)) (*adaptive.Result, error) {
+func (s *Service) sweepAdaptive(ctx context.Context, opts SweepOptions, workers, width int, progress func(string, ...any)) (*adaptive.Result, error) {
 	bases, err := s.sweepBases(opts, workers)
 	if err != nil {
 		return nil, err
@@ -958,7 +809,7 @@ func (s *Service) sweepAdaptive(ctx context.Context, opts SweepOptions, workers 
 		pts := make([]SweepPoint, len(tasks))
 		completed := make([]bool, len(tasks))
 		frontier := 0
-		err := s.solveTasks(ctx, opts, bases, workers, resume, tasks, func(ti int, errev float64, sweeps int) {
+		err := s.solveTasks(ctx, opts, bases, workers, width, resume, tasks, func(ti int, errev float64, sweeps int) {
 			tk := tasks[ti]
 			cfg := opts.Configs[tk.ci]
 			vals[tk.ci][tk.wi] = errev
@@ -1016,8 +867,7 @@ func (s *Service) sweepPoint(ctx context.Context, comp *core.Compiled, cfg Attac
 		Adversary: p, Switching: opts.Gamma,
 		Depth: cfg.Depth, Forks: cfg.Forks, MaxForkLen: opts.MaxForkLen,
 	}
-	pointCfg := config{epsilon: opts.Epsilon, boundOnly: true, skipEval: true, kernel: opts.Kernel}
-	key := s.key(params, &pointCfg)
+	key := s.sweepPointKey(opts, cfg, p)
 	for {
 		if a, ok := s.results.Get(key); ok {
 			return a, nil
@@ -1041,6 +891,7 @@ func (s *Service) sweepPoint(ctx context.Context, comp *core.Compiled, cfg Attac
 				aOpts.InitialValues = seed
 			}
 			s.solves.Add(1)
+			batchSoloPoints.Inc()
 			res, err := analysis.AnalyzeCompiledContext(ctx, comp, aOpts)
 			if err != nil {
 				return nil, cancelError(err, res)
@@ -1068,71 +919,55 @@ func (s *Service) sweepPoint(ctx context.Context, comp *core.Compiled, cfg Attac
 	}
 }
 
-// sweepBatch answers one lane group of a batched sweep: len(ps) same-
-// configuration points solved in a single multi-lane bound-only analysis
-// over comp's shared structure, occupying one MaxConcurrent slot for the
-// whole group. Each lane's result is bitwise identical to the solo
-// sweepPoint solve at that (p, γ), so the lanes populate the solo path's
-// result-cache entries and warm-start neighborhoods. Unlike sweepPoint,
-// lanes are not singleflight-coalesced: the batched scheduler filters
-// cached points before grouping, and a concurrent identical sweep merely
-// duplicates work, never diverges results.
-//
-// seeds[i], when non-nil, warm-starts lane i (the caller passes the
-// previous group's vectors); other lanes fall back to the warm cache.
-// Returns the per-lane analyses plus each lane's converged value vector
-// for seeding the caller's next group.
-func (s *Service) sweepBatch(ctx context.Context, comp *core.Compiled, cfg AttackConfig, ps []float64,
-	seeds [][]float64, opts SweepOptions, workers int) ([]*Analysis, [][]float64, error) {
+// sweepBatch answers one multi-point unit: len(ps) same-configuration
+// points solved in a single multi-lane bound-only analysis over base's
+// shared structure (which it only reads), occupying one MaxConcurrent slot
+// for the whole unit. Each lane seeds from the warm-start cache and is
+// bitwise identical to the solo sweepPoint solve at that (p, γ), so the
+// lanes populate the solo path's result-cache entries and warm-start
+// neighborhoods. Unlike sweepPoint, lanes are not singleflight-coalesced:
+// the scheduler filters cached points before cutting units, and a
+// concurrent identical sweep merely duplicates work, never diverges
+// results.
+func (s *Service) sweepBatch(ctx context.Context, base *core.Compiled, cfg AttackConfig, ps []float64,
+	opts SweepOptions, workers int) ([]*Analysis, error) {
 	s.sweepPoints.Add(uint64(len(ps)))
+	batchGroupsScheduled.Inc()
+	batchGroupLanes.Add(uint64(len(ps)))
 	if err := s.acquire(ctx); err != nil {
-		return nil, nil, cancelError(err, nil)
+		return nil, cancelError(err, nil)
 	}
 	defer s.release()
 	sk := structKey{sweepModel(opts), cfg.Depth, cfg.Forks, opts.MaxForkLen}
+	n := base.NumStates()
 	lanes := make([]analysis.BatchLane, len(ps))
 	for i, p := range ps {
 		lanes[i] = analysis.BatchLane{P: p, Gamma: opts.Gamma}
-		if i < len(seeds) && seeds[i] != nil {
-			lanes[i].InitialValues = seeds[i]
-		} else if seed, ok := s.warmSeed(sk, opts.Gamma, p, comp.NumStates()); ok {
+		if seed, ok := s.warmSeed(sk, opts.Gamma, p, n); ok {
 			lanes[i].InitialValues = seed
 		}
 	}
-	// On hardware with the assembly dense sweep, pad a short group to the
-	// dense width by duplicating its last lane: the full-width sweep costs
-	// less than two generic per-lane passes, so burning padded lanes on
-	// duplicate work is faster than running narrow. Padding never reaches
-	// the results — duplicate lanes are sliced off below — and cannot
-	// change them anyway (lanes never interact; see kernel.Batch).
-	if kernel.DenseBatchAsm() && len(lanes) > 1 && len(lanes) < kernel.DenseBatchWidth {
-		for len(lanes) < kernel.DenseBatchWidth {
-			lanes = append(lanes, lanes[len(ps)-1])
-		}
-	}
 	s.solves.Add(uint64(len(ps)))
-	lrs, err := analysis.AnalyzeBatchCompiledContext(ctx, comp, lanes, analysis.Options{
+	lrs, err := analysis.AnalyzeBatchCompiledContext(ctx, base, lanes, analysis.Options{
 		Epsilon: opts.Epsilon, SkipStrategyEval: true, SkipStrategy: true, Workers: workers,
 	})
 	if err != nil {
-		return nil, nil, cancelError(err, nil)
+		return nil, cancelError(err, nil)
 	}
 	out := make([]*Analysis, len(ps))
-	vals := make([][]float64, len(ps))
-	for i, lr := range lrs[:len(ps)] {
-		vals[i] = lr.Values
-		s.warmPutVec(sk, opts.Gamma, ps[i], comp.NumStates(), lr.Values)
+	for i, lr := range lrs {
+		s.warmPutVec(sk, opts.Gamma, ps[i], n, lr.Values)
 		params := AttackParams{
 			Model:     sweepModel(opts),
 			Adversary: ps[i], Switching: opts.Gamma,
 			Depth: cfg.Depth, Forks: cfg.Forks, MaxForkLen: opts.MaxForkLen,
 		}
-		a, err := newAnalysis(params, params.core(), &lr.Result, false, comp.NumStates())
+		a, err := newAnalysis(params, params.core(), &lr.Result, false, n)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		s.results.Add(s.sweepPointKey(opts, cfg, ps[i]), a)
 		out[i] = a
 	}
-	return out, vals, nil
+	return out, nil
 }

@@ -2,11 +2,14 @@ package selfishmining
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/families"
+	"repro/internal/kernel"
 	"repro/internal/results"
 )
 
@@ -72,67 +75,155 @@ func figuresBitwiseEqual(t *testing.T, tag string, got, want *results.Figure) {
 	}
 }
 
+// streamKey identifies one streamed attack point of a sweep.
+type streamKey struct {
+	series string
+	pbits  uint64
+}
+
+// sweepStream runs opts on a fresh service at the given unit width and
+// returns the figure plus the OnPoint stream, in delivery order and by
+// point. It fails the test if a point streams twice or a streamed value
+// differs from the figure's.
+func sweepStream(t *testing.T, tag string, opts SweepOptions, width int) (*results.Figure, []SweepPoint, map[streamKey]SweepPoint) {
+	t.Helper()
+	var mu sync.Mutex
+	var stream []SweepPoint
+	opts.OnPoint = func(pt SweepPoint) {
+		mu.Lock()
+		defer mu.Unlock()
+		stream = append(stream, pt)
+	}
+	fig, err := NewService(ServiceConfig{}).sweepContext(context.Background(), opts, width)
+	if err != nil {
+		t.Fatalf("%s width=%d: sweep: %v", tag, width, err)
+	}
+	byKey := make(map[streamKey]SweepPoint, len(stream))
+	for _, pt := range stream {
+		k := streamKey{pt.Series, math.Float64bits(pt.P)}
+		if _, dup := byKey[k]; dup {
+			t.Errorf("%s width=%d: point %v streamed twice", tag, width, k)
+		}
+		byKey[k] = pt
+	}
+	for _, s := range fig.Series {
+		for i, v := range s.Values {
+			pt, ok := byKey[streamKey{s.Name, math.Float64bits(fig.X[i])}]
+			if ok && math.Float64bits(pt.ERRev) != math.Float64bits(v) { // baseline series are not streamed
+				t.Errorf("%s width=%d: streamed %q p=%g ERRev %.17g != figure %.17g", tag, width, s.Name, fig.X[i], pt.ERRev, v)
+			}
+		}
+	}
+	return fig, stream, byKey
+}
+
+// samePoint reports whether two streamed points carry the same point and
+// value bit for bit. Sweeps may differ: it counts the work of whichever
+// warm start the point's unit happened to get.
+func samePoint(a, b SweepPoint) bool {
+	return a.Config == b.Config && a.Series == b.Series && a.PIndex == b.PIndex &&
+		math.Float64bits(a.P) == math.Float64bits(b.P) && math.Float64bits(a.Gamma) == math.Float64bits(b.Gamma) &&
+		a.Depth == b.Depth && math.Float64bits(a.ERRev) == math.Float64bits(b.ERRev)
+}
+
 // TestBatchedSweepMatchesSoloFigure is the sweep-level pin of the batching
-// contract: for every registered family, the figure computed with lane
-// batching (auto-sized and forced counts, including a count larger than
-// the grid) is bitwise identical to the solo per-point sweep's, and the
-// OnPoint stream still delivers every attack point exactly once with the
-// figure's exact values.
+// contract: for every registered family, uniform and adaptive, the default
+// scheduler (multi-lane units where the configuration batches) computes
+// the figure of the same scheduler at unit width 1 (every point solo) bit
+// for bit, and streams the same points with the same values. The grid has
+// nine nonzero points, so a batching configuration runs one full unit and
+// a one-point remainder.
 func TestBatchedSweepMatchesSoloFigure(t *testing.T) {
-	grid := []float64{0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3}
+	grid := []float64{0, 0.03, 0.06, 0.09, 0.12, 0.15, 0.18, 0.21, 0.24, 0.27}
 	for _, name := range families.Names() {
-		opts := SweepOptions{Model: name, Gamma: 0.5, PGrid: grid, Epsilon: 1e-3}
-		if name == families.DefaultName {
-			opts.Configs = []AttackConfig{{Depth: 1, Forks: 1}, {Depth: 2, Forks: 1}, {Depth: 2, Forks: 2}}
-		}
-		want, err := NewService(ServiceConfig{}).SweepContext(context.Background(), opts)
-		if err != nil {
-			t.Fatalf("%s: solo sweep: %v", name, err)
-		}
-		for _, lanes := range []int{AutoBatchLanes, 3, len(grid) + 5} {
-			bOpts := opts
-			bOpts.BatchLanes = lanes
-			type pointKey struct {
-				series string
-				pbits  uint64
+		for _, adaptive := range []bool{false, true} {
+			opts := SweepOptions{Model: name, Gamma: 0.5, PGrid: grid, Epsilon: 1e-3,
+				Adaptive: adaptive, Tolerance: 1e-3, MaxDepth: 2}
+			if name == families.DefaultName {
+				opts.Configs = []AttackConfig{{Depth: 1, Forks: 1}, {Depth: 2, Forks: 1}, {Depth: 2, Forks: 2}}
 			}
-			var mu sync.Mutex
-			streamed := make(map[pointKey]SweepPoint)
-			bOpts.OnPoint = func(pt SweepPoint) {
-				mu.Lock()
-				defer mu.Unlock()
-				k := pointKey{pt.Series, math.Float64bits(pt.P)}
-				if _, dup := streamed[k]; dup {
-					t.Errorf("%s lanes=%d: point %v streamed twice", name, lanes, k)
+			tag := fmt.Sprintf("%s adaptive=%v", name, adaptive)
+			want, soloStream, solo := sweepStream(t, tag, opts, 1)
+			got, stream, _ := sweepStream(t, tag, opts, kernel.DenseBatchWidth)
+			figuresBitwiseEqual(t, tag, got, want)
+			if len(stream) != len(soloStream) {
+				t.Fatalf("%s: %d streamed points, solo streamed %d", tag, len(stream), len(soloStream))
+			}
+			if adaptive {
+				// Adaptive sweeps stream in task order at any width.
+				for i := range stream {
+					if !samePoint(stream[i], soloStream[i]) {
+						t.Errorf("%s: streamed point %d = %+v, solo %+v", tag, i, stream[i], soloStream[i])
+					}
 				}
-				streamed[k] = pt
+				continue
 			}
-			got, err := NewService(ServiceConfig{}).SweepContext(context.Background(), bOpts)
-			if err != nil {
-				t.Fatalf("%s lanes=%d: batched sweep: %v", name, lanes, err)
-			}
-			figuresBitwiseEqual(t, name, got, want)
-			nAttack := len(bOpts.Configs)
-			if nAttack == 0 {
-				nAttack = 1 // non-fork families default to one config
-			}
-			if len(streamed) != nAttack*len(grid) {
-				t.Errorf("%s lanes=%d: %d streamed points, want %d", name, lanes, len(streamed), nAttack*len(grid))
-			}
-			for _, s := range got.Series {
-				for i, v := range s.Values {
-					pt, ok := streamed[pointKey{s.Name, math.Float64bits(got.X[i])}]
-					if !ok {
-						continue // baseline series are not streamed
-					}
-					if math.Float64bits(pt.ERRev) != math.Float64bits(v) {
-						t.Errorf("%s lanes=%d: streamed %q p=%g ERRev %.17g != figure %.17g",
-							name, lanes, s.Name, got.X[i], pt.ERRev, v)
-					}
+			for _, pt := range stream {
+				if ref, ok := solo[streamKey{pt.Series, math.Float64bits(pt.P)}]; !ok || !samePoint(pt, ref) {
+					t.Errorf("%s: streamed %+v, solo %+v", tag, pt, ref)
 				}
 			}
 		}
 	}
+}
+
+// TestBatchSizeRule pins which Figure-2 shapes batch: fork d2f2l5 (0.38
+// MiB per lane) fits the lane budget and fork d3f2l4 (9.5 MiB per lane)
+// does not. Only the default kernel batches, and only where the assembly
+// dense sweep runs.
+func TestBatchSizeRule(t *testing.T) {
+	for _, c := range []struct {
+		cfg  AttackConfig
+		l    int
+		fits bool
+	}{
+		{AttackConfig{Depth: 2, Forks: 2}, 5, true},
+		{AttackConfig{Depth: 3, Forks: 2}, 4, false},
+	} {
+		base, err := families.Compile(families.DefaultName, core.Params{
+			P: 0.1, Gamma: 0.5, Depth: c.cfg.Depth, Forks: c.cfg.Forks, MaxLen: c.l,
+		})
+		if err != nil {
+			t.Fatalf("compile d=%d f=%d l=%d: %v", c.cfg.Depth, c.cfg.Forks, c.l, err)
+		}
+		if got := laneBytes(base) <= batchLaneBudget; got != c.fits {
+			t.Errorf("d=%d f=%d l=%d: %d bytes per lane, fits the budget = %v, want %v",
+				c.cfg.Depth, c.cfg.Forks, c.l, laneBytes(base), got, c.fits)
+		}
+		if got, want := batches(kernel.VariantJacobi, base), c.fits && kernel.DenseBatchAsm(); got != want {
+			t.Errorf("d=%d f=%d l=%d: jacobi batches = %v, want %v", c.cfg.Depth, c.cfg.Forks, c.l, got, want)
+		}
+		if batches(kernel.VariantGS, base) {
+			t.Errorf("d=%d f=%d l=%d: the gs kernel batches", c.cfg.Depth, c.cfg.Forks, c.l)
+		}
+	}
+}
+
+// TestNonJacobiSweepRunsSolo: a sweep on another kernel variant schedules
+// no multi-lane unit — the batch replicates only the Jacobi kernel — and
+// still computes the Jacobi figure bit for bit.
+func TestNonJacobiSweepRunsSolo(t *testing.T) {
+	opts := SweepOptions{
+		Gamma: 0.5, PGrid: []float64{0, 0.1, 0.2, 0.3},
+		Configs: []AttackConfig{{Depth: 2, Forks: 1}}, MaxForkLen: 3, Epsilon: 1e-3,
+	}
+	want, err := NewService(ServiceConfig{}).SweepContext(context.Background(), opts)
+	if err != nil {
+		t.Fatalf("jacobi sweep: %v", err)
+	}
+	opts.Kernel = "gs"
+	groups, solo := batchGroupsScheduled.Value(), batchSoloPoints.Value()
+	got, err := NewService(ServiceConfig{}).SweepContext(context.Background(), opts)
+	if err != nil {
+		t.Fatalf("gs sweep: %v", err)
+	}
+	if n := batchGroupsScheduled.Value() - groups; n != 0 {
+		t.Errorf("gs sweep scheduled %d multi-lane units, want 0", n)
+	}
+	if n := batchSoloPoints.Value() - solo; n != 3 {
+		t.Errorf("gs sweep solved %d points solo, want all 3", n)
+	}
+	figuresBitwiseEqual(t, "gs", got, want)
 }
 
 // TestBatchedSweepServesResultCache: a repeat batched sweep on the same
@@ -143,7 +234,7 @@ func TestBatchedSweepServesResultCache(t *testing.T) {
 	opts := SweepOptions{
 		Gamma: 0.5, PGrid: []float64{0, 0.1, 0.2, 0.3},
 		Configs: []AttackConfig{{Depth: 2, Forks: 1}}, MaxForkLen: 3,
-		Epsilon: 1e-3, BatchLanes: AutoBatchLanes,
+		Epsilon: 1e-3,
 	}
 	first, err := svc.SweepContext(context.Background(), opts)
 	if err != nil {
@@ -168,7 +259,7 @@ func TestBatchedSweepResume(t *testing.T) {
 	opts := SweepOptions{
 		Gamma: 0.5, PGrid: []float64{0, 0.1, 0.2, 0.3},
 		Configs: []AttackConfig{{Depth: 2, Forks: 1}}, MaxForkLen: 3,
-		Epsilon: 1e-3, BatchLanes: 2,
+		Epsilon: 1e-3,
 	}
 	var ck SweepCheckpoint
 	full := opts
@@ -201,7 +292,6 @@ func TestGoldenAdaptiveBatchSweepBitwise(t *testing.T) {
 		Adaptive:   true,
 		Tolerance:  1e-3,
 		MaxDepth:   2,
-		BatchLanes: AutoBatchLanes,
 	})
 	if err != nil {
 		t.Fatalf("adaptive batched Sweep: %v", err)
@@ -225,29 +315,5 @@ func TestGoldenAdaptiveBatchSweepBitwise(t *testing.T) {
 				t.Errorf("series %q point %d: %.17g, golden %.17g", s.Name, i, s.Values[i], want[i])
 			}
 		}
-	}
-}
-
-// TestBatchedSweepValidation covers the BatchLanes option surface.
-func TestBatchedSweepValidation(t *testing.T) {
-	base := SweepOptions{
-		Gamma: 0.5, PGrid: []float64{0, 0.1},
-		Configs: []AttackConfig{{Depth: 1, Forks: 1}}, MaxForkLen: 3, Epsilon: 1e-3,
-	}
-	bad := base
-	bad.BatchLanes = -2
-	if _, err := Sweep(bad); err == nil {
-		t.Error("sweep accepted BatchLanes = -2")
-	}
-	gs := base
-	gs.BatchLanes = 4
-	gs.Kernel = "gs"
-	if _, err := Sweep(gs); err == nil {
-		t.Error("batched sweep accepted a non-jacobi kernel")
-	}
-	solo := base
-	solo.BatchLanes = 1 // explicit solo: valid, forces the per-point path
-	if _, err := Sweep(solo); err != nil {
-		t.Errorf("BatchLanes = 1: %v", err)
 	}
 }
