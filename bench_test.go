@@ -328,7 +328,7 @@ func BenchmarkAblation_ColdCompilePerPoint(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := analysis.AnalyzeCompiled(comp, analysis.Options{Epsilon: 1e-4, SkipStrategyEval: true}); err != nil {
+		if _, err := analysis.Analyze(b.Context(), comp, analysis.Options{Epsilon: 1e-4, SkipStrategyEval: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

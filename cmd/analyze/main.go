@@ -7,7 +7,7 @@
 // Usage:
 //
 //	analyze [-model fork] -p 0.3 -gamma 0.5 -d 2 -f 2 -l 4 [-eps 1e-4]
-//	        [-kernel jacobi] [-workers N] [-timeout 0] [-progress] [-skip-eval]
+//	        [-workers N] [-timeout 0] [-progress] [-skip-eval]
 //	        [-simulate 200000] [-seed 1] [-save strategy.txt]
 //	analyze -server http://host:8080 -submit [-wait] [-priority N] ...
 //	analyze -server http://host:8080 -resume JOBID [-wait]
@@ -96,7 +96,6 @@ func run(ctx context.Context, args []string) error {
 		f          = fs.Int("f", 2, "forks per depth")
 		l          = fs.Int("l", 4, "maximal fork length")
 		eps        = fs.Float64("eps", 1e-4, "analysis precision epsilon")
-		kernelName = fs.String("kernel", "", fmt.Sprintf("value-iteration kernel variant: %s (default jacobi, the bitwise-deterministic kernel; all variants certify the same result)", strings.Join(selfishmining.KernelVariants(), ", ")))
 		workers    = fs.Int("workers", 0, "goroutines per value-iteration sweep (0 = all cores); results are identical at any setting")
 		timeout    = fs.Duration("timeout", 0, "abort the analysis after this long (0 = none); partial progress is reported")
 		showProg   = fs.Bool("progress", false, "print the certified ERRev bracket after every binary-search step")
@@ -143,9 +142,6 @@ func run(ctx context.Context, args []string) error {
 	if *simSteps < 0 {
 		return fmt.Errorf("-simulate %d: need >= 0 steps", *simSteps)
 	}
-	if err := selfishmining.ValidateKernel(*kernelName); err != nil {
-		return err
-	}
 	params := selfishmining.AttackParams{
 		Model:     *model,
 		Adversary: *p, Switching: *gamma, Depth: *d, Forks: *f, MaxForkLen: *l,
@@ -164,16 +160,13 @@ func run(ctx context.Context, args []string) error {
 		spec := jobs.AnalyzeSpec{
 			Model: *model,
 			P:     *p, Gamma: *gamma, Depth: *d, Forks: *f, Len: *l,
-			Epsilon: *eps, SkipEval: *skipEval, Kernel: *kernelName,
+			Epsilon: *eps, SkipEval: *skipEval,
 		}
 		return runRemoteSubmit(ctx, *server, spec, *priority, *wait, *showProg)
 	}
 	fmt.Printf("analyzing %v (%d states, eps=%g)\n", params, params.NumStates(), *eps)
 
 	opts := []selfishmining.Option{selfishmining.WithEpsilon(*eps), selfishmining.WithWorkers(*workers)}
-	if *kernelName != "" {
-		opts = append(opts, selfishmining.WithKernel(*kernelName))
-	}
 	if *skipEval {
 		opts = append(opts, selfishmining.WithoutStrategyEval())
 	}

@@ -1,31 +1,27 @@
 // Command bench runs the repository's tracked performance matrix — attack
-// family × kernel variant × worker count at the standard test points — and
-// writes a structured BENCH_<n>.json artifact establishing the perf
-// trajectory each PR appends to.
+// family × worker count at the standard test points — and writes a
+// structured BENCH_<n>.json artifact establishing the perf trajectory each
+// PR appends to.
 //
 // Usage:
 //
 //	bench [-iters 3] [-workers 1] [-eps 1e-4] [-o BENCH_10.json]
 //	      [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
-//	bench -check BENCH_10.json [-min-speedup 5] [-max-default-gap 1.5]
-//	      [-min-batch-speedup 2] [-max-lease-overhead 50] [-max-obs-overhead 10]
+//	bench -check BENCH_10.json [-min-batch-speedup 2] [-max-lease-overhead 50]
+//	      [-max-obs-overhead 10]
 //	bench -check fresh.json -baseline BENCH_10.json [-min-ratio 0.25]
 //
-// Measurement mode solves every (point, variant, workers) cell -iters times
-// through the public selfishmining API (bound-only, the sweep workload) and
-// records the fastest run — fixed iteration counts, unlike `go test
-// -benchtime=1x`, so the artifact is comparable across commits. The cell
-// matrix always includes "default" (the pipeline exactly as a plain caller
-// gets it) alongside every named kernel variant, so the artifact's summary
-// is a directly-read speedup of the best variant over the shipped default.
-// Check mode can bound that ratio from below (-min-speedup, for artifacts
-// recorded when the default was slower than its variants) or from above
-// (-max-default-gap: a plain caller must get close to the fastest path).
+// Measurement mode solves every (point, workers) cell -iters times through
+// the public selfishmining API (bound-only, the sweep workload) and records
+// the fastest run — fixed iteration counts, unlike `go test
+// -benchtime=1x`, so the artifact is comparable across commits. Every cell
+// is the pipeline exactly as a plain caller gets it and is labeled
+// "default", the label earlier artifacts gave that cell, so -baseline
+// still matches cells against them.
 //
-// Every cell's certified ERRev is cross-checked against the default cell of
-// the same point to within epsilon: a kernel variant that drifts out of the
-// certification contract fails the run, so the artifact can only record
-// speedups of *correct* solvers.
+// Every cell's certified ERRev is cross-checked against the same point's
+// cell at the first worker count to within epsilon, so the artifact can
+// only record timings of *correct* solves.
 //
 // The artifact also carries an adaptive-vs-uniform sweep cell: one fork
 // panel refined adaptively (tolerance 1e-3) against the equal-fidelity
@@ -63,12 +59,12 @@
 // (CPU for the whole matrix, heap at the end), for digging into where a
 // cell's time or allocations go; see docs/PERFORMANCE.md.
 //
-// Check mode validates an artifact (schema, required families and variants,
-// positive timings, the fork-family speedup floor and default-gap ceiling,
-// the adaptive cell's
-// point ratio and bitwise flag, the batch cell's speedup floor and bitwise
-// flag, the lease cell's overhead ceiling) and exits non-zero on violation — CI runs it against the committed
-// baseline so a missing or malformed BENCH_<n>.json fails the build. With
+// Check mode validates an artifact (schema, required families and default
+// cells, positive timings, the adaptive cell's point ratio and bitwise
+// flag, the batch cell's speedup floor and bitwise flag, the lease cell's
+// overhead ceiling) and exits non-zero on violation — CI runs it against
+// the committed baseline so a missing or malformed BENCH_<n>.json fails
+// the build. With
 // -baseline it additionally compares matching cells of a fresh artifact
 // against the committed one and fails if any cell regressed below
 // -min-ratio × the baseline throughput (generous by default: shared CI
@@ -114,14 +110,16 @@ type benchPoint struct {
 	Runs   []cell  `json:"runs"`
 }
 
-// cell is one measured (variant, workers) cell of a point.
+// cell is one measured (variant, workers) cell of a point. Variant is
+// always "default" in fresh artifacts; artifacts recorded before the
+// kernel variants were removed also carry one cell per named variant.
 type cell struct {
 	Variant string `json:"variant"`
 	Workers int    `json:"workers"`
 	// NsOp is the fastest wall-clock of the -iters runs, in nanoseconds.
 	NsOp int64 `json:"ns_op"`
 	// ERRev is the certified lower bound the run produced (cross-checked
-	// against the point's default cell to within epsilon).
+	// against the point's first cell to within epsilon).
 	ERRev      float64 `json:"errev"`
 	Iterations int     `json:"iterations"`
 	Sweeps     int     `json:"sweeps"`
@@ -242,13 +240,9 @@ type obsReport struct {
 }
 
 type summary struct {
-	// ForkDefaultNsOp / ForkBestNsOp are the single-core fork-family
-	// default and fastest-variant timings; Speedup is their ratio — the
-	// headline number the perf trajectory tracks.
-	ForkDefaultNsOp          int64   `json:"fork_default_ns_op"`
-	ForkBestNsOp             int64   `json:"fork_best_ns_op"`
-	ForkBestVariant          string  `json:"fork_best_variant"`
-	ForkSpeedupBestVsDefault float64 `json:"fork_speedup_best_vs_default"`
+	// ForkDefaultNsOp is the single-core fork-family timing — the headline
+	// number the perf trajectory tracks.
+	ForkDefaultNsOp int64 `json:"fork_default_ns_op"`
 	// BatchSweepSpeedup mirrors the batch cell's headline ratio (batched
 	// vs per-point wall-clock on the same panel at equal fidelity).
 	BatchSweepSpeedup float64 `json:"batch_sweep_speedup"`
@@ -291,8 +285,6 @@ func run(args []string) error {
 		out        = fs.String("o", "", "write the artifact to this file (default stdout)")
 		check      = fs.String("check", "", "validate this artifact instead of measuring, and exit")
 		baseline   = fs.String("baseline", "", "with -check: compare matching cells against this committed artifact")
-		minSpeedup = fs.Float64("min-speedup", 0, "with -check: required fork-family speedup of the best variant over the default (0: no floor)")
-		maxGap     = fs.Float64("max-default-gap", 0, "with -check: ceiling on the fork-family speedup of the best variant over the default (0: no ceiling)")
 		minBatch   = fs.Float64("min-batch-speedup", 2, "with -check: required batched-vs-per-point sweep speedup of the batch cell")
 		maxLease   = fs.Float64("max-lease-overhead", 50, "with -check: ceiling on the lease cell's leased-put-vs-disk-put overhead")
 		maxObs     = fs.Float64("max-obs-overhead", 10, "with -check: ceiling (percent) on the obs cell's hooks-on-vs-off solve overhead")
@@ -304,7 +296,7 @@ func run(args []string) error {
 		return err
 	}
 	if *check != "" {
-		return runCheck(*check, *baseline, *minSpeedup, *maxGap, *minBatch, *maxLease, *maxObs, *minRatio)
+		return runCheck(*check, *baseline, *minBatch, *maxLease, *maxObs, *minRatio)
 	}
 	if *iters < 1 {
 		return fmt.Errorf("-iters %d: need >= 1", *iters)
@@ -366,18 +358,9 @@ func parseWorkers(csv string) ([]int, error) {
 	return ws, nil
 }
 
-// variants is the matrix's kernel axis: "default" is the pipeline with no
-// options at all (whatever backend the library picks — the previous PR's
-// behavior), "jacobi" forces the compiled backend with the deterministic
-// default kernel, and the rest are the named fast variants (which imply the
-// compiled backend).
-func variants() []string {
-	return append([]string{"default"}, selfishmining.KernelVariants()...)
-}
-
-// solveCell runs one (point, variant, workers) solve and returns its result
-// and wall-clock.
-func solveCell(pt benchPoint, variant string, workers int, eps float64) (*selfishmining.Analysis, time.Duration, error) {
+// solveCell runs one (point, workers) solve and returns its result and
+// wall-clock.
+func solveCell(pt benchPoint, workers int, eps float64) (*selfishmining.Analysis, time.Duration, error) {
 	params := selfishmining.AttackParams{
 		Model:     pt.Family,
 		Adversary: pt.P, Switching: pt.Gamma,
@@ -387,11 +370,6 @@ func solveCell(pt benchPoint, variant string, workers int, eps float64) (*selfis
 		selfishmining.WithEpsilon(eps),
 		selfishmining.WithBoundOnly(),
 		selfishmining.WithWorkers(workers),
-	}
-	if variant != "default" {
-		// "default" passes no kernel option: exactly what a plain caller
-		// gets. The "jacobi" cell names that same kernel explicitly.
-		opts = append(opts, selfishmining.WithKernel(variant))
 	}
 	start := time.Now()
 	res, err := selfishmining.AnalyzeContext(context.Background(), params, opts...)
@@ -414,32 +392,30 @@ func measure(iters int, eps float64, workers []int) (*artifact, error) {
 			Model: pt.Family, Adversary: pt.P, Switching: pt.Gamma,
 			Depth: pt.Depth, Forks: pt.Forks, MaxForkLen: pt.Len,
 		}.NumStates()
-		defaultERRev := math.NaN()
+		firstERRev := math.NaN()
 		for _, w := range workers {
-			for _, v := range variants() {
-				c := cell{Variant: v, Workers: w, NsOp: math.MaxInt64}
-				for it := 0; it < iters; it++ {
-					res, d, err := solveCell(*pt, v, w, eps)
-					if err != nil {
-						return nil, fmt.Errorf("%s %s workers=%d: %w", pt.Family, v, w, err)
-					}
-					if ns := d.Nanoseconds(); ns < c.NsOp {
-						c.NsOp = ns
-					}
-					c.ERRev, c.Iterations, c.Sweeps = res.ERRev, res.Iterations, res.Sweeps
+			c := cell{Variant: "default", Workers: w, NsOp: math.MaxInt64}
+			for it := 0; it < iters; it++ {
+				res, d, err := solveCell(*pt, w, eps)
+				if err != nil {
+					return nil, fmt.Errorf("%s workers=%d: %w", pt.Family, w, err)
 				}
-				// Certification cross-check: every variant must land within
-				// epsilon of the default pipeline's certified bound.
-				if v == "default" && w == workers[0] {
-					defaultERRev = c.ERRev
-				} else if math.Abs(c.ERRev-defaultERRev) > eps {
-					return nil, fmt.Errorf("%s %s workers=%d: ERRev %v disagrees with default %v beyond eps=%v",
-						pt.Family, v, w, c.ERRev, defaultERRev, eps)
+				if ns := d.Nanoseconds(); ns < c.NsOp {
+					c.NsOp = ns
 				}
-				fmt.Fprintf(os.Stderr, "%-11s %-9s workers=%d  %10.3fms  (%d sweeps, errev=%.6f)\n",
-					pt.Family, v, w, float64(c.NsOp)/1e6, c.Sweeps, c.ERRev)
-				pt.Runs = append(pt.Runs, c)
+				c.ERRev, c.Iterations, c.Sweeps = res.ERRev, res.Iterations, res.Sweeps
 			}
+			// Certification cross-check: every worker count must land within
+			// epsilon of the first one's certified bound.
+			if w == workers[0] {
+				firstERRev = c.ERRev
+			} else if math.Abs(c.ERRev-firstERRev) > eps {
+				return nil, fmt.Errorf("%s workers=%d: ERRev %v disagrees with workers=%d's %v beyond eps=%v",
+					pt.Family, w, c.ERRev, workers[0], firstERRev, eps)
+			}
+			fmt.Fprintf(os.Stderr, "%-11s workers=%d  %10.3fms  (%d sweeps, errev=%.6f)\n",
+				pt.Family, w, float64(c.NsOp)/1e6, c.Sweeps, c.ERRev)
+			pt.Runs = append(pt.Runs, c)
 		}
 	}
 	ad, err := measureAdaptive(eps)
@@ -753,7 +729,7 @@ func measureObs(iters int, eps float64) (*obsReport, error) {
 		defer obs.SetEnabled(true)
 		best, errev := int64(math.MaxInt64), math.NaN()
 		for it := 0; it < iters; it++ {
-			res, d, err := solveCell(pt, "default", 1, eps)
+			res, d, err := solveCell(pt, 1, eps)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -780,8 +756,8 @@ func measureObs(iters int, eps float64) (*obsReport, error) {
 	return rep, nil
 }
 
-// summarize derives the headline single-core fork-family speedup from the
-// measured cells.
+// summarize derives the headline single-core fork-family timing and the
+// batch cell's speedup from the measured cells.
 func summarize(art *artifact) (*summary, error) {
 	var s summary
 	for _, pt := range art.Points {
@@ -789,20 +765,14 @@ func summarize(art *artifact) (*summary, error) {
 			continue
 		}
 		for _, c := range pt.Runs {
-			if c.Workers != 1 {
-				continue
-			}
-			if c.Variant == "default" {
+			if c.Workers == 1 && c.Variant == "default" {
 				s.ForkDefaultNsOp = c.NsOp
-			} else if s.ForkBestNsOp == 0 || c.NsOp < s.ForkBestNsOp {
-				s.ForkBestNsOp, s.ForkBestVariant = c.NsOp, c.Variant
 			}
 		}
 	}
-	if s.ForkDefaultNsOp == 0 || s.ForkBestNsOp == 0 {
-		return nil, fmt.Errorf("summary: missing single-core fork-family cells")
+	if s.ForkDefaultNsOp == 0 {
+		return nil, fmt.Errorf("summary: missing the single-core fork-family cell")
 	}
-	s.ForkSpeedupBestVsDefault = float64(s.ForkDefaultNsOp) / float64(s.ForkBestNsOp)
 	if art.Batch != nil {
 		s.BatchSweepSpeedup = art.Batch.Speedup
 	}
@@ -876,18 +846,10 @@ func loadArtifact(path string) (*artifact, error) {
 
 // runCheck validates an artifact and, with a baseline, guards against
 // regressions cell by cell.
-func runCheck(path, baselinePath string, minSpeedup, maxGap, minBatch, maxLease, maxObs, minRatio float64) error {
+func runCheck(path, baselinePath string, minBatch, maxLease, maxObs, minRatio float64) error {
 	art, err := loadArtifact(path)
 	if err != nil {
 		return err
-	}
-	if art.Summary.ForkSpeedupBestVsDefault < minSpeedup {
-		return fmt.Errorf("%s: fork speedup %.2fx (best variant %s) below required %.2fx",
-			path, art.Summary.ForkSpeedupBestVsDefault, art.Summary.ForkBestVariant, minSpeedup)
-	}
-	if maxGap > 0 && art.Summary.ForkSpeedupBestVsDefault > maxGap {
-		return fmt.Errorf("%s: variant %s beats the plain default by %.2fx on fork (ceiling %.2fx): plain callers miss the fast path",
-			path, art.Summary.ForkBestVariant, art.Summary.ForkSpeedupBestVsDefault, maxGap)
 	}
 	if ad := art.Adaptive; ad.PointRatio > maxAdaptiveRatio {
 		return fmt.Errorf("%s: adaptive sweep solved %d of %d uniform points (ratio %.3f > %.2f)",
@@ -922,8 +884,8 @@ func runCheck(path, baselinePath string, minSpeedup, maxGap, minBatch, maxLease,
 	if !art.Obs.Bitwise {
 		return fmt.Errorf("%s: hooks-on and hooks-off solves certified different ERRev bits", path)
 	}
-	fmt.Printf("%s: ok (fork speedup %.2fx via %s; adaptive/uniform point ratio %.3f, bitwise; batch speedup %.2fx, bitwise; lease overhead %.2fx; obs overhead %+.2f%%, bitwise)\n",
-		path, art.Summary.ForkSpeedupBestVsDefault, art.Summary.ForkBestVariant, art.Adaptive.PointRatio, art.Batch.Speedup, art.Lease.Overhead, art.Obs.OverheadPct)
+	fmt.Printf("%s: ok (fork %.3fms; adaptive/uniform point ratio %.3f, bitwise; batch speedup %.2fx, bitwise; lease overhead %.2fx; obs overhead %+.2f%%, bitwise)\n",
+		path, float64(art.Summary.ForkDefaultNsOp)/1e6, art.Adaptive.PointRatio, art.Batch.Speedup, art.Lease.Overhead, art.Obs.OverheadPct)
 	if baselinePath == "" {
 		return nil
 	}

@@ -465,10 +465,6 @@ type analyzeRequest struct {
 	// BoundOnly certifies the revenue bracket without extracting a
 	// strategy — the cheapest mode, and the one warm starts accelerate.
 	BoundOnly bool `json:"bound_only,omitempty"`
-	// Kernel selects the value-iteration kernel variant ("" = the default
-	// deterministic Jacobi kernel); GET /v1/models lists the valid names.
-	// All variants certify the same result.
-	Kernel string `json:"kernel,omitempty"`
 	// IncludeStrategy inlines the full strategy (one action index per MDP
 	// state) in the response; off by default since it is O(states).
 	IncludeStrategy bool `json:"include_strategy,omitempty"`
@@ -497,9 +493,6 @@ func (r *analyzeRequest) options() []selfishmining.Option {
 	}
 	if r.BoundOnly {
 		opts = append(opts, selfishmining.WithBoundOnly())
-	}
-	if r.Kernel != "" {
-		opts = append(opts, selfishmining.WithKernel(r.Kernel))
 	}
 	return opts
 }
@@ -589,10 +582,6 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, r, err, http.StatusBadRequest)
 		return
 	}
-	if err := selfishmining.ValidateKernel(req.Kernel); err != nil {
-		s.httpError(w, r, err, http.StatusBadRequest)
-		return
-	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMs)
 	defer cancel()
 	start := time.Now()
@@ -644,15 +633,10 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if ar.Epsilon != req.Requests[0].Epsilon || ar.SkipEval != req.Requests[0].SkipEval ||
-			ar.BoundOnly != req.Requests[0].BoundOnly || ar.TimeoutMs != req.Requests[0].TimeoutMs ||
-			ar.Kernel != req.Requests[0].Kernel {
-			s.httpError(w, r, fmt.Errorf("request %d: batch options must match request 0 (epsilon, skip_eval, bound_only, kernel, timeout_ms)", i), http.StatusBadRequest)
+			ar.BoundOnly != req.Requests[0].BoundOnly || ar.TimeoutMs != req.Requests[0].TimeoutMs {
+			s.httpError(w, r, fmt.Errorf("request %d: batch options must match request 0 (epsilon, skip_eval, bound_only, timeout_ms)", i), http.StatusBadRequest)
 			return
 		}
-	}
-	if err := selfishmining.ValidateKernel(req.Requests[0].Kernel); err != nil {
-		s.httpError(w, r, err, http.StatusBadRequest)
-		return
 	}
 	if req.Requests[0].TimeoutMs < 0 {
 		s.httpError(w, r, fmt.Errorf("timeout_ms %d: need >= 0", req.Requests[0].TimeoutMs), http.StatusBadRequest)
@@ -693,9 +677,6 @@ type sweepRequest struct {
 	Len       int     `json:"l,omitempty"`
 	TreeWidth int     `json:"tree_width,omitempty"`
 	Epsilon   float64 `json:"epsilon,omitempty"`
-	// Kernel selects the value-iteration kernel variant every grid point is
-	// solved with ("" = the default deterministic Jacobi kernel).
-	Kernel string `json:"kernel,omitempty"`
 	// Adaptive turns the p-grid into the coarse pass of a threshold-refining
 	// sweep: cells whose solved values prove curvature beyond tolerance are
 	// recursively bisected, so the response's x-axis is a superset of the
@@ -735,9 +716,6 @@ func (s *server) buildSweepOptions(req sweepRequest) (selfishmining.SweepOptions
 	// (post-validation sweep failures are classified as solver errors).
 	if req.Gamma < 0 || req.Gamma > 1 || math.IsNaN(req.Gamma) {
 		return opts, fmt.Errorf("gamma %v outside [0, 1]", req.Gamma)
-	}
-	if err := selfishmining.ValidateKernel(req.Kernel); err != nil {
-		return opts, err
 	}
 	pmax := req.PMax
 	if pmax == 0 {
@@ -796,7 +774,6 @@ func (s *server) buildSweepOptions(req sweepRequest) (selfishmining.SweepOptions
 		MaxForkLen: req.Len,
 		TreeWidth:  req.TreeWidth,
 		Epsilon:    req.Epsilon,
-		Kernel:     req.Kernel,
 		Adaptive:   req.Adaptive,
 		Tolerance:  req.Tolerance,
 		MaxDepth:   req.MaxDepth,
@@ -990,13 +967,11 @@ func (s *server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleModels is the family discovery endpoint: every registered
-// attack-model family with its parameter semantics and default shape, plus
-// the kernel variant names the solve endpoints accept.
+// attack-model family with its parameter semantics and default shape.
 func (s *server) handleModels(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, map[string]any{
 		"default": selfishmining.DefaultModel,
 		"models":  selfishmining.Models(),
-		"kernels": selfishmining.KernelVariants(),
 	})
 }
 

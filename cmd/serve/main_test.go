@@ -188,6 +188,35 @@ func TestAnalyzeEndpointRejects(t *testing.T) {
 	}
 }
 
+// TestSolveEndpointsRejectKernelField: the server has one value-iteration
+// kernel and no "kernel" field. A body that still sends one — top-level,
+// inside one batch entry, or inside a job spec — gets the strict decoder's
+// 400 naming the field, never a silently ignored option.
+func TestSolveEndpointsRejectKernelField(t *testing.T) {
+	ts, _ := testServer(t)
+	point := `{"p":0.3,"gamma":0.5,"d":1,"f":1,"l":2,"kernel":"jacobi"}`
+	panel := `{"gamma":0.5,"pmin":0.1,"pmax":0.3,"pstep":0.1,"configs":[{"d":1,"f":1}],"l":3,"tree_width":3,"epsilon":1e-3,"kernel":"jacobi"}`
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/analyze", point},
+		{"/v1/analyze/batch", `{"requests":[{"p":0.2,"gamma":0.5,"d":1,"f":1,"l":2},` + point + `]}`},
+		{"/v1/sweep", panel},
+		{"/v1/sweep/stream", panel},
+		{"/v1/jobs", `{"kind":"analyze","analyze":` + point + `}`},
+	} {
+		resp, data := postJSON(t, ts.URL+tc.path, tc.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %s", tc.path, resp.StatusCode, data)
+			continue
+		}
+		var out struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(data, &out); err != nil || !strings.Contains(out.Error, `"kernel"`) {
+			t.Errorf("%s: error %q does not name the kernel field (%v)", tc.path, data, err)
+		}
+	}
+}
+
 func TestBatchEndpointDeduplicates(t *testing.T) {
 	ts, svc := testServer(t)
 	req := `{"p":0.3,"gamma":0.5,"d":1,"f":1,"l":3,"epsilon":1e-3}`

@@ -8,7 +8,7 @@
 //	sweep -gamma 0.5 [-model fork] [-pmin 0] [-pmax 0.3] [-pstep 0.01]
 //	      [-configs 1x1,2x1,2x2,3x2] [-l 4] [-width 5] [-eps 1e-4]
 //	      [-adaptive [-tolerance 1e-3] [-max-depth 4] [-max-points N]]
-//	      [-kernel jacobi] [-workers N] [-timeout 0]
+//	      [-workers N] [-timeout 0]
 //	      [-o figure2c.csv] [-markdown]
 //	sweep -server http://host:8080 -submit [-wait] [-priority N] ...
 //	sweep -server http://host:8080 -resume JOBID [-wait]
@@ -43,9 +43,9 @@
 // the fork figure) is omitted.
 //
 // Grid points of one attack configuration are solved in batched groups
-// wherever that is faster (the default jacobi kernel on hardware with the
-// AVX2 dense sweep, and structures small enough to batch); see
-// docs/SWEEPS.md. The figure is bitwise identical either way.
+// wherever that is faster (hardware with the AVX2 dense sweep, and
+// structures small enough to batch); see docs/SWEEPS.md. The figure is
+// bitwise identical either way.
 package main
 
 import (
@@ -92,7 +92,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		tol      = fs.Float64("tolerance", 0, "adaptive refinement tolerance (0 = default 1e-3; requires -adaptive)")
 		maxDepth = fs.Int("max-depth", 0, "adaptive bisection depth bound (0 = default 4; requires -adaptive)")
 		maxPts   = fs.Int("max-points", 0, "cap on refined points an adaptive sweep may add (0 = unlimited; requires -adaptive)")
-		kern     = fs.String("kernel", "", fmt.Sprintf("value-iteration kernel variant: %s (default jacobi; the figure is identical either way)", strings.Join(selfishmining.KernelVariants(), ", ")))
 		workers  = fs.Int("workers", 0, "worker pool size over grid points (0 = all cores); results are identical at any setting")
 		timeout  = fs.Duration("timeout", 0, "abort the sweep after this long (0 = none); completed points were already streamed to stderr")
 		out      = fs.String("o", "", "write CSV to this file (default stdout)")
@@ -118,9 +117,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	if *eps <= 0 || math.IsNaN(*eps) {
 		return fmt.Errorf("-eps %v: need a positive precision", *eps)
-	}
-	if err := selfishmining.ValidateKernel(*kern); err != nil {
-		return err
 	}
 	if !*adaptive && (*tol != 0 || *maxDepth != 0 || *maxPts != 0) {
 		return fmt.Errorf("-tolerance/-max-depth/-max-points require -adaptive")
@@ -184,7 +180,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			PGrid:     results.Grid(*pmin, *pmax, *pstep),
 			Len:       maxLen,
 			Epsilon:   *eps,
-			Kernel:    *kern,
 			Adaptive:  *adaptive,
 			Tolerance: *tol,
 			MaxDepth:  *maxDepth,
@@ -212,7 +207,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		MaxForkLen: maxLen,
 		TreeWidth:  *width,
 		Epsilon:    *eps,
-		Kernel:     *kern,
 		Adaptive:   *adaptive,
 		Tolerance:  *tol,
 		MaxDepth:   *maxDepth,

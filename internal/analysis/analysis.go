@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"math"
 	"time"
-
-	"repro/internal/kernel"
 )
 
 // Options tunes the analysis procedure.
@@ -76,16 +74,6 @@ type Options struct {
 	// checkpoint is used as emitted, against the same model, chain
 	// parameters and options. Resume takes precedence over InitialValues.
 	Resume *Checkpoint
-	// Kernel selects the value-iteration sweep variant of the inner solves
-	// (see kernel.Variant). The zero value is the bitwise-deterministic
-	// Jacobi default every golden test pins; the other variants accelerate
-	// the solves while certifying the same final bracket: every
-	// binary-search decision remains an exact sign certification, so
-	// ERRev, BetaLow, BetaUp and Iterations match the default — only sweep
-	// counts (and, in full mode, low-order strategy noise) differ.
-	// VariantExplore32 additionally runs a float32 exploration solve per
-	// step to warm-start the exact float64 decision solve.
-	Kernel kernel.Variant
 }
 
 // Checkpoint is a resumable snapshot of Algorithm 1 at a binary-search
@@ -114,9 +102,10 @@ type Checkpoint struct {
 	Values []float64
 }
 
-// validate rejects checkpoints no run could have emitted. The value vector
-// itself is checked downstream (SetValues / the solver) against the model's
-// state count.
+// validate rejects checkpoints no run could have emitted. A non-finite
+// value would poison every later sweep's bracket (a NaN bound reads as a
+// certified sign), so each entry must be finite; the vector's length is
+// checked downstream (SetValues) against the model's state count.
 func (ck *Checkpoint) validate() error {
 	if math.IsNaN(ck.BetaLow) || math.IsNaN(ck.BetaUp) ||
 		ck.BetaLow < 0 || ck.BetaUp > 1 || ck.BetaLow > ck.BetaUp {
@@ -124,6 +113,11 @@ func (ck *Checkpoint) validate() error {
 	}
 	if ck.Iterations < 0 || ck.Sweeps < 0 {
 		return fmt.Errorf("analysis: resume checkpoint has negative counters (%d iterations, %d sweeps)", ck.Iterations, ck.Sweeps)
+	}
+	for i, v := range ck.Values {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("analysis: resume checkpoint value %d is %v, want a finite number", i, v)
+		}
 	}
 	return nil
 }

@@ -11,9 +11,9 @@ import (
 
 func mustAnalyze(t *testing.T, p core.Params, eps float64) *Result {
 	t.Helper()
-	res, err := AnalyzeCompiled(compileFor(t, p), Options{Epsilon: eps})
+	res, err := Analyze(t.Context(), compileFor(t, p), Options{Epsilon: eps})
 	if err != nil {
-		t.Fatalf("AnalyzeCompiled(%v): %v", p, err)
+		t.Fatalf("Analyze(%v): %v", p, err)
 	}
 	return res
 }
@@ -193,9 +193,9 @@ func TestAnalyzeEdgeCaseZeroResource(t *testing.T) {
 // TestAnalyzeSkipStrategyEval leaves StrategyERRev as NaN.
 func TestAnalyzeSkipStrategyEval(t *testing.T) {
 	p := core.Params{P: 0.2, Gamma: 0.5, Depth: 1, Forks: 1, MaxLen: 3}
-	res, err := AnalyzeCompiled(compileFor(t, p), Options{Epsilon: 1e-3, SkipStrategyEval: true})
+	res, err := Analyze(t.Context(), compileFor(t, p), Options{Epsilon: 1e-3, SkipStrategyEval: true})
 	if err != nil {
-		t.Fatalf("AnalyzeCompiled: %v", err)
+		t.Fatalf("Analyze: %v", err)
 	}
 	if !math.IsNaN(res.StrategyERRev) {
 		t.Errorf("StrategyERRev = %v, want NaN (skipped)", res.StrategyERRev)
@@ -225,7 +225,7 @@ func TestCompiledBackendAgreesWithGeneric(t *testing.T) {
 	const eps = 1e-4
 	for _, p := range configs {
 		t.Run(p.String(), func(t *testing.T) {
-			res, err := AnalyzeCompiled(compileFor(t, p), Options{Epsilon: eps})
+			res, err := Analyze(t.Context(), compileFor(t, p), Options{Epsilon: eps})
 			if err != nil {
 				t.Fatalf("compiled: %v", err)
 			}

@@ -20,18 +20,18 @@ type BatchLane struct {
 
 // LaneResult is one lane's Algorithm 1 outcome plus the lane's final
 // converged value vector (the batched counterpart of reading
-// Compiled.Values after AnalyzeCompiledContext), for warm-starting
+// Compiled.Values after Analyze), for warm-starting
 // neighboring points.
 type LaneResult struct {
 	Result
 	Values []float64
 }
 
-// AnalyzeBatchCompiledContext runs Algorithm 1 for K lanes over ONE shared
-// compiled structure in a single batched value-iteration loop
-// (kernel.Batch.RunCtx): per sweep, the structure's column indices and law
-// metadata are streamed once and applied to every lane, so the irregular
-// structure traffic that dominates a sweep is amortized K ways.
+// AnalyzeBatch runs Algorithm 1 for K lanes over ONE shared compiled
+// structure in a single batched value-iteration loop (kernel.Batch.RunCtx):
+// per sweep, the structure's column indices and law metadata are streamed
+// once and applied to every lane, so the irregular structure traffic that
+// dominates a sweep is amortized K ways.
 //
 // Lanes advance asynchronously, each through its own binary search: the
 // moment a lane's sign-only solve converges, the lane's bracket is halved
@@ -42,17 +42,15 @@ type LaneResult struct {
 // searches), which is what lets the dense specialized sweep carry the
 // work.
 //
-// Per lane, the procedure is bitwise identical to a solo
-// AnalyzeCompiledContext at that lane's (p, γ) with the default Jacobi
-// kernel: the same per-lane ζ calibration from the family block rate, the
-// same β midpoints, the same exact-sign decisions (warm-start
+// Per lane, the procedure is bitwise identical to a solo Analyze at that
+// lane's (p, γ): the same per-lane ζ calibration from the family block
+// rate, the same β midpoints, the same exact-sign decisions (warm-start
 // independent), the same ERRev/BetaLow/BetaUp/Iterations, and — because
 // each batched inner solve is bitwise equal to the solo solve — the same
 // per-lane Sweeps.
 //
 // The batch path is bound-only: opts.SkipStrategy must be set (strategy
-// extraction is a single-point concern, kept on the solo kernels), the
-// kernel variant must be the default VariantJacobi, and the
+// extraction is a single-point concern, kept on the solo kernel), and the
 // Resume/OnCheckpoint hooks must be nil — the sweep scheduler keeps its
 // per-point checkpoint semantics one level up, where completed lanes are
 // recorded as completed points. Options.Progress is ignored: lanes hold K
@@ -61,7 +59,7 @@ type LaneResult struct {
 // ctx is checked between steps and at every inner sweep boundary; on
 // cancellation the partial per-lane results (bracket, steps, sweeps so
 // far) return with an error wrapping ctx.Err().
-func AnalyzeBatchCompiledContext(ctx context.Context, c *kernel.Compiled, lanes []BatchLane, opts Options) ([]*LaneResult, error) {
+func AnalyzeBatch(ctx context.Context, c *kernel.Compiled, lanes []BatchLane, opts Options) ([]*LaneResult, error) {
 	opts.defaults()
 	// Each lane is one Algorithm 1 analysis: one run, timed at the batch's
 	// wall clock (the Duration every lane reports).
@@ -79,9 +77,6 @@ func AnalyzeBatchCompiledContext(ctx context.Context, c *kernel.Compiled, lanes 
 	}
 	if !opts.SkipStrategy {
 		return nil, fmt.Errorf("analysis: batched analysis is bound-only; set Options.SkipStrategy")
-	}
-	if opts.Kernel != kernel.VariantJacobi {
-		return nil, fmt.Errorf("analysis: batched analysis supports only the default %q kernel, got %q", kernel.VariantJacobi, opts.Kernel)
 	}
 	if opts.Resume != nil || opts.OnCheckpoint != nil {
 		return nil, fmt.Errorf("analysis: batched analysis does not support Resume/OnCheckpoint; checkpoint per point above the batch")
@@ -141,7 +136,7 @@ func AnalyzeBatchCompiledContext(ctx context.Context, c *kernel.Compiled, lanes 
 				r.BetaUp = betas[ln]
 			} else {
 				// Certified positive or numerically-zero floor-out: both map
-				// to beta <= β* by fixed rule (see AnalyzeCompiledContext).
+				// to beta <= β* by fixed rule (see Analyze).
 				r.BetaLow = betas[ln]
 			}
 		}

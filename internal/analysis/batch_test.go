@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/families"
-	"repro/internal/kernel"
 	"repro/internal/obs"
 )
 
@@ -37,9 +36,9 @@ func soloCompiled(t *testing.T, name string, lane BatchLane, shape core.Params, 
 		opts.InitialValues = lane.InitialValues
 	}
 	opts.SkipStrategy = true
-	res, err := AnalyzeCompiledContext(context.Background(), comp, opts)
+	res, err := Analyze(context.Background(), comp, opts)
 	if err != nil {
-		t.Fatalf("solo AnalyzeCompiledContext(%s, p=%v): %v", name, lane.P, err)
+		t.Fatalf("solo Analyze(%s, p=%v): %v", name, lane.P, err)
 	}
 	return res
 }
@@ -85,9 +84,9 @@ func TestAnalyzeBatchMatchesSoloPerFamily(t *testing.T) {
 				t.Fatalf("families.Compile(%s): %v", name, err)
 			}
 			opts := Options{Epsilon: eps, SkipStrategy: true}
-			got, err := AnalyzeBatchCompiledContext(context.Background(), comp, lanes, opts)
+			got, err := AnalyzeBatch(context.Background(), comp, lanes, opts)
 			if err != nil {
-				t.Fatalf("AnalyzeBatchCompiledContext(%s, k=%d): %v", name, k, err)
+				t.Fatalf("AnalyzeBatch(%s, k=%d): %v", name, k, err)
 			}
 			for ln := range lanes {
 				want := soloCompiled(t, name, lanes[ln], shape, Options{Epsilon: eps})
@@ -118,7 +117,7 @@ func TestAnalyzeBatchWarmLanesMatchSolo(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Compile: %v", err)
 		}
-		if _, err := AnalyzeCompiledContext(context.Background(), comp, Options{Epsilon: eps, SkipStrategy: true}); err != nil {
+		if _, err := Analyze(context.Background(), comp, Options{Epsilon: eps, SkipStrategy: true}); err != nil {
 			t.Fatalf("seed analysis: %v", err)
 		}
 		lanes[i].InitialValues = comp.Values()
@@ -129,9 +128,9 @@ func TestAnalyzeBatchWarmLanesMatchSolo(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	got, err := AnalyzeBatchCompiledContext(context.Background(), comp, lanes, Options{Epsilon: eps, SkipStrategy: true})
+	got, err := AnalyzeBatch(context.Background(), comp, lanes, Options{Epsilon: eps, SkipStrategy: true})
 	if err != nil {
-		t.Fatalf("AnalyzeBatchCompiledContext: %v", err)
+		t.Fatalf("AnalyzeBatch: %v", err)
 	}
 	for ln := range lanes {
 		want := soloCompiled(t, "fork", lanes[ln], shape, Options{Epsilon: eps})
@@ -146,24 +145,21 @@ func TestAnalyzeBatchValidation(t *testing.T) {
 	}
 	lanes := batchLaneGrid(2)
 	bg := context.Background()
-	if _, err := AnalyzeBatchCompiledContext(bg, comp, nil, Options{SkipStrategy: true}); err == nil {
+	if _, err := AnalyzeBatch(bg, comp, nil, Options{SkipStrategy: true}); err == nil {
 		t.Error("batched analysis accepted zero lanes")
 	}
-	if _, err := AnalyzeBatchCompiledContext(bg, comp, lanes, Options{}); err == nil {
+	if _, err := AnalyzeBatch(bg, comp, lanes, Options{}); err == nil {
 		t.Error("batched analysis accepted SkipStrategy=false")
 	}
-	if _, err := AnalyzeBatchCompiledContext(bg, comp, lanes, Options{SkipStrategy: true, Kernel: kernel.VariantGS}); err == nil {
-		t.Error("batched analysis accepted a non-default kernel variant")
-	}
-	if _, err := AnalyzeBatchCompiledContext(bg, comp, lanes, Options{SkipStrategy: true, Resume: &Checkpoint{BetaUp: 1}}); err == nil {
+	if _, err := AnalyzeBatch(bg, comp, lanes, Options{SkipStrategy: true, Resume: &Checkpoint{BetaUp: 1}}); err == nil {
 		t.Error("batched analysis accepted Resume")
 	}
-	if _, err := AnalyzeBatchCompiledContext(bg, comp, lanes, Options{SkipStrategy: true, OnCheckpoint: func(Checkpoint) {}}); err == nil {
+	if _, err := AnalyzeBatch(bg, comp, lanes, Options{SkipStrategy: true, OnCheckpoint: func(Checkpoint) {}}); err == nil {
 		t.Error("batched analysis accepted OnCheckpoint")
 	}
 	bad := batchLaneGrid(2)
 	bad[1].InitialValues = make([]float64, 3)
-	if _, err := AnalyzeBatchCompiledContext(bg, comp, bad, Options{SkipStrategy: true}); err == nil {
+	if _, err := AnalyzeBatch(bg, comp, bad, Options{SkipStrategy: true}); err == nil {
 		t.Error("batched analysis accepted a wrong-length warm-start vector")
 	}
 }
@@ -177,7 +173,7 @@ func TestAnalyzeBatchCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := AnalyzeBatchCompiledContext(ctx, comp, batchLaneGrid(3), Options{Epsilon: 1e-4, SkipStrategy: true})
+	res, err := AnalyzeBatch(ctx, comp, batchLaneGrid(3), Options{Epsilon: 1e-4, SkipStrategy: true})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled batched analysis: err = %v, want context.Canceled", err)
 	}
@@ -203,12 +199,12 @@ func TestAnalyzeBatchCountsRequestedLanes(t *testing.T) {
 	}
 	reg := obs.Default()
 	runs, steps := analysisRuns.With(backendBatch), analysisSteps.With(backendBatch)
-	solves := reg.CounterVec("kernel_solves_total", "", "variant").With(kernel.VariantJacobi.String())
-	sweeps := reg.CounterVec("kernel_solve_sweeps_total", "", "variant").With(kernel.VariantJacobi.String())
+	solves := reg.Counter("kernel_solves_total", "")
+	sweeps := reg.Counter("kernel_solve_sweeps_total", "")
 	lanesTotal := reg.Counter("kernel_batch_lanes_total", "")
 	before := []uint64{runs.Value(), steps.Value(), solves.Value(), sweeps.Value(), lanesTotal.Value()}
 
-	res, err := AnalyzeBatchCompiledContext(context.Background(), comp, batchLaneGrid(3), Options{Epsilon: 1e-3, SkipStrategy: true})
+	res, err := AnalyzeBatch(context.Background(), comp, batchLaneGrid(3), Options{Epsilon: 1e-3, SkipStrategy: true})
 	if err != nil {
 		t.Fatalf("batched analysis: %v", err)
 	}
@@ -224,8 +220,8 @@ func TestAnalyzeBatchCountsRequestedLanes(t *testing.T) {
 	}{
 		{"analysis_runs_total{backend=batch}", runs.Value() - before[0], 3},
 		{"analysis_steps_total{backend=batch}", steps.Value() - before[1], wantSteps},
-		{"kernel_solves_total{variant=jacobi}", solves.Value() - before[2], wantSteps},
-		{"kernel_solve_sweeps_total{variant=jacobi}", sweeps.Value() - before[3], wantSweeps},
+		{"kernel_solves_total", solves.Value() - before[2], wantSteps},
+		{"kernel_solve_sweeps_total", sweeps.Value() - before[3], wantSweeps},
 		{"kernel_batch_lanes_total", lanesTotal.Value() - before[4], 3},
 	} {
 		if c.got != c.want {

@@ -10,13 +10,13 @@ import (
 	"repro/internal/obs"
 )
 
-// AnalyzeCompiled runs Algorithm 1 against a compiled model of any
-// registered attack-model family: the procedure is protocol-agnostic — a
-// binary search on β over a kernel whose transition probabilities are
-// parametric in the chain parameters. The kernel resolves probabilities
-// once per (p, γ) and keeps value vectors warm across the binary search,
-// from the small shapes up to the large configurations (d=3 and d=4) of
-// the paper's evaluation.
+// Analyze runs Algorithm 1 against a compiled model of any registered
+// attack-model family: the procedure is protocol-agnostic — a binary
+// search on β over a kernel whose transition probabilities are parametric
+// in the chain parameters. The kernel resolves probabilities once per
+// (p, γ) and keeps value vectors warm across the binary search, from the
+// small shapes up to the large configurations (d=3 and d=4) of the
+// paper's evaluation.
 //
 // Chain parameters (p, γ) are those currently set on c (SetChainParams).
 // A positive Options.Workers is installed on c (SetWorkers) so that every
@@ -30,13 +30,6 @@ import (
 // returns right after the search with the bound alone — the mode sweeps
 // use, where the whole result is warm-start independent.
 //
-// AnalyzeCompiled runs with no cancellation; it is AnalyzeCompiledContext
-// under context.Background().
-func AnalyzeCompiled(c *kernel.Compiled, opts Options) (*Result, error) {
-	return AnalyzeCompiledContext(context.Background(), c, opts)
-}
-
-// AnalyzeCompiledContext is AnalyzeCompiled with cooperative cancellation:
 // ctx reaches every inner solve (checked at value-iteration sweep
 // boundaries, never inside one) and is additionally checked between
 // binary-search steps, giving Algorithm 1's nested structure deterministic
@@ -44,7 +37,7 @@ func AnalyzeCompiled(c *kernel.Compiled, opts Options) (*Result, error) {
 // Result — bracket, steps, sweeps so far — returns with an error wrapping
 // ctx.Err(). A run that completes is bitwise identical to one with no
 // context attached; Options.Progress observes each step's bracket.
-func AnalyzeCompiledContext(ctx context.Context, c *kernel.Compiled, opts Options) (*Result, error) {
+func Analyze(ctx context.Context, c *kernel.Compiled, opts Options) (*Result, error) {
 	opts.defaults()
 	analysisRuns.With(backendCompiled).Inc()
 	sp := obs.StartSpan(analysisSeconds.With(backendCompiled))
@@ -63,22 +56,6 @@ func AnalyzeCompiledContext(ctx context.Context, c *kernel.Compiled, opts Option
 	if zeta <= 0 {
 		zeta = opts.Epsilon * 1e-3
 	}
-
-	// Kernel-variant resolution. Explore32 is a hybrid: each step runs a
-	// float32 exploration solve whose promoted vector warm-starts an exact
-	// float64 solve (with GS bursts) that makes the actual decision — so
-	// every decision stays an exact sign certification, identical to the
-	// default kernel's, while the heavy early sweeps run at half the
-	// memory traffic. Once an exploration fails to resolve a sign (β close
-	// enough to β* that the gain is below float32 resolution) exploration
-	// is switched off for the remaining, necessarily-harder steps.
-	inner := opts.Kernel
-	f32Live := false
-	if inner == kernel.VariantExplore32 {
-		inner = kernel.VariantGS
-		f32Live = true
-	}
-	warm32 := false
 
 	res := &Result{BetaLow: 0, BetaUp: 1, StrategyERRev: math.NaN()}
 	warm := false
@@ -111,32 +88,11 @@ func AnalyzeCompiledContext(ctx context.Context, c *kernel.Compiled, opts Option
 			return res, fmt.Errorf("analysis: canceled after %d binary-search steps: %w", res.Iterations, err)
 		}
 		beta := (res.BetaLow + res.BetaUp) / 2
-		if f32Live {
-			er, err := c.ExploreMeanPayoff32(ctx, beta, kernel.Options{
-				Tol:        zeta,
-				MaxIter:    opts.SolverMaxIter,
-				SignOnly:   true,
-				KeepValues: warm32,
-			})
-			if er != nil {
-				res.Sweeps += er.Iters
-			}
-			if err != nil {
-				return res, fmt.Errorf("analysis: float32 exploration at beta=%v: %w", beta, err)
-			}
-			// Promote unconditionally: even a sign-unresolved exploration
-			// leaves the vector far closer to the bias than the previous
-			// step's float64 values.
-			c.PromoteValues32()
-			warm, warm32 = true, true
-			f32Live = er.SignKnown()
-		}
 		sr, err := c.MeanPayoffCtx(ctx, beta, kernel.Options{
 			Tol:        zeta,
 			MaxIter:    opts.SolverMaxIter,
 			SignOnly:   true,
 			KeepValues: warm,
-			Variant:    inner,
 		})
 		if sr != nil {
 			res.Sweeps += sr.Iters
@@ -183,7 +139,6 @@ func AnalyzeCompiledContext(ctx context.Context, c *kernel.Compiled, opts Option
 		Tol:        zeta,
 		MaxIter:    opts.SolverMaxIter,
 		KeepValues: warm,
-		Variant:    inner,
 	})
 	if sr != nil {
 		res.Sweeps += sr.Iters

@@ -34,7 +34,7 @@ func TestAnalyzeContextCancelPartialResult(t *testing.T) {
 	for _, boundOnly := range []bool{true, false} {
 		t.Run(fmt.Sprintf("boundOnly=%v", boundOnly), func(t *testing.T) {
 			ctx := &errAfterChecks{Context: context.Background(), n: 20}
-			res, err := AnalyzeCompiledContext(ctx, mustCompile(t), Options{Epsilon: 1e-3, SkipStrategy: boundOnly})
+			res, err := Analyze(ctx, mustCompile(t), Options{Epsilon: 1e-3, SkipStrategy: boundOnly})
 			if err == nil {
 				t.Skip("analysis finished before 20 checkpoints")
 			}
@@ -57,13 +57,13 @@ func TestAnalyzeContextCancelPartialResult(t *testing.T) {
 // TestAnalyzeContextCompletedBitwise: attaching a live context changes no
 // bit of a completed full analysis.
 func TestAnalyzeContextCompletedBitwise(t *testing.T) {
-	ref, err := AnalyzeCompiled(mustCompile(t), Options{Epsilon: 1e-3})
+	ref, err := Analyze(t.Context(), mustCompile(t), Options{Epsilon: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	got, err := AnalyzeCompiledContext(ctx, mustCompile(t), Options{Epsilon: 1e-3})
+	got, err := Analyze(ctx, mustCompile(t), Options{Epsilon: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestProgressReportsEveryStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := AnalyzeCompiled(comp, opts)
+	res, err := Analyze(t.Context(), comp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestProgressReportsEveryStep(t *testing.T) {
 	if math.Float64bits(lastLo) != math.Float64bits(res.BetaLow) || math.Float64bits(lastUp) != math.Float64bits(res.BetaUp) {
 		t.Errorf("last progress bracket [%v, %v] != final [%v, %v]", lastLo, lastUp, res.BetaLow, res.BetaUp)
 	}
-	plain, err := AnalyzeCompiled(mustCompile(t), Options{Epsilon: 1e-3, SkipStrategy: true})
+	plain, err := Analyze(t.Context(), mustCompile(t), Options{Epsilon: 1e-3, SkipStrategy: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -43,7 +44,7 @@ func equalResults(t *testing.T, label string, want, got *Result) {
 func TestResumeBitwiseCompiled(t *testing.T) {
 	params := core.Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 1, MaxLen: 4}
 	var cks []Checkpoint
-	ref, err := AnalyzeCompiled(compileFor(t, params), Options{
+	ref, err := Analyze(t.Context(), compileFor(t, params), Options{
 		Epsilon:      1e-3,
 		OnCheckpoint: func(ck Checkpoint) { cks = append(cks, ck) },
 	})
@@ -56,7 +57,7 @@ func TestResumeBitwiseCompiled(t *testing.T) {
 	// Resume from the first, a middle, and the final checkpoint.
 	for _, i := range []int{0, len(cks) / 2, len(cks) - 1} {
 		ck := cks[i]
-		got, err := AnalyzeCompiled(compileFor(t, params), Options{Epsilon: 1e-3, Resume: &ck})
+		got, err := Analyze(t.Context(), compileFor(t, params), Options{Epsilon: 1e-3, Resume: &ck})
 		if err != nil {
 			t.Fatalf("resume from step %d: %v", ck.Iterations, err)
 		}
@@ -77,7 +78,7 @@ func TestResumeBitwiseGeneric(t *testing.T) {
 		return c
 	}
 	var cks []Checkpoint
-	ref, err := AnalyzeCompiled(compile(), Options{
+	ref, err := Analyze(t.Context(), compile(), Options{
 		Epsilon:      1e-3,
 		OnCheckpoint: func(ck Checkpoint) { cks = append(cks, ck) },
 	})
@@ -88,7 +89,7 @@ func TestResumeBitwiseGeneric(t *testing.T) {
 		t.Fatal("no checkpoints emitted")
 	}
 	ck := cks[len(cks)/2]
-	got, err := AnalyzeCompiled(compile(), Options{Epsilon: 1e-3, Resume: &ck})
+	got, err := Analyze(t.Context(), compile(), Options{Epsilon: 1e-3, Resume: &ck})
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -100,7 +101,7 @@ func TestResumeBitwiseGeneric(t *testing.T) {
 func TestResumeCheckpointReusable(t *testing.T) {
 	params := core.Params{P: 0.3, Gamma: 0.5, Depth: 1, Forks: 1, MaxLen: 3}
 	var cks []Checkpoint
-	if _, err := AnalyzeCompiled(compileFor(t, params), Options{
+	if _, err := Analyze(t.Context(), compileFor(t, params), Options{
 		Epsilon:      1e-3,
 		OnCheckpoint: func(ck Checkpoint) { cks = append(cks, ck) },
 	}); err != nil {
@@ -108,7 +109,7 @@ func TestResumeCheckpointReusable(t *testing.T) {
 	}
 	ck := cks[0]
 	saved := append([]float64(nil), ck.Values...)
-	first, err := AnalyzeCompiled(compileFor(t, params), Options{Epsilon: 1e-3, Resume: &ck})
+	first, err := Analyze(t.Context(), compileFor(t, params), Options{Epsilon: 1e-3, Resume: &ck})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,32 +118,48 @@ func TestResumeCheckpointReusable(t *testing.T) {
 			t.Fatalf("resume mutated checkpoint values at %d", i)
 		}
 	}
-	second, err := AnalyzeCompiled(compileFor(t, params), Options{Epsilon: 1e-3, Resume: &ck})
+	second, err := Analyze(t.Context(), compileFor(t, params), Options{Epsilon: 1e-3, Resume: &ck})
 	if err != nil {
 		t.Fatal(err)
 	}
 	equalResults(t, "second resume", first, second)
 }
 
-// TestResumeRejectsMalformedCheckpoints: brackets and counters no run could
-// have produced are rejected up front.
+// TestResumeRejectsMalformedCheckpoints: brackets, counters and value
+// vectors no run could have produced are rejected up front. A non-finite
+// value would otherwise read as a certified sign on every later step and
+// resume into a wrong "certified" ERRev.
 func TestResumeRejectsMalformedCheckpoints(t *testing.T) {
 	params := core.Params{P: 0.3, Gamma: 0.5, Depth: 1, Forks: 1, MaxLen: 3}
+	n := compileFor(t, params).NumStates()
+	allNaN := make([]float64, n)
+	for i := range allNaN {
+		allNaN[i] = math.NaN()
+	}
+	firstInf := make([]float64, n)
+	firstInf[0] = math.Inf(1)
 	bad := []Checkpoint{
 		{BetaLow: 0.7, BetaUp: 0.3},
 		{BetaLow: -0.1, BetaUp: 0.5},
 		{BetaLow: 0.1, BetaUp: 1.5},
 		{BetaLow: math.NaN(), BetaUp: 0.5},
 		{BetaLow: 0.1, BetaUp: 0.5, Iterations: -1},
+		{BetaLow: 0.25, BetaUp: 0.5, Iterations: 2, Values: allNaN},
+		{BetaLow: 0.25, BetaUp: 0.5, Iterations: 2, Values: firstInf},
 	}
 	for i, ck := range bad {
-		if _, err := AnalyzeCompiled(compileFor(t, params), Options{Epsilon: 1e-3, Resume: &ck}); err == nil {
+		if _, err := Analyze(t.Context(), compileFor(t, params), Options{Epsilon: 1e-3, Resume: &ck}); err == nil {
 			t.Errorf("compiled accepted malformed checkpoint %d: %+v", i, ck)
 		}
 	}
+	// A non-finite entry is named by its index.
+	ck := Checkpoint{BetaLow: 0.25, BetaUp: 0.5, Values: firstInf}
+	if _, err := Analyze(t.Context(), compileFor(t, params), Options{Epsilon: 1e-3, Resume: &ck}); err == nil || !strings.Contains(err.Error(), "value 0 ") {
+		t.Errorf("non-finite value error %v does not name index 0", err)
+	}
 	// A wrong-length value vector is caught by the solver's length check.
-	ck := Checkpoint{BetaLow: 0.1, BetaUp: 0.5, Values: []float64{1, 2, 3}}
-	if _, err := AnalyzeCompiled(compileFor(t, params), Options{Epsilon: 1e-3, Resume: &ck}); err == nil {
+	ck = Checkpoint{BetaLow: 0.1, BetaUp: 0.5, Values: []float64{1, 2, 3}}
+	if _, err := Analyze(t.Context(), compileFor(t, params), Options{Epsilon: 1e-3, Resume: &ck}); err == nil {
 		t.Error("compiled accepted a wrong-length value vector")
 	}
 }

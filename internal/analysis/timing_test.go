@@ -23,7 +23,7 @@ func TestTimingCompiled(t *testing.T) {
 			t.Fatalf("Compile(%v): %v", cfg, err)
 		}
 		compileTime := time.Since(start)
-		res, err := AnalyzeCompiled(c, Options{Epsilon: 1e-4})
+		res, err := Analyze(t.Context(), c, Options{Epsilon: 1e-4})
 		if err != nil {
 			t.Fatalf("%v: %v", cfg, err)
 		}

@@ -22,11 +22,11 @@ func compileFor(t *testing.T, p core.Params) *core.Compiled {
 func TestSkipStrategyMatchesFullBound(t *testing.T) {
 	params := core.Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 1, MaxLen: 4}
 
-	full, err := AnalyzeCompiled(compileFor(t, params), Options{Epsilon: 1e-3})
+	full, err := Analyze(t.Context(), compileFor(t, params), Options{Epsilon: 1e-3})
 	if err != nil {
 		t.Fatalf("full: %v", err)
 	}
-	bound, err := AnalyzeCompiled(compileFor(t, params), Options{Epsilon: 1e-3, SkipStrategy: true})
+	bound, err := Analyze(t.Context(), compileFor(t, params), Options{Epsilon: 1e-3, SkipStrategy: true})
 	if err != nil {
 		t.Fatalf("bound-only: %v", err)
 	}
@@ -64,18 +64,18 @@ func TestWarmSeedBitwiseDeterminism(t *testing.T) {
 
 	// Solve a neighbor point and capture its value vector as the seed.
 	neighbor := compileFor(t, base)
-	if _, err := AnalyzeCompiled(neighbor, Options{Epsilon: 1e-3, SkipStrategy: true}); err != nil {
+	if _, err := Analyze(t.Context(), neighbor, Options{Epsilon: 1e-3, SkipStrategy: true}); err != nil {
 		t.Fatalf("neighbor: %v", err)
 	}
 	seed := neighbor.Values()
 
 	target := base
 	target.P = 0.3
-	cold, err := AnalyzeCompiled(compileFor(t, target), Options{Epsilon: 1e-3, SkipStrategy: true})
+	cold, err := Analyze(t.Context(), compileFor(t, target), Options{Epsilon: 1e-3, SkipStrategy: true})
 	if err != nil {
 		t.Fatalf("cold: %v", err)
 	}
-	warm, err := AnalyzeCompiled(compileFor(t, target), Options{
+	warm, err := Analyze(t.Context(), compileFor(t, target), Options{
 		Epsilon: 1e-3, SkipStrategy: true, InitialValues: seed,
 	})
 	if err != nil {
@@ -98,7 +98,7 @@ func TestWarmSeedBitwiseDeterminism(t *testing.T) {
 // out instead of corrupting the solve.
 func TestWarmSeedWrongLengthRejected(t *testing.T) {
 	c := compileFor(t, core.Params{P: 0.3, Gamma: 0.5, Depth: 1, Forks: 1, MaxLen: 3})
-	_, err := AnalyzeCompiled(c, Options{Epsilon: 1e-2, InitialValues: []float64{1, 2, 3}})
+	_, err := Analyze(t.Context(), c, Options{Epsilon: 1e-2, InitialValues: []float64{1, 2, 3}})
 	if err == nil {
 		t.Fatal("mismatched warm-start vector accepted")
 	}

@@ -15,9 +15,9 @@ func nakamotoERRev(t *testing.T, p, gamma float64, l int, eps float64) float64 {
 	if err != nil {
 		t.Fatalf("p=%v gamma=%v: Compile: %v", p, gamma, err)
 	}
-	res, err := analysis.AnalyzeCompiled(c, analysis.Options{Epsilon: eps, SkipStrategy: true})
+	res, err := analysis.Analyze(t.Context(), c, analysis.Options{Epsilon: eps, SkipStrategy: true})
 	if err != nil {
-		t.Fatalf("p=%v gamma=%v: AnalyzeCompiled: %v", p, gamma, err)
+		t.Fatalf("p=%v gamma=%v: Analyze: %v", p, gamma, err)
 	}
 	return res.ERRev
 }

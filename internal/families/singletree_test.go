@@ -29,9 +29,9 @@ func TestSingletreeMatchesBaselineGrid(t *testing.T) {
 			if err != nil {
 				t.Fatalf("p=%v gamma=%v: Compile: %v", p, gamma, err)
 			}
-			res, err := analysis.AnalyzeCompiled(c, analysis.Options{Epsilon: 1e-7, SkipStrategy: true})
+			res, err := analysis.Analyze(t.Context(), c, analysis.Options{Epsilon: 1e-7, SkipStrategy: true})
 			if err != nil {
-				t.Fatalf("p=%v gamma=%v: AnalyzeCompiled: %v", p, gamma, err)
+				t.Fatalf("p=%v gamma=%v: Analyze: %v", p, gamma, err)
 			}
 			want, err := baseline.SingleTreeERRev(baseline.SingleTreeParams{
 				P: p, Gamma: gamma, MaxDepth: depth, MaxWidth: width,

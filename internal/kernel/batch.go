@@ -182,9 +182,6 @@ func (b *Batch) NumLanes() int { return len(b.lanes) }
 // NumStates returns the shared structure's state count.
 func (b *Batch) NumStates() int { return b.c.NumStates() }
 
-// Lane returns lane ln's chain parameters.
-func (b *Batch) Lane(ln int) LaneParams { return b.lanes[ln] }
-
 // SetWorkers sets the per-sweep goroutine count, with the same semantics
 // as Compiled.SetWorkers; n <= 0 auto-sizes to the machine and the model
 // (scaled by the lane count, since each state carries K lanes of work).
@@ -222,10 +219,6 @@ func (b *Batch) SetValues(ln int, v []float64) error {
 	b.has[ln] = true
 	return nil
 }
-
-// ClearValues drops lane ln's value vector, so its next KeepValues solve
-// starts cold.
-func (b *Batch) ClearValues(ln int) { b.has[ln] = false }
 
 // sizeScratch (re)sizes the per-solve scratch for the given chunk count.
 func (b *Batch) sizeScratch(chunks int) {
@@ -398,11 +391,9 @@ func (b *Batch) RunCtx(ctx context.Context, opts BatchRunOptions, src func(ln in
 	// Every lane solve that ends — converged, out of sweeps, or cut off —
 	// counts like one solo MeanPayoffCtx call, so the kernel solve and
 	// sweep totals cover batched lanes too.
-	variant := VariantJacobi.String()
-	laneSolves, laneSweeps := solvesTotal.With(variant), solveSweeps.With(variant)
 	endSolve := func(r *Result) {
-		laneSolves.Inc()
-		laneSweeps.Add(uint64(r.Iters))
+		solvesTotal.Inc()
+		solveSweeps.Add(uint64(r.Iters))
 	}
 	k := b.k
 	if opts.MaxIter <= 0 {

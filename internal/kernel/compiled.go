@@ -58,31 +58,14 @@ type Compiled struct {
 	meta       []uint32  // packed law/flag/sigma/ra/rh; shared by clones
 	probs      []float32 // resolved probabilities for current (p, γ); per-instance
 
-	// Branch-free row layout, derived once at Compile time and shared by
-	// clones: stateAct[s] is the index of state s's first action and
-	// actStart[a] the index of action a's first transition, so the fast
-	// sweep variants (see fast.go) walk rows without decoding the
-	// metaNewAction flag per transition.
+	// Action index, derived once at Compile time and shared by clones:
+	// stateAct[s] is the index of state s's first action and actStart[a]
+	// the index of action a's first transition, so fixed-policy evaluation
+	// jumps straight to the chosen action's transitions.
 	stateAct []int32
 	actStart []int64
-	// tiles are the cache-block boundaries of the relaxation sweeps: tile
-	// t covers states [tiles[t], tiles[t+1]), cut so one tile's transition
-	// stream fits in an L2-sized block. Shared by clones.
-	tiles []int32
 
 	h, next []float64 // value-iteration buffers; per-instance
-
-	// Per-instance scratch of the fast sweep variants, built lazily and
-	// never shared: wr caches the β-weighted rewards wr[k] = P(k)·r_β(k)
-	// of the current (probs, β) resolution, and the 32-suffixed fields are
-	// the float32 explorer's buffers (see explore32.go).
-	wr          []float64
-	wrBeta      float64
-	wrValid     bool
-	wr32        []float32
-	wr32Beta    float64
-	wr32Valid   bool
-	h32, next32 []float32
 
 	workers int // sweep parallelism; 0 = runtime.NumCPU()
 }
@@ -128,14 +111,11 @@ func (c *Compiled) Clone() *Compiled {
 		meta:       c.meta,
 		stateAct:   c.stateAct,
 		actStart:   c.actStart,
-		tiles:      c.tiles,
 		probs:      append([]float32(nil), c.probs...),
 		h:          append([]float64(nil), c.h...),
 		next:       make([]float64, len(c.next)),
 		workers:    c.workers,
 	}
-	// The fast-path scratch (wr, the float32 buffers) is deliberately not
-	// carried over: it is lazily rebuilt per instance on first use.
 	return nc
 }
 
@@ -217,17 +197,17 @@ func Compile(src Source, p, gamma float64) (*Compiled, error) {
 	}
 	c.h = make([]float64, n)
 	c.next = make([]float64, n)
-	c.buildRowLayout()
+	c.buildActionIndex()
 	if err := c.SetChainParams(p, gamma); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// buildRowLayout derives the branch-free row layout and the cache-block
-// tiling from the packed metadata (see the struct fields). It runs once
-// per Compile; the derived arrays are immutable and shared by clones.
-func (c *Compiled) buildRowLayout() {
+// buildActionIndex derives stateAct and actStart from the packed metadata
+// (see the struct fields). It runs once per Compile; the derived arrays
+// are immutable and shared by clones.
+func (c *Compiled) buildActionIndex() {
 	n := c.NumStates()
 	var actions int64
 	for _, mv := range c.meta {
@@ -249,20 +229,6 @@ func (c *Compiled) buildRowLayout() {
 	}
 	c.stateAct[n] = int32(a)
 	c.actStart[a] = c.transStart[n]
-	// Tile boundaries: cut whenever the pending tile's transition stream
-	// would exceed the L2-sized block (every tile holds >= 1 state).
-	c.tiles = c.tiles[:0]
-	c.tiles = append(c.tiles, 0)
-	var inTile int64
-	for s := 0; s < n; s++ {
-		rowTrans := c.transStart[s+1] - c.transStart[s]
-		if inTile > 0 && inTile+rowTrans > gsTileTransitions {
-			c.tiles = append(c.tiles, int32(s))
-			inTile = 0
-		}
-		inTile += rowTrans
-	}
-	c.tiles = append(c.tiles, int32(n))
 }
 
 // P returns the adversary resource fraction last set.
@@ -273,7 +239,7 @@ func (c *Compiled) Gamma() float64 { return c.gamma }
 
 // BlockRate evaluates the family's permanent-block-rate lower bound at the
 // current chain parameters; it calibrates the gain tolerance an ε-accurate
-// binary search on β needs (see analysis.AnalyzeCompiled).
+// binary search on β needs (see analysis.Analyze).
 func (c *Compiled) BlockRate() float64 { return c.rate(c.p, c.gamma) }
 
 // BlockRateAt evaluates the family's permanent-block-rate lower bound at
@@ -310,8 +276,7 @@ func (c *Compiled) NumStates() int { return len(c.transStart) - 1 }
 func (c *Compiled) NumTransitions() int64 { return c.transStart[c.NumStates()] }
 
 // SetChainParams re-resolves transition probabilities for new (p, γ)
-// through the family's law table without recompiling the structure, and
-// clears the warm-start state.
+// through the family's law table without recompiling the structure.
 func (c *Compiled) SetChainParams(p, gamma float64) error {
 	if p < 0 || p > 1 || math.IsNaN(p) {
 		return fmt.Errorf("kernel: adversary resource p = %v outside [0, 1]", p)
@@ -321,9 +286,6 @@ func (c *Compiled) SetChainParams(p, gamma float64) error {
 	}
 	c.p, c.gamma = p, gamma
 	c.resolveProbs()
-	// The cached weighted rewards fold the probabilities in, so they are
-	// stale for the new resolution.
-	c.wrValid, c.wr32Valid = false, false
 	return nil
 }
 
@@ -415,14 +377,6 @@ type Options struct {
 	// instance — from the previous solve, or installed with SetValues — as
 	// a warm start (valid across β and nearby (p, γ)).
 	KeepValues bool
-	// Variant selects the sweep kernel. The zero value (VariantJacobi) is
-	// the bitwise-deterministic default documented on MeanPayoffCtx; any
-	// other variant routes through the fast path in fast.go, which keeps
-	// the certified bracket sound but not the sweep-by-sweep trajectory.
-	Variant Variant
-	// Omega is the SOR over-relaxation factor in (0, 2); 0 picks the
-	// variant's default. Ignored outside VariantSOR.
-	Omega float64
 }
 
 // signOnlyFloorFrac scales Tol down to the bracket width at which a
@@ -498,22 +452,18 @@ func (c *Compiled) MeanPayoff(beta float64, opts Options) (*Result, error) {
 // Iters) is returned alongside an error wrapping ctx.Err().
 func (c *Compiled) MeanPayoffCtx(ctx context.Context, beta float64, opts Options) (*Result, error) {
 	opts.defaults()
-	variant := opts.Variant.String()
-	sp := obs.StartSpan(solveSeconds.With(variant))
+	sp := obs.StartSpan(solveSeconds)
 	res, err := c.meanPayoffCtx(ctx, beta, opts)
 	sp.End()
-	solvesTotal.With(variant).Inc()
+	solvesTotal.Inc()
 	if res != nil {
-		solveSweeps.With(variant).Add(uint64(res.Iters))
+		solveSweeps.Add(uint64(res.Iters))
 	}
 	return res, err
 }
 
 // meanPayoffCtx is MeanPayoffCtx behind the phase instruments.
 func (c *Compiled) meanPayoffCtx(ctx context.Context, beta float64, opts Options) (*Result, error) {
-	if opts.Variant != VariantJacobi {
-		return c.meanPayoffFast(ctx, beta, opts)
-	}
 	n := c.NumStates()
 	if !opts.KeepValues {
 		for i := range c.h {

@@ -12,13 +12,12 @@ var (
 		"Flat-CSR structure compiles (kernel.Compile calls).")
 	compileSeconds = obs.Default().Histogram("kernel_compile_seconds",
 		"Time to compile one family source into the flat-CSR structure.", obs.DefBuckets())
-	solvesTotal = obs.Default().CounterVec("kernel_solves_total",
-		"Compiled-backend mean-payoff solves, by kernel variant.", "variant")
-	solveSweeps = obs.Default().CounterVec("kernel_solve_sweeps_total",
-		"Value-iteration sweeps run by compiled-backend solves, by kernel variant.", "variant")
-	solveSeconds = obs.Default().HistogramVec("kernel_solve_seconds",
-		"Wall time of one compiled-backend mean-payoff solve, by kernel variant.",
-		obs.DefBuckets(), "variant")
+	solvesTotal = obs.Default().Counter("kernel_solves_total",
+		"Compiled-backend mean-payoff solves.")
+	solveSweeps = obs.Default().Counter("kernel_solve_sweeps_total",
+		"Value-iteration sweeps run by compiled-backend solves.")
+	solveSeconds = obs.Default().Histogram("kernel_solve_seconds",
+		"Wall time of one compiled-backend mean-payoff solve.", obs.DefBuckets())
 	batchRunsTotal = obs.Default().Counter("kernel_batch_runs_total",
 		"Multi-lane batch engine runs (Batch.RunCtx calls).")
 	batchLanesTotal = obs.Default().Counter("kernel_batch_lanes_total",

@@ -18,9 +18,9 @@ func analyzed(t *testing.T, p core.Params) (*core.Model, []int, float64) {
 	if err != nil {
 		t.Fatalf("Compile(%v): %v", p, err)
 	}
-	res, err := analysis.AnalyzeCompiled(comp, analysis.Options{Epsilon: 1e-4})
+	res, err := analysis.Analyze(t.Context(), comp, analysis.Options{Epsilon: 1e-4})
 	if err != nil {
-		t.Fatalf("AnalyzeCompiled(%v): %v", p, err)
+		t.Fatalf("Analyze(%v): %v", p, err)
 	}
 	return m, res.Strategy, res.StrategyERRev
 }

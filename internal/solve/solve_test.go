@@ -132,7 +132,9 @@ func TestPolicyIterationStayOrCycle(t *testing.T) {
 
 // TestRVIAgreesWithPolicyIteration is the central solver cross-check: on
 // random unichain MDPs the compiled kernel's value iteration must find the
-// exact gain computed by Howard policy iteration.
+// exact gain computed by Howard policy iteration, its certified bracket
+// must contain that gain, and a sign-only solve (what a binary-search step
+// runs) may only certify the exact gain's sign.
 func TestRVIAgreesWithPolicyIteration(t *testing.T) {
 	property := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -148,6 +150,13 @@ func TestRVIAgreesWithPolicyIteration(t *testing.T) {
 		}
 		iter, err := f.compile(t).MeanPayoff(beta, kernel.Options{Tol: 1e-9})
 		if err != nil {
+			return false
+		}
+		if iter.Lo > exact.Gain+1e-12 || iter.Hi < exact.Gain-1e-12 {
+			return false
+		}
+		sign, err := f.compile(t).MeanPayoff(beta, kernel.Options{Tol: 1e-6, SignOnly: true})
+		if err != nil || (sign.Lo > 0 && exact.Gain <= 0) || (sign.Hi < 0 && exact.Gain >= 0) {
 			return false
 		}
 		return math.Abs(iter.Gain-exact.Gain) < 1e-6

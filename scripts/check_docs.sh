@@ -68,6 +68,19 @@ for field in refine_depth p_index; do
   grep -qF "\`$field\`" docs/HTTP_API.md || err "stream field '$field' missing from docs/HTTP_API.md"
 done
 
+# --- every documented request field still exists --------------------------
+# Each backticked name in the first column of a "| field | type | meaning |"
+# table must be a JSON tag the server or the job specs still decode, so a
+# removed field cannot linger in the wire contract.
+while IFS= read -r field; do
+  grep -qrF --include='*.go' --exclude='*_test.go' "json:\"$field" cmd/serve selfishmining/jobs ||
+    err "docs/HTTP_API.md documents field '$field', which no json tag in cmd/serve or selfishmining/jobs carries"
+done < <(awk -F'|' '
+  /^\| field \| type \| meaning \|/ { table = 1; next }
+  table && !/^\|/ { table = 0 }
+  table && $2 !~ /^ *-+ *$/ { print $2 }
+' docs/HTTP_API.md | grep -oE '`[a-z_]+`' | tr -d '`' | sort -u)
+
 # --- the multi-replica lease surface is documented ------------------------
 # The serve flags themselves are covered by the generic -h drift check
 # below; these rules pin the wire-visible lease surface. bad_limit is

@@ -109,7 +109,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/families"
-	"repro/internal/kernel"
 	"repro/internal/simulate"
 	"repro/internal/strategy"
 )
@@ -195,7 +194,6 @@ type config struct {
 	epsilon    float64
 	maxIter    int
 	workers    int
-	kernel     string
 	skipEval   bool
 	boundOnly  bool
 	progress   func(betaLow, betaUp float64, iteration int)
@@ -221,27 +219,6 @@ func WithSolverMaxIter(n int) Option { return func(c *config) { c.maxIter = n } 
 // chunked execution reproduces the serial floating-point computation
 // exactly — only wall-clock time changes.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
-
-// WithKernel selects the value-iteration sweep variant of the inner solves
-// by name: "jacobi" (the default — the bitwise-deterministic kernel all
-// golden results pin), "spec" (branch-free specialized rows), "gs"
-// (Gauss-Seidel relaxation bursts), "sor" (over-relaxed bursts), or
-// "explore32" (float32 exploration warm-starting exact float64 decisions).
-// See KernelVariants. Non-default variants certify the same ERRev bracket
-// as the default — every binary-search decision is an exact sign
-// certification — but take a different sweep trajectory.
-func WithKernel(name string) Option { return func(c *config) { c.kernel = name } }
-
-// KernelVariants lists the kernel variant names accepted by WithKernel,
-// default first.
-func KernelVariants() []string { return kernel.VariantNames() }
-
-// ValidateKernel checks a kernel variant name as accepted by WithKernel,
-// with the valid list in the error.
-func ValidateKernel(name string) error {
-	_, err := kernel.ParseVariant(name)
-	return err
-}
 
 // WithoutStrategyEval skips the independent evaluation of the final
 // strategy's revenue, saving time on very large models.
@@ -331,10 +308,6 @@ func AnalyzeContext(ctx context.Context, p AttackParams, opts ...Option) (*Analy
 	if math.IsNaN(cfg.epsilon) || math.IsInf(cfg.epsilon, 0) {
 		return nil, fmt.Errorf("selfishmining: epsilon = %v is not a finite precision", cfg.epsilon)
 	}
-	kv, err := kernel.ParseVariant(cfg.kernel)
-	if err != nil {
-		return nil, fmt.Errorf("selfishmining: %w", err)
-	}
 	aOpts := analysis.Options{
 		Epsilon:          cfg.epsilon,
 		SolverMaxIter:    cfg.maxIter,
@@ -342,7 +315,6 @@ func AnalyzeContext(ctx context.Context, p AttackParams, opts ...Option) (*Analy
 		SkipStrategy:     cfg.boundOnly,
 		Workers:          cfg.workers,
 		Progress:         cfg.progress,
-		Kernel:           kv,
 	}
 	cfg.analysisCheckpointOpts(&aOpts)
 	cp := p.core()
@@ -350,7 +322,7 @@ func AnalyzeContext(ctx context.Context, p AttackParams, opts ...Option) (*Analy
 	if err != nil {
 		return nil, err
 	}
-	res, err := analysis.AnalyzeCompiledContext(ctx, comp, aOpts)
+	res, err := analysis.Analyze(ctx, comp, aOpts)
 	if err != nil {
 		return nil, analysisError(p, res, err)
 	}

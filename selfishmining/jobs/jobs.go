@@ -88,10 +88,6 @@ type AnalyzeSpec struct {
 	// BoundOnly certifies the revenue bracket without extracting a
 	// strategy.
 	BoundOnly bool `json:"bound_only,omitempty"`
-	// Kernel selects the value-iteration kernel variant ("" = the default
-	// deterministic Jacobi kernel; see selfishmining.KernelVariants). All
-	// variants certify the same result.
-	Kernel string `json:"kernel,omitempty"`
 }
 
 // Params maps the spec onto the public parameter type.
@@ -111,9 +107,6 @@ func (s AnalyzeSpec) validate() error {
 	if s.Epsilon < 0 || math.IsNaN(s.Epsilon) || math.IsInf(s.Epsilon, 0) {
 		return fmt.Errorf("jobs: epsilon %v: need >= 0 (0 = default)", s.Epsilon)
 	}
-	if err := selfishmining.ValidateKernel(s.Kernel); err != nil {
-		return fmt.Errorf("jobs: %w", err)
-	}
 	return nil
 }
 
@@ -129,9 +122,6 @@ func (s AnalyzeSpec) options() []selfishmining.Option {
 	}
 	if s.BoundOnly {
 		opts = append(opts, selfishmining.WithBoundOnly())
-	}
-	if s.Kernel != "" {
-		opts = append(opts, selfishmining.WithKernel(s.Kernel))
 	}
 	return opts
 }
@@ -161,10 +151,6 @@ type SweepSpec struct {
 	TreeWidth int `json:"tree_width,omitempty"`
 	// Epsilon is the per-point precision (0 = 1e-4).
 	Epsilon float64 `json:"epsilon,omitempty"`
-	// Kernel selects the value-iteration kernel variant every grid point is
-	// solved with ("" = the default deterministic Jacobi kernel; see
-	// selfishmining.KernelVariants). The figure is identical either way.
-	Kernel string `json:"kernel,omitempty"`
 	// Adaptive switches the sweep to threshold-refining bisection: PGrid
 	// becomes the coarse pass (it must be strictly increasing with at
 	// least two points), and cells that prove curvature beyond Tolerance
@@ -195,9 +181,6 @@ func (s *SweepSpec) Normalize() error {
 	}
 	if s.Epsilon < 0 || math.IsNaN(s.Epsilon) || math.IsInf(s.Epsilon, 0) {
 		return fmt.Errorf("jobs: epsilon %v: need >= 0 (0 = default)", s.Epsilon)
-	}
-	if err := selfishmining.ValidateKernel(s.Kernel); err != nil {
-		return fmt.Errorf("jobs: %w", err)
 	}
 	if s.PGrid == nil {
 		s.PGrid = results.Grid(0, 0.3, 0.01)
@@ -284,7 +267,6 @@ func (s SweepSpec) options() selfishmining.SweepOptions {
 		MaxForkLen: s.Len,
 		TreeWidth:  s.TreeWidth,
 		Epsilon:    s.Epsilon,
-		Kernel:     s.Kernel,
 		Adaptive:   s.Adaptive,
 		Tolerance:  s.Tolerance,
 		MaxDepth:   s.MaxDepth,

@@ -13,7 +13,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/families"
-	"repro/internal/kernel"
 )
 
 // Default sizing of a Service's caches. All are entry counts; memory per
@@ -99,10 +98,6 @@ type resultKey struct {
 	maxIter              int
 	skipEval             bool
 	boundOnly            bool
-	// kernel is the canonical kernel-variant name (kernel.Variant.String();
-	// "jacobi" for the default). Variants certify the same results, but their
-	// performance counters (Sweeps) differ, so they get distinct entries.
-	kernel string
 }
 
 // warmKey addresses one warm-start neighborhood: value vectors transfer
@@ -290,9 +285,6 @@ func (s *Service) AnalyzeDetailedContext(ctx context.Context, p AttackParams, op
 	if math.IsNaN(cfg.epsilon) || math.IsInf(cfg.epsilon, 0) {
 		return nil, AnalyzeInfo{}, fmt.Errorf("selfishmining: epsilon = %v is not a finite precision", cfg.epsilon)
 	}
-	if _, err := kernel.ParseVariant(cfg.kernel); err != nil {
-		return nil, AnalyzeInfo{}, fmt.Errorf("selfishmining: %w", err)
-	}
 	cp := p.core()
 	if err := p.Validate(); err != nil {
 		return nil, AnalyzeInfo{}, err
@@ -352,11 +344,6 @@ func (s *Service) key(p AttackParams, cfg *config) resultKey {
 		skipEval:  cfg.skipEval || cfg.boundOnly,
 		boundOnly: cfg.boundOnly,
 	}
-	// Canonicalize the kernel name so aliases ("", "default", "gauss-seidel")
-	// collide with their canonical spelling. Unknown names were rejected
-	// before keying, so the parse cannot fail here.
-	kv, _ := kernel.ParseVariant(cfg.kernel)
-	k.kernel = kv.String()
 	if k.p == 0 {
 		k.p = 0 // collapse -0.0 onto +0.0
 	}
@@ -430,14 +417,12 @@ func (s *Service) solve(ctx context.Context, key resultKey, p AttackParams, cp c
 	if err != nil {
 		return nil, err
 	}
-	kv, _ := kernel.ParseVariant(cfg.kernel) // validated before keying
 	aOpts := analysis.Options{
 		Epsilon:          cfg.epsilon,
 		SolverMaxIter:    cfg.maxIter,
 		SkipStrategyEval: cfg.skipEval,
 		SkipStrategy:     cfg.boundOnly,
 		Progress:         cfg.progress,
-		Kernel:           kv,
 	}
 	cfg.analysisCheckpointOpts(&aOpts)
 	if cfg.boundOnly && cfg.resume == nil {
@@ -451,7 +436,7 @@ func (s *Service) solve(ctx context.Context, key resultKey, p AttackParams, cp c
 		}
 	}
 	s.solves.Add(1)
-	res, err := analysis.AnalyzeCompiledContext(ctx, comp, aOpts)
+	res, err := analysis.Analyze(ctx, comp, aOpts)
 	if err != nil {
 		return nil, analysisError(p, res, err)
 	}

@@ -98,13 +98,6 @@ type SweepOptions struct {
 	TreeWidth int
 	// Epsilon is the per-point analysis precision (default 1e-4).
 	Epsilon float64
-	// Kernel selects the value-iteration kernel variant every grid point is
-	// solved with ("" or "jacobi" for the bitwise-deterministic default; see
-	// KernelVariants). All variants certify the same ERRev values — the
-	// figure is identical — but their sweep counts and runtimes differ.
-	// Only the default kernel batches grid points (see SweepContext); every
-	// other variant solves each point on its own.
-	Kernel string
 	// Workers is the size of the worker pool the sweep's units — batched
 	// groups of nearby grid points, or single points — are distributed
 	// over; 0, the default, uses runtime.NumCPU(). Each attack structure is
@@ -148,8 +141,8 @@ type SweepOptions struct {
 	// job checkpoint). Points found here are emitted verbatim without
 	// solving; the bitwise-determinism contract makes the resumed sweep
 	// indistinguishable from an uninterrupted one. The checkpoint must
-	// come from a sweep with the same Model, Gamma, MaxForkLen, Epsilon
-	// and Kernel — the sweep trusts its values verbatim.
+	// come from a sweep with the same Model, Gamma, MaxForkLen and
+	// Epsilon — the sweep trusts its values verbatim.
 	Resume *SweepCheckpoint
 
 	// Progress, if non-nil, receives one line per completed point. Calls
@@ -340,14 +333,13 @@ func (s *Service) Sweep(opts SweepOptions) (*results.Figure, error) {
 // for the panel's contents.
 //
 // Fresh points are solved in units. Where a configuration batches — the
-// default kernel, the machine's assembly dense sweep (kernel.DenseBatchAsm)
-// and a structure within the per-lane size budget (see batches) — its
-// points are cut, in ascending p, into units of kernel.DenseBatchWidth
-// points, each solved as one multi-lane analysis over the shared
-// structure; elsewhere every point is its own unit, solved alone and
-// coalesced with identical in-flight points. Each lane is bitwise
-// identical to the solo solve of its point, so batching changes
-// scheduling and speed, never the figure.
+// machine's assembly dense sweep (kernel.DenseBatchAsm) and a structure
+// within the per-lane size budget (see batches) — its points are cut, in
+// ascending p, into units of kernel.DenseBatchWidth points, each solved
+// as one multi-lane analysis over the shared structure; elsewhere every
+// point is its own unit, solved alone and coalesced with identical
+// in-flight points. Each lane is bitwise identical to the solo solve of
+// its point, so batching changes scheduling and speed, never the figure.
 //
 // With opts.Adaptive the x-axis is refined around the profitability
 // threshold instead of staying on the uniform grid: PGrid becomes the
@@ -383,9 +375,6 @@ func (s *Service) sweepContext(ctx context.Context, opts SweepOptions, width int
 	opts.defaults()
 	if opts.Gamma < 0 || opts.Gamma > 1 || math.IsNaN(opts.Gamma) {
 		return nil, fmt.Errorf("selfishmining: sweep gamma = %v outside [0, 1]", opts.Gamma)
-	}
-	if err := ValidateKernel(opts.Kernel); err != nil {
-		return nil, fmt.Errorf("selfishmining: %w", err)
 	}
 	if opts.Adaptive {
 		if err := opts.validateAdaptive(); err != nil {
@@ -562,11 +551,10 @@ func (s *Service) solveTasks(ctx context.Context, opts SweepOptions, bases []*co
 		defer doneMu.Unlock()
 		onDone(ti, errev, sweeps)
 	}
-	kv, _ := kernel.ParseVariant(opts.Kernel) // validated by SweepContext
 	unitLen := make([]int, len(opts.Configs))
 	for ci := range unitLen {
 		unitLen[ci] = 1
-		if batches(kv, bases[ci]) {
+		if batches(bases[ci]) {
 			unitLen[ci] = width
 		}
 	}
@@ -710,14 +698,13 @@ func laneBytes(base *core.Compiled) int64 {
 }
 
 // batches reports whether a configuration's fresh points are solved in
-// multi-lane units. All three conditions are needed for a batch to beat
-// solo solves: the batch replicates exactly the default Jacobi kernel's
-// floating-point sequence (other variants have no batched twin); only the
-// assembly dense sweep does the work of several solo sweeps per pass (4.2
-// to 7.3 on the Figure-2 shapes, against 1.2 to 1.8 for the portable
-// 8-lane loop); and the structure must fit batchLaneBudget per lane.
-func batches(kv kernel.Variant, base *core.Compiled) bool {
-	return kv == kernel.VariantJacobi && kernel.DenseBatchAsm() && laneBytes(base) <= batchLaneBudget
+// multi-lane units. Both conditions are needed for a batch to beat solo
+// solves: only the assembly dense sweep does the work of several solo
+// sweeps per pass (4.2 to 7.3 on the Figure-2 shapes, against 1.2 to 1.8
+// for the portable 8-lane loop), and the structure must fit
+// batchLaneBudget per lane.
+func batches(base *core.Compiled) bool {
+	return kernel.DenseBatchAsm() && laneBytes(base) <= batchLaneBudget
 }
 
 // sweepPointKey is the result-cache key of one (configuration, p) sweep
@@ -729,7 +716,7 @@ func (s *Service) sweepPointKey(opts SweepOptions, cfg AttackConfig, p float64) 
 		Adversary: p, Switching: opts.Gamma,
 		Depth: cfg.Depth, Forks: cfg.Forks, MaxForkLen: opts.MaxForkLen,
 	}
-	pointCfg := config{epsilon: opts.Epsilon, boundOnly: true, skipEval: true, kernel: opts.Kernel}
+	pointCfg := config{epsilon: opts.Epsilon, boundOnly: true, skipEval: true}
 	return s.key(params, &pointCfg)
 }
 
@@ -885,14 +872,13 @@ func (s *Service) sweepPoint(ctx context.Context, comp *core.Compiled, cfg Attac
 				return nil, err
 			}
 			sk := structKey{sweepModel(opts), cfg.Depth, cfg.Forks, opts.MaxForkLen}
-			kv, _ := kernel.ParseVariant(opts.Kernel) // validated by SweepContext
-			aOpts := analysis.Options{Epsilon: opts.Epsilon, SkipStrategyEval: true, SkipStrategy: true, Kernel: kv}
+			aOpts := analysis.Options{Epsilon: opts.Epsilon, SkipStrategyEval: true, SkipStrategy: true}
 			if seed, ok := s.warmSeed(sk, opts.Gamma, p, comp.NumStates()); ok {
 				aOpts.InitialValues = seed
 			}
 			s.solves.Add(1)
 			batchSoloPoints.Inc()
-			res, err := analysis.AnalyzeCompiledContext(ctx, comp, aOpts)
+			res, err := analysis.Analyze(ctx, comp, aOpts)
 			if err != nil {
 				return nil, cancelError(err, res)
 			}
@@ -948,7 +934,7 @@ func (s *Service) sweepBatch(ctx context.Context, base *core.Compiled, cfg Attac
 		}
 	}
 	s.solves.Add(uint64(len(ps)))
-	lrs, err := analysis.AnalyzeBatchCompiledContext(ctx, base, lanes, analysis.Options{
+	lrs, err := analysis.AnalyzeBatch(ctx, base, lanes, analysis.Options{
 		Epsilon: opts.Epsilon, SkipStrategyEval: true, SkipStrategy: true, Workers: workers,
 	})
 	if err != nil {

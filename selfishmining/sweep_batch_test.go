@@ -169,8 +169,7 @@ func TestBatchedSweepMatchesSoloFigure(t *testing.T) {
 
 // TestBatchSizeRule pins which Figure-2 shapes batch: fork d2f2l5 (0.38
 // MiB per lane) fits the lane budget and fork d3f2l4 (9.5 MiB per lane)
-// does not. Only the default kernel batches, and only where the assembly
-// dense sweep runs.
+// does not. Shapes batch only where the assembly dense sweep runs.
 func TestBatchSizeRule(t *testing.T) {
 	for _, c := range []struct {
 		cfg  AttackConfig
@@ -190,40 +189,10 @@ func TestBatchSizeRule(t *testing.T) {
 			t.Errorf("d=%d f=%d l=%d: %d bytes per lane, fits the budget = %v, want %v",
 				c.cfg.Depth, c.cfg.Forks, c.l, laneBytes(base), got, c.fits)
 		}
-		if got, want := batches(kernel.VariantJacobi, base), c.fits && kernel.DenseBatchAsm(); got != want {
-			t.Errorf("d=%d f=%d l=%d: jacobi batches = %v, want %v", c.cfg.Depth, c.cfg.Forks, c.l, got, want)
-		}
-		if batches(kernel.VariantGS, base) {
-			t.Errorf("d=%d f=%d l=%d: the gs kernel batches", c.cfg.Depth, c.cfg.Forks, c.l)
+		if got, want := batches(base), c.fits && kernel.DenseBatchAsm(); got != want {
+			t.Errorf("d=%d f=%d l=%d: batches = %v, want %v", c.cfg.Depth, c.cfg.Forks, c.l, got, want)
 		}
 	}
-}
-
-// TestNonJacobiSweepRunsSolo: a sweep on another kernel variant schedules
-// no multi-lane unit — the batch replicates only the Jacobi kernel — and
-// still computes the Jacobi figure bit for bit.
-func TestNonJacobiSweepRunsSolo(t *testing.T) {
-	opts := SweepOptions{
-		Gamma: 0.5, PGrid: []float64{0, 0.1, 0.2, 0.3},
-		Configs: []AttackConfig{{Depth: 2, Forks: 1}}, MaxForkLen: 3, Epsilon: 1e-3,
-	}
-	want, err := NewService(ServiceConfig{}).SweepContext(context.Background(), opts)
-	if err != nil {
-		t.Fatalf("jacobi sweep: %v", err)
-	}
-	opts.Kernel = "gs"
-	groups, solo := batchGroupsScheduled.Value(), batchSoloPoints.Value()
-	got, err := NewService(ServiceConfig{}).SweepContext(context.Background(), opts)
-	if err != nil {
-		t.Fatalf("gs sweep: %v", err)
-	}
-	if n := batchGroupsScheduled.Value() - groups; n != 0 {
-		t.Errorf("gs sweep scheduled %d multi-lane units, want 0", n)
-	}
-	if n := batchSoloPoints.Value() - solo; n != 3 {
-		t.Errorf("gs sweep solved %d points solo, want all 3", n)
-	}
-	figuresBitwiseEqual(t, "gs", got, want)
 }
 
 // TestBatchedSweepServesResultCache: a repeat batched sweep on the same
