@@ -201,7 +201,7 @@ func BenchmarkMicro_CompiledVISweep(b *testing.B) {
 		// MaxIter=1 runs exactly one cold sweep; the expected non-convergence
 		// error carries the partial bracket, so assert on the sweep count
 		// rather than the error.
-		res, err := comp.MeanPayoff(0.4, core.CompiledOptions{MaxIter: 1})
+		res, err := comp.MeanPayoffCtx(context.Background(), 0.4, core.CompiledOptions{MaxIter: 1})
 		if res == nil || res.Iters != 1 {
 			b.Fatalf("expected exactly one sweep, got %+v (err: %v)", res, err)
 		}
@@ -224,7 +224,7 @@ func benchVISweepWorkers(b *testing.B, workers int) {
 		// MaxIter=1 runs exactly one cold sweep; the expected non-convergence
 		// error carries the partial bracket, so assert on the sweep count
 		// rather than the error.
-		res, err := comp.MeanPayoff(0.4, core.CompiledOptions{MaxIter: 1})
+		res, err := comp.MeanPayoffCtx(context.Background(), 0.4, core.CompiledOptions{MaxIter: 1})
 		if res == nil || res.Iters != 1 {
 			b.Fatalf("expected exactly one sweep, got %+v (err: %v)", res, err)
 		}
@@ -245,7 +245,7 @@ func BenchmarkMicro_BinarySearchStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := comp.MeanPayoff(0.35, core.CompiledOptions{Tol: 1e-6, SignOnly: true}); err != nil {
+		if _, err := comp.MeanPayoffCtx(context.Background(), 0.35, core.CompiledOptions{Tol: 1e-6, SignOnly: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -287,14 +287,14 @@ func BenchmarkMicro_StrategyEval(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := comp.MeanPayoff(0.44, core.CompiledOptions{Tol: 1e-6}); err != nil {
+	if _, err := comp.MeanPayoffCtx(context.Background(), 0.44, core.CompiledOptions{Tol: 1e-6}); err != nil {
 		b.Fatal(err)
 	}
 	policy := comp.GreedyPolicy(0.44)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := comp.EvalERRev(policy, core.CompiledOptions{Tol: 1e-5}); err != nil {
+		if _, err := comp.EvalERRevCtx(context.Background(), policy, core.CompiledOptions{Tol: 1e-5}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -311,7 +311,7 @@ func BenchmarkAblation_SignOnlyOff(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := comp.MeanPayoff(0.35, core.CompiledOptions{Tol: 1e-6}); err != nil {
+		if _, err := comp.MeanPayoffCtx(context.Background(), 0.35, core.CompiledOptions{Tol: 1e-6}); err != nil {
 			b.Fatal(err)
 		}
 	}

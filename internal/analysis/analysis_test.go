@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -140,7 +141,7 @@ func TestMeanPayoffMonotoneInBeta(t *testing.T) {
 	c := compileFor(t, core.Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 1, MaxLen: 3})
 	prev := math.Inf(1)
 	for _, beta := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		sr, err := c.MeanPayoff(beta, kernel.Options{Tol: 1e-9})
+		sr, err := c.MeanPayoffCtx(context.Background(), beta, kernel.Options{Tol: 1e-9})
 		if err != nil {
 			t.Fatalf("MeanPayoff(beta=%v): %v", beta, err)
 		}
@@ -170,7 +171,7 @@ func TestAnalyzeAgreesWithPolicyIteration(t *testing.T) {
 	c := compileFor(t, p)
 	for _, beta := range []float64{0.1, 0.3, 0.5} {
 		exact := exactGain(t, p, beta)
-		iter, err := c.MeanPayoff(beta, kernel.Options{Tol: 1e-9})
+		iter, err := c.MeanPayoffCtx(context.Background(), beta, kernel.Options{Tol: 1e-9})
 		if err != nil {
 			t.Fatalf("MeanPayoff(beta=%v): %v", beta, err)
 		}

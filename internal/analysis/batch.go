@@ -27,11 +27,15 @@ type LaneResult struct {
 	Values []float64
 }
 
-// AnalyzeBatch runs Algorithm 1 for K lanes over ONE shared compiled
-// structure in a single batched value-iteration loop (kernel.Batch.RunCtx):
-// per sweep, the structure's column indices and law metadata are streamed
-// once and applied to every lane, so the irregular structure traffic that
-// dominates a sweep is amortized K ways.
+// AnalyzeBatch runs Algorithm 1 for 1 to kernel.DenseBatchWidth (8) lanes
+// over ONE shared compiled structure in a single batched value-iteration
+// loop (kernel.Batch.RunCtx): per sweep, the structure's column indices
+// and law metadata are streamed once and applied to every lane, so the
+// irregular structure traffic that dominates a sweep is amortized 8 ways.
+// It inherits kernel.NewBatch's limits: more than 8 lanes, a machine
+// without the AVX2 batch sweep (kernel.DenseBatchAsm) or a structure of
+// 2^26 states and more is an error, and callers solve such points one by
+// one with Analyze.
 //
 // Lanes advance asynchronously, each through its own binary search: the
 // moment a lane's sign-only solve converges, the lane's bracket is halved
@@ -39,8 +43,7 @@ type LaneResult struct {
 // converged vector — the lane never idles in the batch waiting for slower
 // lanes' solves. That keeps the batch at full width for almost the entire
 // run (only the final tail thins out as lanes finish their whole
-// searches), which is what lets the dense specialized sweep carry the
-// work.
+// searches).
 //
 // Per lane, the procedure is bitwise identical to a solo Analyze at that
 // lane's (p, γ): the same per-lane ζ calibration from the family block
@@ -53,25 +56,15 @@ type LaneResult struct {
 // extraction is a single-point concern, kept on the solo kernel), and the
 // Resume/OnCheckpoint hooks must be nil — the sweep scheduler keeps its
 // per-point checkpoint semantics one level up, where completed lanes are
-// recorded as completed points. Options.Progress is ignored: lanes hold K
-// independent brackets, which do not fit the single-bracket callback.
+// recorded as completed points. Options.Progress is ignored: lanes hold
+// independent brackets, which do not fit the single-bracket callback. A
+// rejected batch counts no run in analysis_runs_total.
 //
 // ctx is checked between steps and at every inner sweep boundary; on
 // cancellation the partial per-lane results (bracket, steps, sweeps so
 // far) return with an error wrapping ctx.Err().
 func AnalyzeBatch(ctx context.Context, c *kernel.Compiled, lanes []BatchLane, opts Options) ([]*LaneResult, error) {
 	opts.defaults()
-	// Each lane is one Algorithm 1 analysis: one run, timed at the batch's
-	// wall clock (the Duration every lane reports).
-	analysisRuns.With(backendBatch).Add(uint64(len(lanes)))
-	start := time.Now()
-	defer func() {
-		seconds := analysisSeconds.With(backendBatch)
-		dur := time.Since(start).Seconds()
-		for range lanes {
-			seconds.Observe(dur)
-		}
-	}()
 	if len(lanes) == 0 {
 		return nil, fmt.Errorf("analysis: batched analysis needs at least one lane")
 	}
@@ -111,6 +104,18 @@ func AnalyzeBatch(ctx context.Context, c *kernel.Compiled, lanes []BatchLane, op
 			return nil, fmt.Errorf("analysis: lane %d: %w", i, err)
 		}
 	}
+	// Each lane is one Algorithm 1 analysis, counted once the batch is
+	// built and every input accepted: one run, timed at the batch's wall
+	// clock (the Duration every lane reports).
+	analysisRuns.With(backendBatch).Add(uint64(len(lanes)))
+	start := time.Now()
+	defer func() {
+		seconds := analysisSeconds.With(backendBatch)
+		dur := time.Since(start).Seconds()
+		for range lanes {
+			seconds.Observe(dur)
+		}
+	}()
 
 	results := make([]*LaneResult, len(lanes))
 	for i := range results {

@@ -8,8 +8,34 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/families"
+	"repro/internal/kernel"
 	"repro/internal/obs"
 )
+
+// skipWithoutBatch skips a test that needs a batch to run: the AVX2
+// assembly is the only batch sweep, so elsewhere AnalyzeBatch fails.
+func skipWithoutBatch(t *testing.T) {
+	t.Helper()
+	if !kernel.DenseBatchAsm() {
+		t.Skip("no AVX2 batch sweep on this machine")
+	}
+}
+
+// runCounters snapshots a backend's analysis_runs_total and the sample
+// count of its analysis_seconds.
+func runCounters(backend string) [2]uint64 {
+	return [2]uint64{analysisRuns.With(backend).Value(), analysisSeconds.With(backend).Count()}
+}
+
+// assertNoRunCounted fails if a rejected analysis moved the backend's run
+// counter or run timer since before was taken.
+func assertNoRunCounted(t *testing.T, backend, what string, before [2]uint64) {
+	t.Helper()
+	if after := runCounters(backend); after != before {
+		t.Errorf("%s moved analysis_runs_total{backend=%s} by %d and analysis_seconds by %d samples, want 0",
+			what, backend, after[0]-before[0], after[1]-before[1])
+	}
+}
 
 // batchLaneGrid spreads K lanes over (p, γ) so lanes converge at different
 // speeds and retire from the batched solves in scrambled orders.
@@ -61,12 +87,13 @@ func sameAnalysis(t *testing.T, tag string, ln int, got, want *Result) {
 
 // TestAnalyzeBatchMatchesSoloPerFamily is the analysis-level pin of the
 // batching contract: for every registered family and lane counts
-// {1, 2, 7, 8, 16} with mixed (p, γ) per lane, the batched
+// {1, 2, 7, 8} with mixed (p, γ) per lane, the batched
 // Algorithm 1 must reproduce each lane's solo compiled analysis bitwise —
 // ERRev, final bracket, binary-search steps, and (because every inner
 // batched solve is bitwise equal to its solo counterpart) the per-lane
 // sweep totals.
 func TestAnalyzeBatchMatchesSoloPerFamily(t *testing.T) {
+	skipWithoutBatch(t)
 	const eps = 1e-3
 	for _, name := range families.Names() {
 		fam, err := families.Get(name)
@@ -75,7 +102,7 @@ func TestAnalyzeBatchMatchesSoloPerFamily(t *testing.T) {
 		}
 		d, f, l := fam.DefaultShape()
 		shape := core.Params{Depth: d, Forks: f, MaxLen: l}
-		for _, k := range []int{1, 2, 7, 8, 16} {
+		for _, k := range []int{1, 2, 7, 8} {
 			lanes := batchLaneGrid(k)
 			p := shape
 			p.P, p.Gamma = lanes[0].P, lanes[0].Gamma
@@ -103,6 +130,7 @@ func TestAnalyzeBatchMatchesSoloPerFamily(t *testing.T) {
 // others run cold: per lane the trajectory must match the solo analysis
 // with the identical seed — including Sweeps, which DO depend on the seed.
 func TestAnalyzeBatchWarmLanesMatchSolo(t *testing.T) {
+	skipWithoutBatch(t)
 	const eps = 1e-3
 	shape := core.Params{Depth: 2, Forks: 1, MaxLen: 4}
 	lanes := batchLaneGrid(5)
@@ -138,35 +166,40 @@ func TestAnalyzeBatchWarmLanesMatchSolo(t *testing.T) {
 	}
 }
 
+// TestAnalyzeBatchValidation: malformed batches are rejected up front, and
+// a rejected batch counts no Algorithm 1 run and times none.
 func TestAnalyzeBatchValidation(t *testing.T) {
 	comp, err := core.Compile(core.Params{P: 0.3, Gamma: 0.5, Depth: 1, Forks: 1, MaxLen: 3})
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
 	lanes := batchLaneGrid(2)
-	bg := context.Background()
-	if _, err := AnalyzeBatch(bg, comp, nil, Options{SkipStrategy: true}); err == nil {
-		t.Error("batched analysis accepted zero lanes")
-	}
-	if _, err := AnalyzeBatch(bg, comp, lanes, Options{}); err == nil {
-		t.Error("batched analysis accepted SkipStrategy=false")
-	}
-	if _, err := AnalyzeBatch(bg, comp, lanes, Options{SkipStrategy: true, Resume: &Checkpoint{BetaUp: 1}}); err == nil {
-		t.Error("batched analysis accepted Resume")
-	}
-	if _, err := AnalyzeBatch(bg, comp, lanes, Options{SkipStrategy: true, OnCheckpoint: func(Checkpoint) {}}); err == nil {
-		t.Error("batched analysis accepted OnCheckpoint")
-	}
 	bad := batchLaneGrid(2)
 	bad[1].InitialValues = make([]float64, 3)
-	if _, err := AnalyzeBatch(bg, comp, bad, Options{SkipStrategy: true}); err == nil {
-		t.Error("batched analysis accepted a wrong-length warm-start vector")
+	for _, c := range []struct {
+		what  string
+		lanes []BatchLane
+		opts  Options
+	}{
+		{"zero lanes", nil, Options{SkipStrategy: true}},
+		{"nine lanes", batchLaneGrid(9), Options{SkipStrategy: true}},
+		{"SkipStrategy=false", lanes, Options{}},
+		{"Resume", lanes, Options{SkipStrategy: true, Resume: &Checkpoint{BetaUp: 1}}},
+		{"OnCheckpoint", lanes, Options{SkipStrategy: true, OnCheckpoint: func(Checkpoint) {}}},
+		{"a wrong-length warm-start vector", bad, Options{SkipStrategy: true}},
+	} {
+		before := runCounters(backendBatch)
+		if _, err := AnalyzeBatch(context.Background(), comp, c.lanes, c.opts); err == nil {
+			t.Errorf("batched analysis accepted %s", c.what)
+		}
+		assertNoRunCounted(t, backendBatch, "batch with "+c.what, before)
 	}
 }
 
 // TestAnalyzeBatchCancel: cancellation surfaces the partial per-lane
 // brackets with an error wrapping ctx.Err, mirroring the solo contract.
 func TestAnalyzeBatchCancel(t *testing.T) {
+	skipWithoutBatch(t)
 	comp, err := core.Compile(core.Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 1, MaxLen: 4})
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
@@ -189,10 +222,11 @@ func TestAnalyzeBatchCancel(t *testing.T) {
 
 // TestAnalyzeBatchCountsRequestedLanes pins the batch backend's counters to
 // the definitions in docs/OBSERVABILITY.md: a 3-lane batched analysis (padded
-// to the dense width where the assembly sweep runs) is three Algorithm 1
+// to the 8-lane width of the assembly sweep) is three Algorithm 1
 // runs, and its step, kernel solve and sweep counters move by exactly the
 // three lanes' Iterations and Sweeps — idle padding lanes count nowhere.
 func TestAnalyzeBatchCountsRequestedLanes(t *testing.T) {
+	skipWithoutBatch(t)
 	comp, err := core.Compile(core.Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 1, MaxLen: 4})
 	if err != nil {
 		t.Fatalf("Compile: %v", err)

@@ -39,10 +39,6 @@ import (
 // context attached; Options.Progress observes each step's bracket.
 func Analyze(ctx context.Context, c *kernel.Compiled, opts Options) (*Result, error) {
 	opts.defaults()
-	analysisRuns.With(backendCompiled).Inc()
-	sp := obs.StartSpan(analysisSeconds.With(backendCompiled))
-	defer sp.End()
-	start := time.Now()
 	if opts.Workers > 0 {
 		c.SetWorkers(opts.Workers)
 	}
@@ -83,6 +79,12 @@ func Analyze(ctx context.Context, c *kernel.Compiled, opts Options) (*Result, er
 			warm = false
 		}
 	}
+	// A run counts, and its timer starts, only once its inputs are
+	// accepted: a rejected warm start or checkpoint is no analysis.
+	analysisRuns.With(backendCompiled).Inc()
+	sp := obs.StartSpan(analysisSeconds.With(backendCompiled))
+	defer sp.End()
+	start := time.Now()
 	for res.BetaUp-res.BetaLow >= opts.Epsilon {
 		if err := ctx.Err(); err != nil {
 			return res, fmt.Errorf("analysis: canceled after %d binary-search steps: %w", res.Iterations, err)

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -128,7 +129,8 @@ func TestResumeCheckpointReusable(t *testing.T) {
 // TestResumeRejectsMalformedCheckpoints: brackets, counters and value
 // vectors no run could have produced are rejected up front. A non-finite
 // value would otherwise read as a certified sign on every later step and
-// resume into a wrong "certified" ERRev.
+// resume into a wrong "certified" ERRev. A rejected resume counts no
+// Algorithm 1 run and times none.
 func TestResumeRejectsMalformedCheckpoints(t *testing.T) {
 	params := core.Params{P: 0.3, Gamma: 0.5, Depth: 1, Forks: 1, MaxLen: 3}
 	n := compileFor(t, params).NumStates()
@@ -148,9 +150,12 @@ func TestResumeRejectsMalformedCheckpoints(t *testing.T) {
 		{BetaLow: 0.25, BetaUp: 0.5, Iterations: 2, Values: firstInf},
 	}
 	for i, ck := range bad {
-		if _, err := Analyze(t.Context(), compileFor(t, params), Options{Epsilon: 1e-3, Resume: &ck}); err == nil {
+		comp := compileFor(t, params)
+		before := runCounters(backendCompiled)
+		if _, err := Analyze(t.Context(), comp, Options{Epsilon: 1e-3, Resume: &ck}); err == nil {
 			t.Errorf("compiled accepted malformed checkpoint %d: %+v", i, ck)
 		}
+		assertNoRunCounted(t, backendCompiled, fmt.Sprintf("malformed checkpoint %d", i), before)
 	}
 	// A non-finite entry is named by its index.
 	ck := Checkpoint{BetaLow: 0.25, BetaUp: 0.5, Values: firstInf}
@@ -159,7 +164,10 @@ func TestResumeRejectsMalformedCheckpoints(t *testing.T) {
 	}
 	// A wrong-length value vector is caught by the solver's length check.
 	ck = Checkpoint{BetaLow: 0.1, BetaUp: 0.5, Values: []float64{1, 2, 3}}
-	if _, err := Analyze(t.Context(), compileFor(t, params), Options{Epsilon: 1e-3, Resume: &ck}); err == nil {
+	comp := compileFor(t, params)
+	before := runCounters(backendCompiled)
+	if _, err := Analyze(t.Context(), comp, Options{Epsilon: 1e-3, Resume: &ck}); err == nil {
 		t.Error("compiled accepted a wrong-length value vector")
 	}
+	assertNoRunCounted(t, backendCompiled, "wrong-length checkpoint vector", before)
 }

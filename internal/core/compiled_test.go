@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -64,7 +65,7 @@ func TestCompiledMatchesGenericGain(t *testing.T) {
 				if err != nil {
 					t.Fatalf("policy iteration: %v", err)
 				}
-				got, err := c.MeanPayoff(beta, CompiledOptions{Tol: 1e-9})
+				got, err := c.MeanPayoffCtx(context.Background(), beta, CompiledOptions{Tol: 1e-9})
 				if err != nil {
 					t.Fatalf("compiled solve: %v", err)
 				}
@@ -125,12 +126,12 @@ func TestCompiledSetChainParams(t *testing.T) {
 	if err := c.SetChainParams(0.3, 0.75); err != nil {
 		t.Fatalf("SetChainParams: %v", err)
 	}
-	got, err := c.MeanPayoff(0.3, CompiledOptions{Tol: 1e-9})
+	got, err := c.MeanPayoffCtx(context.Background(), 0.3, CompiledOptions{Tol: 1e-9})
 	if err != nil {
 		t.Fatalf("MeanPayoff: %v", err)
 	}
 	fresh := mustCompile(t, Params{P: 0.3, Gamma: 0.75, Depth: 2, Forks: 1, MaxLen: 3})
-	want, err := fresh.MeanPayoff(0.3, CompiledOptions{Tol: 1e-9})
+	want, err := fresh.MeanPayoffCtx(context.Background(), 0.3, CompiledOptions{Tol: 1e-9})
 	if err != nil {
 		t.Fatalf("fresh MeanPayoff: %v", err)
 	}
@@ -152,11 +153,11 @@ func TestCompiledSetChainParamsRejectsBad(t *testing.T) {
 func TestCompiledGreedyPolicyEval(t *testing.T) {
 	p := Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 1, MaxLen: 4}
 	c := mustCompile(t, p)
-	if _, err := c.MeanPayoff(0.35, CompiledOptions{Tol: 1e-9}); err != nil {
+	if _, err := c.MeanPayoffCtx(context.Background(), 0.35, CompiledOptions{Tol: 1e-9}); err != nil {
 		t.Fatalf("MeanPayoff: %v", err)
 	}
 	policy := c.GreedyPolicy(0.35)
-	got, err := c.EvalERRev(policy, CompiledOptions{Tol: 1e-9})
+	got, err := c.EvalERRevCtx(context.Background(), policy, CompiledOptions{Tol: 1e-9})
 	if err != nil {
 		t.Fatalf("EvalERRev: %v", err)
 	}
@@ -175,11 +176,11 @@ func TestCompiledGreedyPolicyEval(t *testing.T) {
 func TestCompiledWarmStart(t *testing.T) {
 	p := Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 2, MaxLen: 3}
 	c := mustCompile(t, p)
-	cold, err := c.MeanPayoff(0.4, CompiledOptions{Tol: 1e-8})
+	cold, err := c.MeanPayoffCtx(context.Background(), 0.4, CompiledOptions{Tol: 1e-8})
 	if err != nil {
 		t.Fatalf("cold: %v", err)
 	}
-	warm, err := c.MeanPayoff(0.4, CompiledOptions{Tol: 1e-8, KeepValues: true})
+	warm, err := c.MeanPayoffCtx(context.Background(), 0.4, CompiledOptions{Tol: 1e-8, KeepValues: true})
 	if err != nil {
 		t.Fatalf("warm: %v", err)
 	}
@@ -194,7 +195,7 @@ func TestCompiledWarmStart(t *testing.T) {
 // TestCompiledEvalPolicyWrongLength exercises the failure path.
 func TestCompiledEvalPolicyWrongLength(t *testing.T) {
 	c := mustCompile(t, Params{P: 0.2, Gamma: 0.5, Depth: 1, Forks: 1, MaxLen: 2})
-	if _, err := c.EvalERRev([]int{0}, CompiledOptions{}); err == nil {
+	if _, err := c.EvalERRevCtx(context.Background(), []int{0}, CompiledOptions{}); err == nil {
 		t.Fatal("expected error for short policy, got nil")
 	}
 }

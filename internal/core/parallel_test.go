@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -15,12 +16,12 @@ func solveAll(t *testing.T, workers int) (*CompiledResult, []int, float64, []flo
 		t.Fatal(err)
 	}
 	c.SetWorkers(workers)
-	res, err := c.MeanPayoff(0.35, CompiledOptions{Tol: 1e-9})
+	res, err := c.MeanPayoffCtx(context.Background(), 0.35, CompiledOptions{Tol: 1e-9})
 	if err != nil {
 		t.Fatalf("workers=%d: MeanPayoff: %v", workers, err)
 	}
 	policy := c.GreedyPolicy(0.35)
-	errev, err := c.EvalERRev(policy, CompiledOptions{Tol: 1e-9})
+	errev, err := c.EvalERRevCtx(context.Background(), policy, CompiledOptions{Tol: 1e-9})
 	if err != nil {
 		t.Fatalf("workers=%d: EvalERRev: %v", workers, err)
 	}
@@ -76,11 +77,11 @@ func TestCompiledCloneIndependence(t *testing.T) {
 		t.Errorf("clone's SetChainParams leaked into base: p=%v gamma=%v", base.P(), base.Gamma())
 	}
 	// Both still solve, to different gains (different p).
-	rb, err := base.MeanPayoff(0.35, CompiledOptions{})
+	rb, err := base.MeanPayoffCtx(context.Background(), 0.35, CompiledOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := cl.MeanPayoff(0.35, CompiledOptions{})
+	rc, err := cl.MeanPayoffCtx(context.Background(), 0.35, CompiledOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestCompiledClonesConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := base.Clone().MeanPayoff(0.35, CompiledOptions{Tol: 1e-9})
+	serial, err := base.Clone().MeanPayoffCtx(context.Background(), 0.35, CompiledOptions{Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestCompiledClonesConcurrent(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			res, err := cl.MeanPayoff(0.35, CompiledOptions{Tol: 1e-9})
+			res, err := cl.MeanPayoffCtx(context.Background(), 0.35, CompiledOptions{Tol: 1e-9})
 			if err != nil {
 				t.Errorf("p=%v: %v", pGrid[i], err)
 				return

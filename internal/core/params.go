@@ -47,8 +47,8 @@
 // solves on. The kernel fans every value-iteration sweep out across worker
 // goroutines with bitwise-identical results at any worker count, and its
 // Clone support lets one compilation serve a whole pool of concurrent
-// solvers (see selfishmining.Sweep); the determinism argument lives with
-// the kernel and package par.
+// solvers (see selfishmining.SweepContext); the determinism argument lives
+// with the kernel and package par.
 package core
 
 import (

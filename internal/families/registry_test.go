@@ -1,6 +1,7 @@
 package families
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
@@ -83,11 +84,11 @@ func TestForkCompileMatchesCore(t *testing.T) {
 		t.Fatalf("structures differ: %d/%d states, %d/%d transitions",
 			viaRegistry.NumStates(), viaCore.NumStates(), viaRegistry.NumTransitions(), viaCore.NumTransitions())
 	}
-	a, err := viaRegistry.MeanPayoff(0.35, core.CompiledOptions{Tol: 1e-9})
+	a, err := viaRegistry.MeanPayoffCtx(context.Background(), 0.35, core.CompiledOptions{Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := viaCore.MeanPayoff(0.35, core.CompiledOptions{Tol: 1e-9})
+	b, err := viaCore.MeanPayoffCtx(context.Background(), 0.35, core.CompiledOptions{Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}

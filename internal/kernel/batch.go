@@ -9,13 +9,21 @@ import (
 	"repro/internal/par"
 )
 
-// This file implements the batched multi-lane mean-payoff kernel: K
-// parameter instances ("lanes") over ONE shared compiled transition
-// structure, solved in a single value-iteration loop. Per sweep, each CSR
-// row's column indices and packed law/reward metadata are read once and
-// applied to K interleaved value lanes, so the irregular structure traffic
-// that dominates a sweep is amortized K ways while the per-lane
-// floating-point work stays exactly the solo Jacobi sequence.
+// This file implements the batched multi-lane mean-payoff kernel: up to
+// DenseBatchWidth (8) parameter instances ("lanes") over ONE shared
+// compiled transition structure, solved in a single value-iteration loop.
+// Per sweep, the AVX2 assembly (batch_avx2_amd64.s) reads each CSR row's
+// column indices and packed law/reward metadata once and applies them to 8
+// interleaved value lanes, so the irregular structure traffic that
+// dominates a sweep is amortized 8 ways while the per-lane floating-point
+// work stays exactly the solo Jacobi sequence.
+//
+// The assembly is the only batched sweep. Off amd64, without AVX2, or at
+// 2^26 states and more, NewBatch fails and every point is solved alone
+// with Compiled.MeanPayoffCtx; the sweep scheduler never batches there.
+// Portable Go batch sweeps did the work of 1.2–1.8 (8 lanes) and 0.5–1.4
+// (2–4 lanes) solo sweeps per pass against the assembly's 4.2–7.3
+// (docs/PERFORMANCE.md), too little to pay for a second implementation.
 //
 // Bitwise contract: lane ln of a batched solve is bitwise identical to a
 // solo Compiled.MeanPayoffCtx at the same (p, γ, β, Tol, warm start) —
@@ -29,7 +37,7 @@ import (
 //     then one float64→float32 round), so pr[lane] equals the solo probs[k].
 //   - The gain bracket uses the same exact min/max chunk reduction as the
 //     solo kernel; min/max are order-independent, so the chunk count (and
-//     therefore the worker count and lane count) cannot perturb it.
+//     therefore the worker count) cannot perturb it.
 //   - A converged lane retires: its slots are frozen (copied out, never
 //     read again) and the remaining lanes' per-lane op sequences are
 //     unaffected — each lane's arithmetic never touched the retired lane's
@@ -38,57 +46,42 @@ import (
 // Retirement also means a batch of lanes with different convergence speeds
 // costs max(iters) sweeps of structure traffic, not sum(iters).
 //
-// Where the assembly dense sweep runs (asmFits), NewBatch widens a batch of
-// 2..7 lanes to the dense width with idle lanes: zero probabilities and
-// rewards, never issued a solve, never read. The 8-wide assembly sweep
-// costs less than two generic per-lane passes, so computing idle slots is
-// cheaper than running narrow, and callers never need to know the width.
+// NewBatch pads a batch of fewer than 8 lanes with idle lanes: zero
+// probabilities and rewards, never issued a solve, never read. The 8-wide
+// assembly sweep always computes every slot, so idle slots cost nothing
+// extra, and callers never need to know the width.
+
+// DenseBatchWidth is the lane count of every Batch: the width of the
+// assembly sweep, which keeps 8 lanes of action accumulators in two YMM
+// registers. Callers cutting points into lane groups should use exactly
+// this width.
+const DenseBatchWidth = 8
 
 // LaneParams fixes one lane's chain parameters. The β view of the reward
-// is chosen per solve (the betas argument of BatchMeanPayoff), matching
-// Algorithm 1's shape: (p, γ) stays constant across a binary search on β.
+// is chosen per solve (LaneSolve.Beta), matching Algorithm 1's shape:
+// (p, γ) stays constant across a binary search on β.
 type LaneParams struct {
 	P     float64 // adversary resource fraction in [0, 1]
 	Gamma float64 // switching probability in [0, 1]
 }
 
-// BatchOptions tunes one batched solve. Fields mirror Options lane-wise.
-type BatchOptions struct {
-	// Tol holds the per-lane gain bracket width target, len NumLanes; nil
-	// or non-positive entries default to 1e-7. Algorithm 1 calibrates it
-	// per lane because the required gain resolution scales with the lane's
-	// block rate at (p, γ).
-	Tol []float64
-	// MaxIter bounds the shared sweep count; default 500000.
-	MaxIter int
-	// Damping is the aperiodicity mix shared by all lanes; default 0.95.
-	Damping float64
-	// SignOnly stops each lane as soon as its bracket excludes zero, with
-	// exactly the floor and stall semantics of Options.SignOnly.
-	SignOnly bool
-	// KeepValues starts every lane from its current vector (the previous
-	// solve's result, or SetValues); lanes without one start from zero,
-	// exactly like a cold solo solve.
-	KeepValues bool
-}
-
-// Batch solves K parameter lanes over one shared compiled structure. It
-// borrows the donor's immutable arrays (transition ranges, destinations,
-// metadata, law table) and owns lane-major value/probability strips, so
-// constructing a Batch does not clone the structure.
+// Batch solves up to DenseBatchWidth parameter lanes over one shared
+// compiled structure. It borrows the donor's immutable arrays (transition
+// ranges, destinations, metadata, law table) and owns lane-major
+// value/probability strips, so constructing a Batch does not clone the
+// structure.
 //
 // A Batch is not safe for concurrent use, and the donor Compiled must not
 // be recompiled while the Batch is alive (SetChainParams on the donor is
 // fine: the Batch materialized its own per-lane probabilities).
 type Batch struct {
 	c     *Compiled
-	k     int          // lane stride: len(lanes) plus any idle padding lanes
 	lanes []LaneParams // the requested lanes, 0..len(lanes)-1
 
-	probs []float32 // lane-major probabilities: probs[t*k+lane]
-	rwd   []float64 // lane-major β-view reward table: rwd[idx*k+lane]
+	probs []float32 // lane-major probabilities: probs[t*8+lane]
+	rwd   []float64 // lane-major β-view reward table: rwd[idx*8+lane]
 
-	h, next []float64 // lane-major value buffers: h[s*k+lane]
+	h, next []float64 // lane-major value buffers: h[s*8+lane]
 
 	cur [][]float64 // per-lane value vectors carried between solves (requested lanes)
 	has []bool      // cur[lane] holds a vector
@@ -98,8 +91,7 @@ type Batch struct {
 	// Per-solve scratch, sized on first use and reused so the steady-state
 	// solve loop allocates nothing beyond the results slice.
 	act       []int     // active lanes, ascending
-	q, best   []float64 // per-chunk action/state accumulators, chunks*k
-	los, his  []float64 // per-chunk bracket extrema, chunks*k
+	los, his  []float64 // per-chunk bracket extrema, chunks*DenseBatchWidth
 	shift     []float64 // per-lane relative-value normalization shift
 	tol       []float64
 	resLo     []float64
@@ -111,14 +103,15 @@ type Batch struct {
 	tp []uint64 // packed transition program for the assembly sweep; see buildTransProgram
 }
 
-// NewBatch builds a batch of lanes over c's compiled structure, resolving
-// each lane's transition probabilities through the family law table
-// exactly as Compiled.SetChainParams would. On hardware running the
-// assembly dense sweep, 2..7 lanes are padded to DenseBatchWidth with idle
-// lanes (see the file comment); NumLanes still reports len(lanes).
+// NewBatch builds a batch of 1 to DenseBatchWidth lanes over c's compiled
+// structure, resolving each lane's transition probabilities through the
+// family law table exactly as Compiled.SetChainParams would. Fewer lanes
+// are padded to DenseBatchWidth with idle lanes (see the file comment);
+// NumLanes still reports len(lanes). NewBatch fails where the assembly
+// sweep cannot run: off amd64, without AVX2, or at 2^26 states and more.
 func NewBatch(c *Compiled, lanes []LaneParams) (*Batch, error) {
-	if len(lanes) == 0 {
-		return nil, fmt.Errorf("kernel: batch needs at least one lane")
+	if len(lanes) == 0 || len(lanes) > DenseBatchWidth {
+		return nil, fmt.Errorf("kernel: batch has %d lanes, need 1 to %d", len(lanes), DenseBatchWidth)
 	}
 	for i, lp := range lanes {
 		if lp.P < 0 || lp.P > 1 || math.IsNaN(lp.P) {
@@ -128,14 +121,13 @@ func NewBatch(c *Compiled, lanes []LaneParams) (*Batch, error) {
 			return nil, fmt.Errorf("kernel: lane %d: switching probability gamma = %v outside [0, 1]", i, lp.Gamma)
 		}
 	}
-	n := c.NumStates()
-	k := len(lanes)
-	if k > 1 && k < denseLaneWidth && asmFits(c) {
-		k = denseLaneWidth
+	if err := asmCheck(c); err != nil {
+		return nil, err
 	}
+	const k = DenseBatchWidth
+	n := c.NumStates()
 	b := &Batch{
 		c:     c,
-		k:     k,
 		lanes: append([]LaneParams(nil), lanes...),
 		probs: make([]float32, int(c.NumTransitions())*k),
 		rwd:   make([]float64, rwdTableSize*k),
@@ -158,7 +150,7 @@ func NewBatch(c *Compiled, lanes []LaneParams) (*Batch, error) {
 // in float64 and the per-transition value rounds through float32 exactly
 // as the solo probs array does.
 func (b *Batch) resolveLane(ln int) {
-	c, k := b.c, b.k
+	c := b.c
 	p, gamma := b.lanes[ln].P, b.lanes[ln].Gamma
 	vals := make([][]float64, len(c.laws))
 	for li, law := range c.laws {
@@ -171,11 +163,11 @@ func (b *Batch) resolveLane(ln int) {
 	for t := range c.meta {
 		mv := c.meta[t]
 		sigma := (mv >> metaSigmaShift) & 0xFF
-		b.probs[t*k+ln] = float32(vals[mv&metaLawMask][sigma])
+		b.probs[t*DenseBatchWidth+ln] = float32(vals[mv&metaLawMask][sigma])
 	}
 }
 
-// NumLanes returns the requested lane count K (idle padding lanes are not
+// NumLanes returns the requested lane count (idle padding lanes are not
 // counted).
 func (b *Batch) NumLanes() int { return len(b.lanes) }
 
@@ -184,18 +176,14 @@ func (b *Batch) NumStates() int { return b.c.NumStates() }
 
 // SetWorkers sets the per-sweep goroutine count, with the same semantics
 // as Compiled.SetWorkers; n <= 0 auto-sizes to the machine and the model
-// (scaled by the lane count, since each state carries K lanes of work).
+// (scaled by the lane width, since each state carries 8 lanes of work).
 func (b *Batch) SetWorkers(n int) { b.workers = n }
 
 func (b *Batch) sweepWorkers() int {
 	if b.workers > 0 {
 		return b.workers
 	}
-	per := minStatesPerWorker / b.k
-	if per < 1 {
-		per = 1
-	}
-	return par.Grain(b.c.NumStates(), par.Workers(0), per)
+	return par.Grain(b.c.NumStates(), par.Workers(0), minStatesPerWorker/DenseBatchWidth)
 }
 
 // Values returns a copy of lane ln's current value vector — after a
@@ -209,8 +197,8 @@ func (b *Batch) Values(ln int) []float64 {
 }
 
 // SetValues installs v as lane ln's value vector, picked up by the next
-// solve with KeepValues set — the batched equivalent of
-// Compiled.SetValues, with the same warm-start soundness argument.
+// run with KeepValues set — the batched equivalent of Compiled.SetValues,
+// with the same warm-start soundness argument.
 func (b *Batch) SetValues(ln int, v []float64) error {
 	if len(v) != b.c.NumStates() {
 		return fmt.Errorf("kernel: warm-start vector has %d entries, model has %d states", len(v), b.c.NumStates())
@@ -222,13 +210,11 @@ func (b *Batch) SetValues(ln int, v []float64) error {
 
 // sizeScratch (re)sizes the per-solve scratch for the given chunk count.
 func (b *Batch) sizeScratch(chunks int) {
-	k := b.k
+	const k = DenseBatchWidth
 	if cap(b.act) < k {
 		b.act = make([]int, 0, k)
 	}
-	if need := chunks * k; cap(b.q) < need {
-		b.q = make([]float64, need)
-		b.best = make([]float64, need)
+	if need := chunks * k; cap(b.los) < need {
 		b.los = make([]float64, need)
 		b.his = make([]float64, need)
 	}
@@ -243,38 +229,11 @@ func (b *Batch) sizeScratch(chunks int) {
 	}
 }
 
-// buildTransProgram packs each transition's sweep-ready operands into one
-// word, built once per Batch and shared by every solve: the destination
-// row's byte offset (state*64, the 8-lane float64 stride) in the high
-// half, the reward row's byte offset in bits 6..31, and the new-action
-// flag in bit 0. The assembly sweep then advances two pointers per
-// transition (probs +32B, program +8B) instead of decoding meta.
-func (b *Batch) buildTransProgram() {
-	if b.tp != nil {
-		return
-	}
-	c := b.c
-	tp := make([]uint64, len(c.meta))
-	for t, mv := range c.meta {
-		e := uint64(c.dst[t])*64<<32 | uint64((mv>>metaRwdShift)&metaRwdMask)*64
-		if mv&metaNewAction != 0 {
-			e |= 1
-		}
-		tp[t] = e
-	}
-	b.tp = tp
-}
-
-// BatchMeanPayoff runs one batched relative-value-iteration solve over b's
-// lanes, lane ln at reward r_{betas[ln]}. It is (*Batch).MeanPayoffCtx by
-// another entry point; see there for semantics.
-func BatchMeanPayoff(ctx context.Context, b *Batch, betas []float64, opts BatchOptions) ([]Result, error) {
-	return b.MeanPayoffCtx(ctx, betas, opts)
-}
-
 // LaneSolve is one solve request inside a batched run: the β defining the
 // lane's reward view r_β, and the gain bracket width target (non-positive
-// defaults to 1e-7, like BatchOptions.Tol entries).
+// defaults to 1e-7, like Options.Tol). Algorithm 1 calibrates Tol per
+// lane because the required gain resolution scales with the lane's block
+// rate at (p, γ).
 type LaneSolve struct {
 	Beta float64
 	Tol  float64
@@ -296,46 +255,6 @@ type BatchRunOptions struct {
 	KeepValues bool
 }
 
-// MeanPayoffCtx runs relative value iteration for all lanes in one loop,
-// lane ln under reward r_{betas[ln]}. Per sweep, the shared structure is
-// streamed once; each lane's value update, normalization shift, gain
-// bracket and convergence test are computed independently with exactly
-// the solo MeanPayoffCtx semantics (including SignOnly's exact-sign rule),
-// so every lane's Result and value vector are bitwise identical to a solo
-// solve at that lane's parameters and warm start (see the file comment).
-//
-// Converged lanes retire from the sweep; the solve returns when every
-// lane has converged or MaxIter is exhausted (then Converged reports the
-// per-lane outcome and the error names the first unconverged lane).
-//
-// ctx is checked once per sweep, exactly like the solo kernel: the partial
-// per-lane Results are returned alongside an error wrapping ctx.Err(),
-// and each lane keeps its current vector for a later KeepValues resume.
-func (b *Batch) MeanPayoffCtx(ctx context.Context, betas []float64, opts BatchOptions) ([]Result, error) {
-	k := b.NumLanes()
-	if len(betas) != k {
-		return nil, fmt.Errorf("kernel: batched solve got %d betas for %d lanes", len(betas), k)
-	}
-	if opts.Tol != nil && len(opts.Tol) != k {
-		return nil, fmt.Errorf("kernel: batched solve got %d tolerances for %d lanes", len(opts.Tol), k)
-	}
-	return b.RunCtx(ctx, BatchRunOptions{
-		MaxIter:    opts.MaxIter,
-		Damping:    opts.Damping,
-		SignOnly:   opts.SignOnly,
-		KeepValues: opts.KeepValues,
-	}, func(ln int, prev *Result) (LaneSolve, bool) {
-		if prev != nil {
-			return LaneSolve{}, false // one solve per lane
-		}
-		t := 0.0
-		if opts.Tol != nil {
-			t = opts.Tol[ln]
-		}
-		return LaneSolve{Beta: betas[ln], Tol: t}, true
-	})
-}
-
 // installSolve arms lane ln for a new solve starting after global sweep
 // iter: it materializes the lane's β-view reward column (the same table
 // rewardTable builds per lane), resets the lane's bracket and stall state,
@@ -343,11 +262,10 @@ func (b *Batch) MeanPayoffCtx(ctx context.Context, betas []float64, opts BatchOp
 // in place — exactly the solo KeepValues chaining, where solve i+1 starts
 // from solve i's converged vector.
 func (b *Batch) installSolve(ln int, s LaneSolve, iter int, r *Result) {
-	k := b.k
 	for idx := 0; idx < rwdTableSize; idx++ {
 		ra := float64(idx >> (metaRAShift - metaRwdShift))
 		rh := float64(idx & ((1 << (metaRAShift - metaRwdShift)) - 1))
-		b.rwd[idx*k+ln] = ra - s.Beta*(ra+rh)
+		b.rwd[idx*DenseBatchWidth+ln] = ra - s.Beta*(ra+rh)
 	}
 	t := s.Tol
 	if t <= 0 {
@@ -371,17 +289,22 @@ func (b *Batch) installSolve(ln int, s LaneSolve, iter int, r *Result) {
 // the lane continues in place, warm-started from its converged vector,
 // exactly like solo KeepValues chaining — or retires the lane.
 //
-// This asynchronous per-lane advancement is what keeps the batch dense: a
-// lane that finishes a cheap solve immediately starts its next one instead
-// of idling while slower lanes converge, so the full-width sweep (the
-// specialized dense path) carries almost all of the work. Per lane the
-// solve sequence is bitwise identical to the solo chained solves, since
-// lanes never mix and each lane's install/convergence logic is exactly the
-// solo kernel's.
+// Per sweep, each lane's value update, normalization shift, gain bracket
+// and convergence test are computed independently with exactly the solo
+// MeanPayoffCtx semantics (including SignOnly's exact-sign rule), so every
+// lane's solve sequence — Results and value vectors alike — is bitwise
+// identical to the solo chained solves at that lane's parameters and warm
+// start (see the file comment). This asynchronous per-lane advancement
+// keeps the batch dense: a lane that finishes a cheap solve immediately
+// starts its next one instead of idling while slower lanes converge.
 //
 // The returned slice holds each lane's LAST solve result (zero Result for
-// lanes never issued a solve). On cancellation or a lane exhausting
-// MaxIter, partial results return with a non-nil error.
+// lanes never issued a solve). On a lane exhausting MaxIter, partial
+// results return with an error naming the first unconverged lane. ctx is
+// checked once per sweep, exactly like the solo kernel: on cancellation
+// the partial per-lane Results return alongside an error wrapping
+// ctx.Err(), and each lane keeps its current vector for a later
+// KeepValues resume.
 func (b *Batch) RunCtx(ctx context.Context, opts BatchRunOptions, src func(ln int, prev *Result) (LaneSolve, bool)) ([]Result, error) {
 	sp := obs.StartSpan(batchRunSeconds)
 	defer sp.End()
@@ -395,15 +318,14 @@ func (b *Batch) RunCtx(ctx context.Context, opts BatchRunOptions, src func(ln in
 		solvesTotal.Inc()
 		solveSweeps.Add(uint64(r.Iters))
 	}
-	k := b.k
+	const k = DenseBatchWidth
 	if opts.MaxIter <= 0 {
 		opts.MaxIter = 500000
 	}
 	if opts.Damping <= 0 || opts.Damping > 1 {
 		opts.Damping = 0.95
 	}
-	c := b.c
-	n := c.NumStates()
+	n := b.c.NumStates()
 	w := b.sweepWorkers()
 	chunks := par.NumChunks(n, w)
 	b.sizeScratch(chunks)
@@ -430,7 +352,6 @@ func (b *Batch) RunCtx(ctx context.Context, opts BatchRunOptions, src func(ln in
 			act = append(act, ln)
 		}
 	}
-	tau := opts.Damping
 	h, next := b.h, b.next
 
 	// unpack freezes lane ln's current vector (from the lane-major buffer
@@ -443,95 +364,21 @@ func (b *Batch) RunCtx(ctx context.Context, opts BatchRunOptions, src func(ln in
 		b.has[ln] = true
 	}
 
-	// The sweep and shift closures are created once per solve and read the
-	// loop-carried variables (hv/nx swap, act, dense) through their
-	// environment, keeping the steady-state loop allocation-free.
+	// The sweep and shift closures are created once per run and read the
+	// loop-carried variables (hv/nx swap, act) through their environment,
+	// keeping the steady-state loop allocation-free. The assembly sweep
+	// always computes all 8 lanes; retired and idle slots are write-only
+	// from the batch's point of view (retired results were frozen by
+	// unpack, idle lanes have none, and the shift and reductions below
+	// only visit live lanes), so the extra arithmetic cannot perturb
+	// anything — lanes never mix.
 	var hv, nx []float64
-	var dense bool
-	sweep8 := b.makeSweep8(tau, &hv, &nx)
-	asm8, haveAsm := b.asmSweep(tau, &hv, &nx)
-	sweep := func(chunk, from, to int) {
-		qv := b.q[chunk*k : chunk*k+k]
-		bv := b.best[chunk*k : chunk*k+k]
-		lov := b.los[chunk*k : chunk*k+k]
-		hiv := b.his[chunk*k : chunk*k+k]
-		for _, ln := range act {
-			lov[ln] = math.Inf(1)
-			hiv[ln] = math.Inf(-1)
-		}
+	sweep := b.asmSweep(opts.Damping, &hv, &nx)
+	shift := func(_, from, to int) {
 		for s := from; s < to; s++ {
-			kStart, kEnd := c.transStart[s], c.transStart[s+1]
+			ns := nx[s*k : s*k+k]
 			for _, ln := range act {
-				bv[ln] = math.Inf(-1)
-				qv[ln] = 0
-			}
-			for t := kStart; t < kEnd; t++ {
-				mv := c.meta[t]
-				if mv&metaNewAction != 0 && t > kStart {
-					if dense {
-						for ln := 0; ln < k; ln++ {
-							if qv[ln] > bv[ln] {
-								bv[ln] = qv[ln]
-							}
-							qv[ln] = 0
-						}
-					} else {
-						for _, ln := range act {
-							if qv[ln] > bv[ln] {
-								bv[ln] = qv[ln]
-							}
-							qv[ln] = 0
-						}
-					}
-				}
-				pb := int(t) * k
-				rb := int((mv>>metaRwdShift)&metaRwdMask) * k
-				db := int(c.dst[t]) * k
-				pr := b.probs[pb : pb+k]
-				rw := b.rwd[rb : rb+k]
-				hh := hv[db : db+k]
-				if dense {
-					// All lanes live: a dense inner loop the compiler can
-					// bounds-check-eliminate and keep in registers.
-					for ln := 0; ln < k; ln++ {
-						qv[ln] += float64(pr[ln]) * (rw[ln] + hh[ln])
-					}
-				} else {
-					for _, ln := range act {
-						qv[ln] += float64(pr[ln]) * (rw[ln] + hh[ln])
-					}
-				}
-			}
-			sb := s * k
-			hs := hv[sb : sb+k]
-			ns := nx[sb : sb+k]
-			for _, ln := range act {
-				if qv[ln] > bv[ln] {
-					bv[ln] = qv[ln]
-				}
-				d := bv[ln] - hs[ln]
-				if d < lov[ln] {
-					lov[ln] = d
-				}
-				if d > hiv[ln] {
-					hiv[ln] = d
-				}
-				ns[ln] = hs[ln] + tau*d
-			}
-		}
-	}
-	shiftFn := func(_, from, to int) {
-		for s := from; s < to; s++ {
-			sb := s * k
-			ns := nx[sb : sb+k]
-			if dense {
-				for ln := 0; ln < k; ln++ {
-					ns[ln] -= b.shift[ln]
-				}
-			} else {
-				for _, ln := range act {
-					ns[ln] -= b.shift[ln]
-				}
+				ns[ln] -= b.shift[ln]
 			}
 		}
 	}
@@ -550,29 +397,13 @@ func (b *Batch) RunCtx(ctx context.Context, opts BatchRunOptions, src func(ln in
 			return res, fmt.Errorf("kernel: batched solve canceled after %d sweeps: %w", iter-1, err)
 		}
 		hv, nx = h, next
-		dense = len(act) == k
-		// Dispatch order: the assembly sweep, when present, stays on while
-		// any lane is live — it always computes all 8 lanes, and its
-		// whole-batch cost is well under even one generic single-lane pass.
-		// Retired and idle slots are write-only from the batch's point of
-		// view: retired results were frozen by unpack, idle lanes have none,
-		// and the reductions below only visit live lanes, so the extra
-		// arithmetic cannot perturb anything (the bitwise argument in the
-		// file comment — lanes never mix — covers it).
-		switch {
-		case haveAsm:
-			par.For(n, w, asm8)
-		case dense && k == denseLaneWidth:
-			par.For(n, w, sweep8)
-		default:
-			par.For(n, w, sweep)
-		}
+		par.For(n, w, sweep)
 		// Per-lane normalization: capture each lane's new state-0 value
 		// before shifting, exactly like par.Shift(next, next[0], w).
 		for _, ln := range act {
 			b.shift[ln] = nx[ln]
 		}
-		par.For(n, w, shiftFn)
+		par.For(n, w, shift)
 		h, next = next, h
 		// Per-lane exact min/max reduction over chunks, bracket
 		// intersection and the solo convergence rule.
@@ -651,166 +482,4 @@ func (b *Batch) RunCtx(ctx context.Context, opts BatchRunOptions, src func(ln in
 	b.h, b.next = h, next
 	b.act = act
 	return res, nil
-}
-
-// DenseBatchWidth is the lane count the specialized dense sweeps (scalar
-// and assembly) are built for; callers cutting points into lane groups
-// should use exactly this width. Where DenseBatchAsm reports true, NewBatch
-// pads narrower groups to it (see the file comment).
-const DenseBatchWidth = denseLaneWidth
-
-// denseLaneWidth is the lane count the hand-specialized dense sweep is
-// built for: the specialized sweep keeps all 8 action accumulators in
-// registers across an action span and fully unrolls the lane math behind
-// array-pointer conversions, which is where the batched kernel's per-lane
-// advantage over the solo sweep actually comes from. Other lane counts run
-// the generic sweep, which is correct but carries per-lane loop and
-// bounds-check overhead that roughly cancels the shared-structure savings.
-const denseLaneWidth = 8
-
-// makeSweep8 builds the dense 8-lane sweep body. It is only called while
-// all 8 lanes are active (dense); per lane it performs exactly the solo
-// sweep's floating-point sequence — q accumulation in transition order,
-// flush-on-new-action maxima, d = best-h, min/max bracket update, damped
-// write — so the bitwise contract of the generic sweep carries over
-// unchanged. hvp/nxp indirect through the caller's swap variables.
-func (b *Batch) makeSweep8(tau float64, hvp, nxp *[]float64) func(chunk, from, to int) {
-	c := b.c
-	transStart, dst, meta := c.transStart, c.dst, c.meta
-	return func(chunk, from, to int) {
-		hv, nx := *hvp, *nxp
-		probs, rwd := b.probs, b.rwd
-		lov := (*[8]float64)(b.los[chunk*8:])
-		hiv := (*[8]float64)(b.his[chunk*8:])
-		negInf := math.Inf(-1)
-		lo0, lo1, lo2, lo3 := math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)
-		lo4, lo5, lo6, lo7 := math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)
-		hi0, hi1, hi2, hi3 := negInf, negInf, negInf, negInf
-		hi4, hi5, hi6, hi7 := negInf, negInf, negInf, negInf
-		for s := from; s < to; s++ {
-			kStart, kEnd := transStart[s], transStart[s+1]
-			b0, b1, b2, b3 := negInf, negInf, negInf, negInf
-			b4, b5, b6, b7 := negInf, negInf, negInf, negInf
-			for t := kStart; ; {
-				// One action span: accumulate q in registers, flush once.
-				// The flush runs even for an empty transition range, exactly
-				// like the generic sweep's final qv-vs-bv comparison.
-				var q0, q1, q2, q3, q4, q5, q6, q7 float64
-				for span := t; t < kEnd; t++ {
-					mv := meta[t]
-					if mv&metaNewAction != 0 && t > span {
-						break
-					}
-					pr := (*[8]float32)(probs[int(t)*8:])
-					rw := (*[8]float64)(rwd[int((mv>>metaRwdShift)&metaRwdMask)*8:])
-					hh := (*[8]float64)(hv[int(dst[t])*8:])
-					q0 += float64(pr[0]) * (rw[0] + hh[0])
-					q1 += float64(pr[1]) * (rw[1] + hh[1])
-					q2 += float64(pr[2]) * (rw[2] + hh[2])
-					q3 += float64(pr[3]) * (rw[3] + hh[3])
-					q4 += float64(pr[4]) * (rw[4] + hh[4])
-					q5 += float64(pr[5]) * (rw[5] + hh[5])
-					q6 += float64(pr[6]) * (rw[6] + hh[6])
-					q7 += float64(pr[7]) * (rw[7] + hh[7])
-				}
-				if q0 > b0 {
-					b0 = q0
-				}
-				if q1 > b1 {
-					b1 = q1
-				}
-				if q2 > b2 {
-					b2 = q2
-				}
-				if q3 > b3 {
-					b3 = q3
-				}
-				if q4 > b4 {
-					b4 = q4
-				}
-				if q5 > b5 {
-					b5 = q5
-				}
-				if q6 > b6 {
-					b6 = q6
-				}
-				if q7 > b7 {
-					b7 = q7
-				}
-				if t >= kEnd {
-					break
-				}
-			}
-			hs := (*[8]float64)(hv[s*8:])
-			ns := (*[8]float64)(nx[s*8:])
-			d := b0 - hs[0]
-			if d < lo0 {
-				lo0 = d
-			}
-			if d > hi0 {
-				hi0 = d
-			}
-			ns[0] = hs[0] + tau*d
-			d = b1 - hs[1]
-			if d < lo1 {
-				lo1 = d
-			}
-			if d > hi1 {
-				hi1 = d
-			}
-			ns[1] = hs[1] + tau*d
-			d = b2 - hs[2]
-			if d < lo2 {
-				lo2 = d
-			}
-			if d > hi2 {
-				hi2 = d
-			}
-			ns[2] = hs[2] + tau*d
-			d = b3 - hs[3]
-			if d < lo3 {
-				lo3 = d
-			}
-			if d > hi3 {
-				hi3 = d
-			}
-			ns[3] = hs[3] + tau*d
-			d = b4 - hs[4]
-			if d < lo4 {
-				lo4 = d
-			}
-			if d > hi4 {
-				hi4 = d
-			}
-			ns[4] = hs[4] + tau*d
-			d = b5 - hs[5]
-			if d < lo5 {
-				lo5 = d
-			}
-			if d > hi5 {
-				hi5 = d
-			}
-			ns[5] = hs[5] + tau*d
-			d = b6 - hs[6]
-			if d < lo6 {
-				lo6 = d
-			}
-			if d > hi6 {
-				hi6 = d
-			}
-			ns[6] = hs[6] + tau*d
-			d = b7 - hs[7]
-			if d < lo7 {
-				lo7 = d
-			}
-			if d > hi7 {
-				hi7 = d
-			}
-			ns[7] = hs[7] + tau*d
-		}
-		lov[0], lov[1], lov[2], lov[3] = lo0, lo1, lo2, lo3
-		lov[4], lov[5], lov[6], lov[7] = lo4, lo5, lo6, lo7
-		hiv[0], hiv[1], hiv[2], hiv[3] = hi0, hi1, hi2, hi3
-		hiv[4], hiv[5], hiv[6], hiv[7] = hi4, hi5, hi6, hi7
-	}
 }

@@ -2,14 +2,19 @@
 
 package kernel
 
-// AVX2 acceleration of the dense 8-lane batched sweep. The vector code
-// performs, per lane, exactly the scalar sweep's floating-point sequence —
-// elementwise VADDPD/VMULPD/VSUBPD and one float32→float64 VCVTPS2PD are
-// IEEE-identical to their scalar counterparts, no FMA contraction is used
-// (it would change rounding), and every max/min is a VCMPPD($GT_OQ/$LT_OQ)
-// + VBLENDVPD pair replicating Go's `if x > y` NaN semantics bit for bit —
-// so the kernel's bitwise contract (lane == solo Jacobi solve) holds on
-// the assembly path too, and the same bitwise pins cover it on amd64.
+import (
+	"errors"
+	"fmt"
+)
+
+// The 8-lane AVX2 batched sweep, the only batch sweep body. The vector
+// code performs, per lane, exactly the solo Jacobi sweep's floating-point
+// sequence — elementwise VADDPD/VMULPD/VSUBPD and one float32→float64
+// VCVTPS2PD are IEEE-identical to their scalar counterparts, no FMA
+// contraction is used (it would change rounding), and every max/min is a
+// VCMPPD($GT_OQ/$LT_OQ) + VBLENDVPD pair replicating Go's `if x > y` NaN
+// semantics bit for bit — so the kernel's bitwise contract (lane == solo
+// Jacobi solve) holds, pinned lane by lane against the solo kernel.
 
 // sweepArgs is the argument block for sweep8AVX2. Field offsets are
 // hard-coded in batch_avx2_amd64.s and pinned by TestSweepArgsOffsets.
@@ -56,8 +61,8 @@ func detectAVX2() bool {
 	return ebx&(1<<5) != 0 // AVX2
 }
 
-// DenseBatchAsm reports whether this machine runs the assembly dense
-// sweep, the one place an 8-lane batch beats solo solves by a wide margin.
+// DenseBatchAsm reports whether this machine runs the assembly batch
+// sweep, and so whether NewBatch can succeed at all.
 func DenseBatchAsm() bool { return haveAVX2 }
 
 // maxAsmStates bounds the models the packed transition program can
@@ -65,20 +70,44 @@ func DenseBatchAsm() bool { return haveAVX2 }
 // 32 bits.
 const maxAsmStates = 1 << 26
 
-// asmFits reports whether the assembly sweep can run over c's structure
-// on this machine.
-func asmFits(c *Compiled) bool {
-	return haveAVX2 && len(c.meta) > 0 && c.NumStates() < maxAsmStates
+// asmCheck reports why the assembly sweep cannot run over c's structure
+// on this machine, or nil when it can.
+func asmCheck(c *Compiled) error {
+	if !haveAVX2 {
+		return errors.New("kernel: batched solves need the AVX2 sweep, and this CPU lacks AVX2")
+	}
+	if n := c.NumStates(); n >= maxAsmStates {
+		return fmt.Errorf("kernel: batched solves address fewer than %d states, model has %d", maxAsmStates, n)
+	}
+	return nil
 }
 
-// asmSweep returns the dense 8-lane assembly sweep body, or false when
-// the hardware, the lane count or the model shape rules it out (then the
-// scalar makeSweep8 specialization or the generic sweep runs instead).
-func (b *Batch) asmSweep(tau float64, hvp, nxp *[]float64) (func(chunk, from, to int), bool) {
-	c := b.c
-	if b.k != denseLaneWidth || !asmFits(c) {
-		return nil, false
+// buildTransProgram packs each transition's sweep-ready operands into one
+// word, built once per Batch and shared by every solve: the destination
+// row's byte offset (state*64, the 8-lane float64 stride) in the high
+// half, the reward row's byte offset in bits 6..31, and the new-action
+// flag in bit 0. The assembly sweep then advances two pointers per
+// transition (probs +32B, program +8B) instead of decoding meta.
+func (b *Batch) buildTransProgram() {
+	if b.tp != nil {
+		return
 	}
+	c := b.c
+	tp := make([]uint64, len(c.meta))
+	for t, mv := range c.meta {
+		e := uint64(c.dst[t])*64<<32 | uint64((mv>>metaRwdShift)&metaRwdMask)*64
+		if mv&metaNewAction != 0 {
+			e |= 1
+		}
+		tp[t] = e
+	}
+	b.tp = tp
+}
+
+// asmSweep returns the 8-lane assembly sweep body over b's structure.
+// hvp/nxp indirect through the caller's swap variables.
+func (b *Batch) asmSweep(tau float64, hvp, nxp *[]float64) func(chunk, from, to int) {
+	c := b.c
 	b.buildTransProgram()
 	args := sweepArgs{
 		transStart: &c.transStart[0],
@@ -92,10 +121,10 @@ func (b *Batch) asmSweep(tau float64, hvp, nxp *[]float64) (func(chunk, from, to
 		a := args
 		a.hv = &hv[0]
 		a.nx = &nx[0]
-		a.lo = &b.los[chunk*denseLaneWidth]
-		a.hi = &b.his[chunk*denseLaneWidth]
+		a.lo = &b.los[chunk*DenseBatchWidth]
+		a.hi = &b.his[chunk*DenseBatchWidth]
 		a.from = int64(from)
 		a.to = int64(to)
 		sweep8AVX2(&a)
-	}, true
+	}
 }

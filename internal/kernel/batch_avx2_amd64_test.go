@@ -35,44 +35,3 @@ func TestSweepArgsOffsets(t *testing.T) {
 		t.Errorf("sizeof(sweepArgs) = %d, want %d", got, want)
 	}
 }
-
-// TestAsmSweepMatchesScalar runs one full solve through the assembly
-// dense sweep and through the scalar specialization (asm disabled), and
-// requires bitwise-identical results — the amd64-specific leg of the
-// batch bitwise contract. Skipped where the hardware lacks AVX2.
-func TestAsmSweepMatchesScalar(t *testing.T) {
-	if !haveAVX2 {
-		t.Skip("no AVX2")
-	}
-	c := compileRing(t, 300, 0.3)
-	lanes, betas, tols := laneFixture(denseLaneWidth)
-	run := func() ([]Result, [][]float64) {
-		b, err := NewBatch(c, lanes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := BatchMeanPayoff(t.Context(), b, betas, BatchOptions{Tol: tols})
-		if err != nil {
-			t.Fatal(err)
-		}
-		vals := make([][]float64, denseLaneWidth)
-		for ln := range vals {
-			vals[ln] = b.Values(ln)
-		}
-		return res, vals
-	}
-	asm, asmVals := run()
-	defer func(v bool) { haveAVX2 = v }(haveAVX2)
-	haveAVX2 = false
-	scalar, scalarVals := run()
-	for ln := range asm {
-		if asm[ln] != scalar[ln] {
-			t.Errorf("lane %d: asm %+v != scalar %+v", ln, asm[ln], scalar[ln])
-		}
-		for s := range asmVals[ln] {
-			if asmVals[ln][s] != scalarVals[ln][s] {
-				t.Fatalf("lane %d state %d: asm value %v != scalar %v", ln, s, asmVals[ln][s], scalarVals[ln][s])
-			}
-		}
-	}
-}

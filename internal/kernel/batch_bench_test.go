@@ -35,14 +35,11 @@ func BenchmarkBatch8SameLane(b *testing.B) {
 		betas[i] = 0.3
 		tols[i] = 1e-6
 	}
-	bt, err := NewBatch(c, lanes)
-	if err != nil {
-		b.Fatal(err)
-	}
+	bt := newBatch(b, c, lanes)
 	bt.SetWorkers(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bt.MeanPayoffCtx(context.Background(), betas, BatchOptions{Tol: tols}); err != nil {
+		if _, err := solveLanes(context.Background(), bt, betas, tols, BatchRunOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

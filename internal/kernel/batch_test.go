@@ -24,6 +24,31 @@ func laneFixture(k int) ([]LaneParams, []float64, []float64) {
 	return lanes, betas, tols
 }
 
+// newBatch builds a batch for a test, skipping where the assembly batch
+// sweep cannot run (NewBatch fails there by design).
+func newBatch(t testing.TB, c *Compiled, lanes []LaneParams) *Batch {
+	t.Helper()
+	if !DenseBatchAsm() {
+		t.Skip("no AVX2 batch sweep on this machine")
+	}
+	b, err := NewBatch(c, lanes)
+	if err != nil {
+		t.Fatalf("NewBatch(%d lanes): %v", len(lanes), err)
+	}
+	return b
+}
+
+// solveLanes runs one solve per lane through RunCtx — lane ln at reward
+// r_{betas[ln]} to bracket width tols[ln] — and returns each lane's result.
+func solveLanes(ctx context.Context, b *Batch, betas, tols []float64, opts BatchRunOptions) ([]Result, error) {
+	return b.RunCtx(ctx, opts, func(ln int, prev *Result) (LaneSolve, bool) {
+		if prev != nil {
+			return LaneSolve{}, false
+		}
+		return LaneSolve{Beta: betas[ln], Tol: tols[ln]}, true
+	})
+}
+
 // soloSolve runs the reference solo Jacobi solve for one lane on a fresh
 // clone of the shared structure.
 func soloSolve(t *testing.T, c *Compiled, lp LaneParams, beta float64, opts Options, warm []float64) (*Result, []float64) {
@@ -75,24 +100,19 @@ func sameValues(t *testing.T, tag string, ln int, got, want []float64) {
 }
 
 // TestBatchMatchesSoloBitwise is the kernel-level pin of the batching
-// contract: for lane counts {1, 2, 7, 8, 16}, mixed (p, γ, β, Tol) per lane
+// contract: for lane counts {1, 2, 7, 8}, mixed (p, γ, β, Tol) per lane
 // (so lanes retire in scrambled orders), in both full and sign-only
 // modes, every lane of one batched solve must be bitwise identical to a
 // solo Jacobi solve — Result fields and the converged value vector alike.
 func TestBatchMatchesSoloBitwise(t *testing.T) {
 	c := compileRing(t, 300, 0.3)
-	for _, k := range []int{1, 2, 7, 8, 16} {
+	for _, k := range []int{1, 2, 7, 8} {
 		lanes, betas, tols := laneFixture(k)
 		for _, signOnly := range []bool{false, true} {
-			b, err := NewBatch(c, lanes)
+			b := newBatch(t, c, lanes)
+			got, err := solveLanes(context.Background(), b, betas, tols, BatchRunOptions{SignOnly: signOnly})
 			if err != nil {
-				t.Fatalf("NewBatch(k=%d): %v", k, err)
-			}
-			got, err := BatchMeanPayoff(context.Background(), b, betas, BatchOptions{
-				Tol: tols, SignOnly: signOnly,
-			})
-			if err != nil {
-				t.Fatalf("BatchMeanPayoff(k=%d, signOnly=%v): %v", k, signOnly, err)
+				t.Fatalf("batched solve (k=%d, signOnly=%v): %v", k, signOnly, err)
 			}
 			tag := "full"
 			if signOnly {
@@ -126,10 +146,7 @@ func TestBatchWarmStartMatchesSolo(t *testing.T) {
 		near.P = math.Min(1, near.P+0.01)
 		_, warms[ln] = soloSolve(t, c, near, betas[ln], Options{Tol: tols[ln]}, nil)
 	}
-	b, err := NewBatch(c, lanes)
-	if err != nil {
-		t.Fatalf("NewBatch: %v", err)
-	}
+	b := newBatch(t, c, lanes)
 	for ln, warm := range warms {
 		if warm == nil {
 			continue
@@ -138,11 +155,9 @@ func TestBatchWarmStartMatchesSolo(t *testing.T) {
 			t.Fatalf("SetValues(%d): %v", ln, err)
 		}
 	}
-	got, err := BatchMeanPayoff(context.Background(), b, betas, BatchOptions{
-		Tol: tols, SignOnly: true, KeepValues: true,
-	})
+	got, err := solveLanes(context.Background(), b, betas, tols, BatchRunOptions{SignOnly: true, KeepValues: true})
 	if err != nil {
-		t.Fatalf("BatchMeanPayoff: %v", err)
+		t.Fatalf("batched solve: %v", err)
 	}
 	for ln := 0; ln < k; ln++ {
 		want, wantVals := soloSolve(t, c, lanes[ln], betas[ln],
@@ -160,10 +175,7 @@ func TestBatchChainedSolvesMatchSolo(t *testing.T) {
 	c := compileRing(t, 200, 0.3)
 	const k = 4
 	lanes, betas, tols := laneFixture(k)
-	b, err := NewBatch(c, lanes)
-	if err != nil {
-		t.Fatalf("NewBatch: %v", err)
-	}
+	b := newBatch(t, c, lanes)
 	solos := make([]*Compiled, k)
 	for ln := range solos {
 		solos[ln] = c.Clone()
@@ -173,11 +185,9 @@ func TestBatchChainedSolvesMatchSolo(t *testing.T) {
 	}
 	step := append([]float64(nil), betas...)
 	for iter := 0; iter < 4; iter++ {
-		got, err := BatchMeanPayoff(context.Background(), b, step, BatchOptions{
-			Tol: tols, SignOnly: true, KeepValues: true,
-		})
+		got, err := solveLanes(context.Background(), b, step, tols, BatchRunOptions{SignOnly: true, KeepValues: true})
 		if err != nil {
-			t.Fatalf("step %d: BatchMeanPayoff: %v", iter, err)
+			t.Fatalf("step %d: batched solve: %v", iter, err)
 		}
 		for ln := 0; ln < k; ln++ {
 			want, err := solos[ln].MeanPayoffCtx(context.Background(), step[ln], Options{
@@ -208,12 +218,9 @@ func TestBatchWorkerCountInvariance(t *testing.T) {
 	var ref []Result
 	var refVals [][]float64
 	for _, workers := range []int{1, 2, 4, 7} {
-		b, err := NewBatch(c, lanes)
-		if err != nil {
-			t.Fatalf("NewBatch: %v", err)
-		}
+		b := newBatch(t, c, lanes)
 		b.SetWorkers(workers)
-		got, err := BatchMeanPayoff(context.Background(), b, betas, BatchOptions{Tol: tols})
+		got, err := solveLanes(context.Background(), b, betas, tols, BatchRunOptions{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -234,8 +241,11 @@ func TestBatchWorkerCountInvariance(t *testing.T) {
 
 func TestBatchValidation(t *testing.T) {
 	c := compileRing(t, 50, 0.3)
-	if _, err := NewBatch(c, nil); err == nil {
-		t.Error("NewBatch accepted zero lanes")
+	for _, k := range []int{0, DenseBatchWidth + 1} {
+		lanes, _, _ := laneFixture(k)
+		if _, err := NewBatch(c, lanes); err == nil {
+			t.Errorf("NewBatch accepted %d lanes", k)
+		}
 	}
 	if _, err := NewBatch(c, []LaneParams{{P: 1.5}}); err == nil {
 		t.Error("NewBatch accepted p outside [0, 1]")
@@ -243,16 +253,7 @@ func TestBatchValidation(t *testing.T) {
 	if _, err := NewBatch(c, []LaneParams{{P: 0.3, Gamma: math.NaN()}}); err == nil {
 		t.Error("NewBatch accepted NaN gamma")
 	}
-	b, err := NewBatch(c, []LaneParams{{P: 0.3, Gamma: 0.5}, {P: 0.2, Gamma: 0.5}})
-	if err != nil {
-		t.Fatalf("NewBatch: %v", err)
-	}
-	if _, err := b.MeanPayoffCtx(context.Background(), []float64{0.5}, BatchOptions{}); err == nil {
-		t.Error("batched solve accepted a betas slice shorter than the lane count")
-	}
-	if _, err := b.MeanPayoffCtx(context.Background(), []float64{0.5, 0.5}, BatchOptions{Tol: []float64{1e-7}}); err == nil {
-		t.Error("batched solve accepted a Tol slice shorter than the lane count")
-	}
+	b := newBatch(t, c, []LaneParams{{P: 0.3, Gamma: 0.5}, {P: 0.2, Gamma: 0.5}})
 	if err := b.SetValues(0, make([]float64, 7)); err == nil {
 		t.Error("SetValues accepted a wrong-length vector")
 	}
@@ -267,13 +268,10 @@ func TestBatchValidation(t *testing.T) {
 func TestBatchCancel(t *testing.T) {
 	c := compileRing(t, 100, 0.3)
 	lanes, betas, tols := laneFixture(3)
-	b, err := NewBatch(c, lanes)
-	if err != nil {
-		t.Fatalf("NewBatch: %v", err)
-	}
+	b := newBatch(t, c, lanes)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := BatchMeanPayoff(ctx, b, betas, BatchOptions{Tol: tols})
+	res, err := solveLanes(ctx, b, betas, tols, BatchRunOptions{})
 	if err == nil || !strings.Contains(err.Error(), "canceled") {
 		t.Fatalf("pre-canceled solve: err = %v, want cancellation", err)
 	}
@@ -289,24 +287,21 @@ func TestBatchCancel(t *testing.T) {
 
 // TestBatchSteadyStateAllocs is the allocation regression guard on the
 // batched sweep loop: a warm re-solve over an existing Batch must stay
-// allocation-free apart from the results slice and the loop's two
-// closures — per-sweep allocations (the historical failure mode: a
-// closure or scratch slice born inside the sweep loop) would show up
-// hundreds of times over this budget.
+// allocation-free apart from the results slice, the loop's closures and
+// the test's lane source — per-sweep allocations (the historical failure
+// mode: a closure or scratch slice born inside the sweep loop) would show
+// up hundreds of times over this budget.
 func TestBatchSteadyStateAllocs(t *testing.T) {
 	c := compileRing(t, 200, 0.3)
 	lanes, betas, tols := laneFixture(4)
-	b, err := NewBatch(c, lanes)
-	if err != nil {
-		t.Fatalf("NewBatch: %v", err)
-	}
+	b := newBatch(t, c, lanes)
 	b.SetWorkers(1) // single-chunk par.For runs inline: no goroutine allocs
-	opts := BatchOptions{Tol: tols, SignOnly: true, KeepValues: true}
-	if _, err := b.MeanPayoffCtx(context.Background(), betas, opts); err != nil {
+	opts := BatchRunOptions{SignOnly: true, KeepValues: true}
+	if _, err := solveLanes(context.Background(), b, betas, tols, opts); err != nil {
 		t.Fatalf("priming solve: %v", err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := b.MeanPayoffCtx(context.Background(), betas, opts); err != nil {
+		if _, err := solveLanes(context.Background(), b, betas, tols, opts); err != nil {
 			t.Fatalf("steady-state solve: %v", err)
 		}
 	})
@@ -318,25 +313,22 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 
 // TestBatchLastLiveLaneMatchesSolo: one lane of an 8-lane batch asks for a
 // far tighter bracket than the other seven, so it runs alone for most of
-// the solve — on the dense sweep, which keeps computing the retired
+// the solve — on the assembly sweep, which keeps computing the retired
 // slots. That lane, and every early finisher, must stay bitwise equal to
 // its solo solve.
 func TestBatchLastLiveLaneMatchesSolo(t *testing.T) {
 	c := compileRing(t, 300, 0.3)
-	lanes, betas, _ := laneFixture(denseLaneWidth)
-	tols := make([]float64, denseLaneWidth)
+	lanes, betas, _ := laneFixture(DenseBatchWidth)
+	tols := make([]float64, DenseBatchWidth)
 	for ln := range tols {
 		tols[ln] = 1e-4
 	}
 	const slow = 5
 	tols[slow] = 1e-13
-	b, err := NewBatch(c, lanes)
+	b := newBatch(t, c, lanes)
+	got, err := solveLanes(context.Background(), b, betas, tols, BatchRunOptions{})
 	if err != nil {
-		t.Fatalf("NewBatch: %v", err)
-	}
-	got, err := BatchMeanPayoff(context.Background(), b, betas, BatchOptions{Tol: tols})
-	if err != nil {
-		t.Fatalf("BatchMeanPayoff: %v", err)
+		t.Fatalf("batched solve: %v", err)
 	}
 	others := 0
 	for ln := range lanes {

@@ -76,10 +76,10 @@ type Compiled struct {
 const minStatesPerWorker = 1 << 11
 
 // SetWorkers sets the number of goroutines used per value-iteration sweep
-// by MeanPayoff, GreedyPolicy and EvalERRev on this instance. n > 0 forces
-// exactly n (capped at the state count); n <= 0 — the initial state — uses
-// runtime.NumCPU(), reduced automatically when the model is too small for
-// fan-out to pay off. The worker count never affects results, only
+// by MeanPayoffCtx, GreedyPolicy and EvalERRevCtx on this instance. n > 0
+// forces exactly n (capped at the state count); n <= 0 — the initial state
+// — uses runtime.NumCPU(), reduced automatically when the model is too
+// small for fan-out to pay off. The worker count never affects results, only
 // wall-clock time.
 func (c *Compiled) SetWorkers(n int) { c.workers = n }
 
@@ -257,10 +257,10 @@ func (c *Compiled) Values() []float64 {
 }
 
 // SetValues installs v as the value vector, to be picked up by the next
-// MeanPayoff call with KeepValues set. The warm start changes only the
+// MeanPayoffCtx call with KeepValues set. The warm start changes only the
 // number of sweeps a solve needs, never a certified outcome: every sweep's
 // gain bracket contains the optimal gain regardless of the starting vector,
-// so sign-only solves still decide the true sign (see MeanPayoff).
+// so sign-only solves still decide the true sign (see MeanPayoffCtx).
 func (c *Compiled) SetValues(v []float64) error {
 	if len(v) != len(c.h) {
 		return fmt.Errorf("kernel: warm-start vector has %d entries, model has %d states", len(v), len(c.h))
@@ -419,13 +419,6 @@ func (o *Options) defaults() {
 	}
 }
 
-// MeanPayoff runs relative value iteration for reward r_β over the compiled
-// structure with no cancellation; it is MeanPayoffCtx under
-// context.Background().
-func (c *Compiled) MeanPayoff(beta float64, opts Options) (*Result, error) {
-	return c.MeanPayoffCtx(context.Background(), beta, opts)
-}
-
 // MeanPayoffCtx runs relative value iteration for reward r_β over the
 // compiled structure. It returns a certified bracket [Lo, Hi] containing
 // the optimal gain g* = max_σ MP(σ): for any value vector h,
@@ -554,7 +547,7 @@ func (c *Compiled) meanPayoffCtx(ctx context.Context, beta float64, opts Options
 }
 
 // GreedyPolicy extracts the policy that is greedy with respect to the
-// current value vector (from the last MeanPayoff call) under reward r_β.
+// current value vector (from the last MeanPayoffCtx call) under reward r_β.
 // The extraction sweep is parallelized across SetWorkers goroutines; each
 // state's choice depends only on the frozen value vector, so the policy is
 // identical at any worker count.
@@ -595,19 +588,13 @@ func (c *Compiled) greedyRange(policy []int, h []float64, rwd *[rwdTableSize]flo
 	}
 }
 
-// EvalERRev brackets the expected relative revenue of a fixed policy with
-// no cancellation; it is EvalERRevCtx under context.Background().
-func (c *Compiled) EvalERRev(policy []int, opts Options) (float64, error) {
-	return c.EvalERRevCtx(context.Background(), policy, opts)
-}
-
 // EvalERRevCtx brackets the expected relative revenue of a fixed policy as
 // gain(r_A) / gain(r_A + r_H), each gain from fixed-policy relative value
 // iteration. Both iterations share one sweep loop that streams the chosen
 // action's transition range of every row once for the two value vectors;
 // each vector keeps its own bracket and freezes once that bracket
 // converges, so both gains are bitwise what two separate evaluations would
-// return. Sweeps are parallelized like MeanPayoff and equally independent
+// return. Sweeps are parallelized like MeanPayoffCtx and equally independent
 // of the worker count; ctx is checked at sweep boundaries, exactly as in
 // MeanPayoffCtx.
 //

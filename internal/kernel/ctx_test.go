@@ -66,11 +66,12 @@ func TestMeanPayoffCtxCancelsAtBoundary(t *testing.T) {
 }
 
 // TestMeanPayoffCtxCompletedBitwise: attaching a live (never-fired)
-// context changes nothing about a completed solve.
+// context changes nothing about a completed solve — the check sits between
+// sweeps, never inside — down to the converged value vector.
 func TestMeanPayoffCtxCompletedBitwise(t *testing.T) {
 	a := compileTwoState(t)
 	b := compileTwoState(t)
-	ref, err := a.MeanPayoff(0.3, Options{Tol: 1e-10})
+	ref, err := a.MeanPayoffCtx(context.Background(), 0.3, Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,6 +86,12 @@ func TestMeanPayoffCtxCompletedBitwise(t *testing.T) {
 		math.Float64bits(got.Hi) != math.Float64bits(ref.Hi) ||
 		got.Iters != ref.Iters {
 		t.Fatalf("ctx solve %+v != plain solve %+v", got, ref)
+	}
+	want, have := a.Values(), b.Values()
+	for i := range want {
+		if math.Float64bits(have[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("value vectors diverge at state %d", i)
+		}
 	}
 }
 

@@ -47,7 +47,7 @@ func greedyFor(t *testing.T, s evalShape, p, gamma, beta float64) (*kernel.Compi
 	if err != nil {
 		t.Fatalf("%v: Compile: %v", s, err)
 	}
-	if _, err := c.MeanPayoff(beta, kernel.Options{Tol: 1e-7}); err != nil {
+	if _, err := c.MeanPayoffCtx(context.Background(), beta, kernel.Options{Tol: 1e-7}); err != nil {
 		t.Fatalf("%v: MeanPayoff: %v", s, err)
 	}
 	return c, c.GreedyPolicy(beta)
@@ -88,13 +88,13 @@ func TestEvalERRevFusedMatchesTwoPass(t *testing.T) {
 // a silently zero-scored row.
 func TestEvalERRevRejectsOutOfRangeAction(t *testing.T) {
 	c, policy := greedyFor(t, evalShape{families.DefaultName, 2, 1, 4}, 0.3, 0.5, 0.41)
-	if _, err := c.EvalERRev(policy, kernel.Options{Tol: 1e-9}); err != nil {
+	if _, err := c.EvalERRevCtx(context.Background(), policy, kernel.Options{Tol: 1e-9}); err != nil {
 		t.Fatalf("valid policy: %v", err)
 	}
 	for _, bad := range []int{99, -1} {
 		mut := append([]int(nil), policy...)
 		mut[0] = bad
-		v, err := c.EvalERRev(mut, kernel.Options{Tol: 1e-9})
+		v, err := c.EvalERRevCtx(context.Background(), mut, kernel.Options{Tol: 1e-9})
 		if err == nil {
 			t.Errorf("policy[0] = %d accepted, ERRev %v", bad, v)
 			continue

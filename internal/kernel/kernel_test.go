@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -57,7 +58,7 @@ func TestCompileCoinGainAndPolicy(t *testing.T) {
 	if err := c.CheckStochastic(1e-12); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.MeanPayoff(0.1, Options{Tol: 1e-10})
+	res, err := c.MeanPayoffCtx(context.Background(), 0.1, Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatalf("MeanPayoff: %v", err)
 	}
@@ -70,7 +71,7 @@ func TestCompileCoinGainAndPolicy(t *testing.T) {
 	if pol := c.GreedyPolicy(0.5); pol[0] != 0 {
 		t.Errorf("greedy policy at beta=0.5: %v, want [0]", pol)
 	}
-	errev, err := c.EvalERRev([]int{1}, Options{Tol: 1e-10})
+	errev, err := c.EvalERRevCtx(context.Background(), []int{1}, Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatalf("EvalERRev: %v", err)
 	}
@@ -92,7 +93,7 @@ func TestSetChainParamsReResolvesLaws(t *testing.T) {
 	if c.P() != 0.7 || c.Gamma() != 0.5 {
 		t.Fatalf("chain params (%v, %v), want (0.7, 0.5)", c.P(), c.Gamma())
 	}
-	errev, err := c.EvalERRev([]int{1}, Options{Tol: 1e-10})
+	errev, err := c.EvalERRevCtx(context.Background(), []int{1}, Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,14 +113,14 @@ func TestCycleERRev(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.MeanPayoff(0.25, Options{Tol: 1e-10})
+	res, err := c.MeanPayoffCtx(context.Background(), 0.25, Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(res.Gain-0.25) > 1e-9 {
 		t.Errorf("cycle gain at beta=0.25: %v, want 0.25", res.Gain)
 	}
-	errev, err := c.EvalERRev([]int{0, 0}, Options{Tol: 1e-10})
+	errev, err := c.EvalERRevCtx(context.Background(), []int{0, 0}, Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package solve
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -20,7 +21,7 @@ func TestMeanPayoffWorkersDeterminism(t *testing.T) {
 		solveAt := func(workers int) (*kernel.Result, []float64, []int, error) {
 			c := f.compile(t)
 			c.SetWorkers(workers)
-			res, err := c.MeanPayoff(beta, kernel.Options{Tol: 1e-9})
+			res, err := c.MeanPayoffCtx(context.Background(), beta, kernel.Options{Tol: 1e-9})
 			return res, c.Values(), c.GreedyPolicy(beta), err
 		}
 		ref, refValues, refPolicy, refErr := solveAt(1)
@@ -53,12 +54,12 @@ func TestEvalPolicyIterativeWorkersDeterminism(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	f := randomUnichain(r, 80, 3)
 	c := f.compile(t)
-	if _, err := c.MeanPayoff(0.4, kernel.Options{Tol: 1e-9}); err != nil {
+	if _, err := c.MeanPayoffCtx(context.Background(), 0.4, kernel.Options{Tol: 1e-9}); err != nil {
 		t.Fatal(err)
 	}
 	policy := c.GreedyPolicy(0.4)
 	c.SetWorkers(1)
-	ref, err := c.EvalERRev(policy, kernel.Options{Tol: 1e-9})
+	ref, err := c.EvalERRevCtx(context.Background(), policy, kernel.Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestEvalPolicyIterativeWorkersDeterminism(t *testing.T) {
 	}
 	for _, w := range []int{2, 5} {
 		c.SetWorkers(w)
-		got, err := c.EvalERRev(policy, kernel.Options{Tol: 1e-9})
+		got, err := c.EvalERRevCtx(context.Background(), policy, kernel.Options{Tol: 1e-9})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package solve
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,7 +13,7 @@ import (
 
 func TestMeanPayoffChooseLoop(t *testing.T) {
 	c := chooseLoop().compile(t)
-	res, err := c.MeanPayoff(0.3, kernel.Options{Tol: 1e-10})
+	res, err := c.MeanPayoffCtx(context.Background(), 0.3, kernel.Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatalf("MeanPayoff: %v", err)
 	}
@@ -26,7 +27,7 @@ func TestMeanPayoffChooseLoop(t *testing.T) {
 
 func TestMeanPayoffStayOrCycle(t *testing.T) {
 	c := stayOrCycle().compile(t)
-	res, err := c.MeanPayoff(0.5, kernel.Options{Tol: 1e-9})
+	res, err := c.MeanPayoffCtx(context.Background(), 0.5, kernel.Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatalf("MeanPayoff: %v", err)
 	}
@@ -45,7 +46,7 @@ func TestMeanPayoffPeriodicChain(t *testing.T) {
 	// Pure 2-cycle with rewards 1, 0 at β = 0.5: gain 0.5. Undamped VI
 	// would oscillate; damping must still converge.
 	c := fixture{{sure(1, 2, 0)}, {sure(0, 0, 0)}}.compile(t)
-	res, err := c.MeanPayoff(0.5, kernel.Options{Tol: 1e-9})
+	res, err := c.MeanPayoffCtx(context.Background(), 0.5, kernel.Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatalf("MeanPayoff: %v", err)
 	}
@@ -56,7 +57,7 @@ func TestMeanPayoffPeriodicChain(t *testing.T) {
 
 func TestMeanPayoffSignOnly(t *testing.T) {
 	c := chooseLoop().compile(t)
-	res, err := c.MeanPayoff(0.3, kernel.Options{SignOnly: true})
+	res, err := c.MeanPayoffCtx(context.Background(), 0.3, kernel.Options{SignOnly: true})
 	if err != nil {
 		t.Fatalf("MeanPayoff: %v", err)
 	}
@@ -64,7 +65,7 @@ func TestMeanPayoffSignOnly(t *testing.T) {
 		t.Errorf("sign-only solve should certify positive gain, bracket [%v, %v]", res.Lo, res.Hi)
 	}
 	// At β = 1.2 both rewards are negative (−0.2 and −1.2).
-	res, err = c.MeanPayoff(1.2, kernel.Options{SignOnly: true})
+	res, err = c.MeanPayoffCtx(context.Background(), 1.2, kernel.Options{SignOnly: true})
 	if err != nil {
 		t.Fatalf("MeanPayoff: %v", err)
 	}
@@ -75,11 +76,11 @@ func TestMeanPayoffSignOnly(t *testing.T) {
 
 func TestMeanPayoffWarmStart(t *testing.T) {
 	c := stayOrCycle().compile(t)
-	cold, err := c.MeanPayoff(0.5, kernel.Options{Tol: 1e-9})
+	cold, err := c.MeanPayoffCtx(context.Background(), 0.5, kernel.Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatalf("cold solve: %v", err)
 	}
-	warm, err := c.MeanPayoff(0.5, kernel.Options{Tol: 1e-9, KeepValues: true})
+	warm, err := c.MeanPayoffCtx(context.Background(), 0.5, kernel.Options{Tol: 1e-9, KeepValues: true})
 	if err != nil {
 		t.Fatalf("warm solve: %v", err)
 	}
@@ -92,7 +93,7 @@ func TestMeanPayoffWarmStart(t *testing.T) {
 }
 
 func TestMeanPayoffIterationLimit(t *testing.T) {
-	res, err := stayOrCycle().compile(t).MeanPayoff(0.5, kernel.Options{Tol: 1e-12, MaxIter: 2})
+	res, err := stayOrCycle().compile(t).MeanPayoffCtx(context.Background(), 0.5, kernel.Options{Tol: 1e-12, MaxIter: 2})
 	if err == nil {
 		t.Fatal("expected a non-convergence error")
 	}
@@ -148,14 +149,14 @@ func TestRVIAgreesWithPolicyIteration(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		iter, err := f.compile(t).MeanPayoff(beta, kernel.Options{Tol: 1e-9})
+		iter, err := f.compile(t).MeanPayoffCtx(context.Background(), beta, kernel.Options{Tol: 1e-9})
 		if err != nil {
 			return false
 		}
 		if iter.Lo > exact.Gain+1e-12 || iter.Hi < exact.Gain-1e-12 {
 			return false
 		}
-		sign, err := f.compile(t).MeanPayoff(beta, kernel.Options{Tol: 1e-6, SignOnly: true})
+		sign, err := f.compile(t).MeanPayoffCtx(context.Background(), beta, kernel.Options{Tol: 1e-6, SignOnly: true})
 		if err != nil || (sign.Lo > 0 && exact.Gain <= 0) || (sign.Hi < 0 && exact.Gain >= 0) {
 			return false
 		}
@@ -192,7 +193,7 @@ func TestEvalPolicyExactMatchesIterative(t *testing.T) {
 	if math.Abs(gain-1) > 1e-10 {
 		t.Errorf("gain = %v, want 1", gain)
 	}
-	errev, err := f.compile(t).EvalERRev(policy, kernel.Options{Tol: 1e-10})
+	errev, err := f.compile(t).EvalERRevCtx(context.Background(), policy, kernel.Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatalf("EvalERRev: %v", err)
 	}
@@ -205,7 +206,7 @@ func TestEvalPolicyExactMatchesIterative(t *testing.T) {
 }
 
 func TestEvalPolicyIterativeSuboptimal(t *testing.T) {
-	errev, err := stayOrCycle().compile(t).EvalERRev([]int{0, 0}, kernel.Options{Tol: 1e-10})
+	errev, err := stayOrCycle().compile(t).EvalERRevCtx(context.Background(), []int{0, 0}, kernel.Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatalf("EvalERRev: %v", err)
 	}
@@ -215,7 +216,7 @@ func TestEvalPolicyIterativeSuboptimal(t *testing.T) {
 }
 
 func TestEvalPolicyWrongLength(t *testing.T) {
-	if _, err := stayOrCycle().compile(t).EvalERRev([]int{0}, kernel.Options{}); err == nil {
+	if _, err := stayOrCycle().compile(t).EvalERRevCtx(context.Background(), []int{0}, kernel.Options{}); err == nil {
 		t.Fatal("expected error for short policy, got nil")
 	}
 }
@@ -224,7 +225,7 @@ func TestGainRatio(t *testing.T) {
 	// 2-cycle paying an adversary block on 0->1 and an honest block on
 	// 1->0: ERRev = gain(r_A) / gain(r_A + r_H) = 0.5.
 	f := fixture{{sure(1, 1, 0)}, {sure(0, 0, 1)}}
-	ratio, err := f.compile(t).EvalERRev([]int{0, 0}, kernel.Options{Tol: 1e-10})
+	ratio, err := f.compile(t).EvalERRevCtx(context.Background(), []int{0, 0}, kernel.Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatalf("EvalERRev: %v", err)
 	}
@@ -239,7 +240,7 @@ func TestGainRatio(t *testing.T) {
 func TestGainRatioZeroDenominator(t *testing.T) {
 	// No transition makes a block permanent: the total gain is zero.
 	f := fixture{{sure(0, 0, 0)}}
-	if _, err := f.compile(t).EvalERRev([]int{0}, kernel.Options{Tol: 1e-10}); err == nil {
+	if _, err := f.compile(t).EvalERRevCtx(context.Background(), []int{0}, kernel.Options{Tol: 1e-10}); err == nil {
 		t.Fatal("expected error for zero denominator gain, got nil")
 	}
 }

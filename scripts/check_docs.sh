@@ -2,9 +2,10 @@
 # check_docs.sh keeps the docs/ tier honest: it resolves every relative
 # markdown link, cross-checks the HTTP route and job-error-code tables in
 # docs/HTTP_API.md against cmd/serve, checks the adaptive sweep surface
-# against docs/SWEEPS.md, and greps each CLI's registered flags against
-# its own -h doc comment so usage blocks cannot rot silently. Pure grep —
-# no build step — so the CI docs job stays fast.
+# against docs/SWEEPS.md, checks that every test the docs and CI name
+# exists, and greps each CLI's registered flags against its own -h doc
+# comment so usage blocks cannot rot silently. Pure grep — no build step —
+# so the CI docs job stays fast.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -124,6 +125,18 @@ for route in /metrics /readyz; do
   grep -qF "$route" docs/OBSERVABILITY.md || err "route $route missing from docs/OBSERVABILITY.md"
 done
 grep -qF "X-Request-ID" docs/HTTP_API.md || err "X-Request-ID header missing from docs/HTTP_API.md"
+
+# --- every test the docs name exists --------------------------------------
+# `go test -run` with a stale name matches nothing and passes silently, so
+# each Test.../Benchmark... name in the docs, the verify skill or CI must
+# be a func in some _test.go.
+tests=$(grep -rhoE --include='*_test.go' '^func (Test|Benchmark)[A-Za-z0-9_]+' . | sed 's/^func //' | sort -u)
+for doc in README.md docs/*.md .claude/skills/verify/SKILL.md .github/workflows/ci.yml; do
+  [ -f "$doc" ] || continue
+  while IFS= read -r name; do
+    printf '%s\n' "$tests" | grep -qxF "$name" || err "$doc: names $name, which no _test.go defines"
+  done < <(grep -oE '\b(Test|Benchmark)[A-Z][A-Za-z0-9_]*' "$doc" | sort -u)
+done
 
 # --- every CLI and example is referenced ---------------------------------
 for d in cmd/*/; do

@@ -25,19 +25,19 @@
 //
 // # Cancellation and deadlines
 //
-// Every entry point takes a context.Context as its first argument (the
-// context-free names are thin context.Background() wrappers kept for
-// compatibility). Cancellation is cooperative and deterministic: Algorithm
-// 1's nested structure — binary search on β, value-iteration solves per
-// step, sweeps per solve — is checked at every level, but only at sweep
-// BOUNDARIES, never inside a sweep, so a solve that completes performs
-// exactly the floating-point computation it would have performed with no
-// context attached. Interrupted calls return a *CancelError (matching
-// ErrCanceled, and context.Canceled or context.DeadlineExceeded via
-// errors.Is) carrying the certified partial progress: the binary-search
-// bracket narrowed so far and the work done. Cancelling a solve never
-// poisons a Service's caches — a canceled solve stores nothing, and
-// re-running it yields a result bitwise identical to an uninterrupted one.
+// Every entry point takes a context.Context as its first argument; pass
+// context.Background() for a run that is never cut short. Cancellation is
+// cooperative and deterministic: Algorithm 1's nested structure — binary
+// search on β, value-iteration solves per step, sweeps per solve — is
+// checked at every level, but only at sweep BOUNDARIES, never inside a
+// sweep, so a solve that completes performs exactly the floating-point
+// computation it would have performed with no context attached.
+// Interrupted calls return a *CancelError (matching ErrCanceled, and
+// context.Canceled or context.DeadlineExceeded via errors.Is) carrying the
+// certified partial progress: the binary-search bracket narrowed so far
+// and the work done. Cancelling a solve never poisons a Service's caches —
+// a canceled solve stores nothing, and re-running it yields a result
+// bitwise identical to an uninterrupted one.
 // WithProgress observes the live bracket after each binary-search step.
 //
 // # Model families
@@ -276,15 +276,6 @@ type Analysis struct {
 	NumStates int
 
 	model *core.Model
-}
-
-// Analyze is AnalyzeContext under context.Background().
-//
-// Deprecated: use AnalyzeContext, the canonical v2 entry point, which adds
-// cancellation, deadlines and partial-progress errors. Analyze remains a
-// thin wrapper and computes bit-identical results.
-func Analyze(p AttackParams, opts ...Option) (*Analysis, error) {
-	return AnalyzeContext(context.Background(), p, opts...)
 }
 
 // AnalyzeContext runs the paper's Algorithm 1 on the given configuration of

@@ -2,6 +2,7 @@ package selfishmining
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -14,7 +15,7 @@ func smallParams() AttackParams {
 }
 
 func TestAnalyzeEndToEnd(t *testing.T) {
-	res, err := Analyze(smallParams())
+	res, err := AnalyzeContext(context.Background(), smallParams())
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -38,7 +39,7 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 // analysis of that strategy, which reaches the certified bound, and the
 // certified bracket contains β*, the root of MP*_β by policy iteration.
 func TestAnalyzeBackendsAgree(t *testing.T) {
-	res, err := Analyze(smallParams())
+	res, err := AnalyzeContext(context.Background(), smallParams())
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -78,13 +79,13 @@ func TestAnalyzeBackendsAgree(t *testing.T) {
 func TestAnalyzeInvalidParams(t *testing.T) {
 	bad := smallParams()
 	bad.Adversary = 1.5
-	if _, err := Analyze(bad); err == nil {
+	if _, err := AnalyzeContext(context.Background(), bad); err == nil {
 		t.Fatal("invalid params accepted")
 	}
 }
 
 func TestAnalyzeWithoutStrategyEval(t *testing.T) {
-	res, err := Analyze(smallParams(), WithoutStrategyEval(), WithEpsilon(1e-3))
+	res, err := AnalyzeContext(context.Background(), smallParams(), WithoutStrategyEval(), WithEpsilon(1e-3))
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -94,7 +95,7 @@ func TestAnalyzeWithoutStrategyEval(t *testing.T) {
 }
 
 func TestAnalysisSimulateAgrees(t *testing.T) {
-	res, err := Analyze(smallParams())
+	res, err := AnalyzeContext(context.Background(), smallParams())
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -108,7 +109,7 @@ func TestAnalysisSimulateAgrees(t *testing.T) {
 }
 
 func TestAnalysisProfile(t *testing.T) {
-	res, err := Analyze(smallParams())
+	res, err := AnalyzeContext(context.Background(), smallParams())
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -126,7 +127,7 @@ func TestAnalysisProfile(t *testing.T) {
 }
 
 func TestStrategyRoundTripViaAPI(t *testing.T) {
-	res, err := Analyze(smallParams(), WithEpsilon(1e-3))
+	res, err := AnalyzeContext(context.Background(), smallParams(), WithEpsilon(1e-3))
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -166,7 +167,7 @@ func TestBaselineWrappers(t *testing.T) {
 }
 
 func TestSweepSmallGrid(t *testing.T) {
-	fig, err := Sweep(SweepOptions{
+	fig, err := SweepContext(context.Background(), SweepOptions{
 		Gamma:      0.5,
 		PGrid:      []float64{0, 0.1, 0.2, 0.3},
 		Configs:    []AttackConfig{{Depth: 1, Forks: 1}, {Depth: 2, Forks: 1}},
@@ -198,7 +199,7 @@ func TestSweepSmallGrid(t *testing.T) {
 }
 
 func TestSweepRejectsBadGamma(t *testing.T) {
-	if _, err := Sweep(SweepOptions{Gamma: 1.5}); err == nil {
+	if _, err := SweepContext(context.Background(), SweepOptions{Gamma: 1.5}); err == nil {
 		t.Fatal("bad gamma accepted")
 	}
 }
@@ -209,7 +210,7 @@ func TestSweepRejectsBadGamma(t *testing.T) {
 // tolerance).
 func TestAnalyzeTwoSidedBound(t *testing.T) {
 	const eps = 1e-4
-	res, err := Analyze(smallParams(), WithEpsilon(eps))
+	res, err := AnalyzeContext(context.Background(), smallParams(), WithEpsilon(eps))
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}

@@ -100,7 +100,7 @@ func TestCheckpointsMatchProgress(t *testing.T) {
 	type step struct{ lo, up float64 }
 	var progress []step
 	var cks []Checkpoint
-	res, err := Analyze(params, WithEpsilon(1e-3),
+	res, err := AnalyzeContext(context.Background(), params, WithEpsilon(1e-3),
 		WithProgress(func(lo, up float64, iter int) { progress = append(progress, step{lo, up}) }),
 		WithCheckpoints(func(ck Checkpoint) { cks = append(cks, ck) }))
 	if err != nil {

@@ -92,7 +92,7 @@ func TestCancelAndRetryDeterminism(t *testing.T) {
 // answer.
 func TestCancelErrorMetadata(t *testing.T) {
 	params := cancelFamilyCases[0].params
-	ref, err := Analyze(params, WithEpsilon(1e-3), WithBoundOnly())
+	ref, err := AnalyzeContext(context.Background(), params, WithEpsilon(1e-3), WithBoundOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestDeprecatedWrappersBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, err := Analyze(params, WithEpsilon(1e-3))
+	v1, err := AnalyzeContext(context.Background(), params, WithEpsilon(1e-3))
 	if err != nil {
 		t.Fatal(err)
 	}

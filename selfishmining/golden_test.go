@@ -1,6 +1,7 @@
 package selfishmining
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -33,7 +34,7 @@ var goldenAnalyzePoints = []goldenAnalyze{
 func TestGoldenForkAnalyzeBitwise(t *testing.T) {
 	svc := NewService(ServiceConfig{})
 	for _, g := range goldenAnalyzePoints {
-		res, err := svc.Analyze(g.params, WithEpsilon(1e-4), WithBoundOnly())
+		res, err := svc.AnalyzeContext(context.Background(), g.params, WithEpsilon(1e-4), WithBoundOnly())
 		if err != nil {
 			t.Fatalf("%v: %v", g.params, err)
 		}
@@ -56,7 +57,7 @@ func TestGoldenForkAnalyzeExplicitModelName(t *testing.T) {
 	g := goldenAnalyzePoints[0]
 	named := g.params
 	named.Model = "fork"
-	res, err := svc.Analyze(named, WithEpsilon(1e-4), WithBoundOnly())
+	res, err := svc.AnalyzeContext(context.Background(), named, WithEpsilon(1e-4), WithBoundOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestGoldenForkAnalyzeExplicitModelName(t *testing.T) {
 		t.Errorf("explicit fork model: ERRev %.17g, golden %.17g", res.ERRev, g.errev)
 	}
 	// The empty name must hit the cache entry of the explicit name.
-	_, info, err := svc.AnalyzeDetailed(g.params, WithEpsilon(1e-4), WithBoundOnly())
+	_, info, err := svc.AnalyzeDetailedContext(context.Background(), g.params, WithEpsilon(1e-4), WithBoundOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ var goldenSweepSeries = map[string][]float64{
 
 // TestGoldenForkSweepBitwise pins the sweep half of the parity criterion.
 func TestGoldenForkSweepBitwise(t *testing.T) {
-	fig, err := Sweep(SweepOptions{
+	fig, err := SweepContext(context.Background(), SweepOptions{
 		Gamma:      0.5,
 		PGrid:      []float64{0, 0.1, 0.2, 0.3},
 		Configs:    []AttackConfig{{Depth: 1, Forks: 1}, {Depth: 2, Forks: 1}},
@@ -151,7 +152,7 @@ var (
 // TestGoldenAdaptiveForkSweepBitwise pins an adaptive sweep end to end:
 // refined x-axis and every series value, bit for bit.
 func TestGoldenAdaptiveForkSweepBitwise(t *testing.T) {
-	fig, err := Sweep(SweepOptions{
+	fig, err := SweepContext(context.Background(), SweepOptions{
 		Gamma:      0.5,
 		PGrid:      []float64{0, 0.1, 0.2, 0.3},
 		Configs:    []AttackConfig{{Depth: 2, Forks: 1}},

@@ -1,6 +1,7 @@
 package selfishmining
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -62,18 +63,18 @@ func TestUnknownFamilyErrors(t *testing.T) {
 
 	requireUnknownFamilyError(t, bad.Validate(), "AttackParams.Validate")
 
-	_, err := Analyze(bad)
-	requireUnknownFamilyError(t, err, "Analyze")
+	_, err := AnalyzeContext(context.Background(), bad)
+	requireUnknownFamilyError(t, err, "AnalyzeContext")
 
 	svc := NewService(ServiceConfig{})
-	_, err = svc.Analyze(bad)
-	requireUnknownFamilyError(t, err, "Service.Analyze")
+	_, err = svc.AnalyzeContext(context.Background(), bad)
+	requireUnknownFamilyError(t, err, "Service.AnalyzeContext")
 
-	_, err = svc.AnalyzeBatch([]AttackParams{bad})
-	requireUnknownFamilyError(t, err, "Service.AnalyzeBatch")
+	_, err = svc.AnalyzeBatchContext(context.Background(), []AttackParams{bad})
+	requireUnknownFamilyError(t, err, "Service.AnalyzeBatchContext")
 
-	_, err = svc.Sweep(SweepOptions{Model: "bogus", Gamma: 0.5, PGrid: []float64{0.1}})
-	requireUnknownFamilyError(t, err, "Service.Sweep")
+	_, err = svc.SweepContext(context.Background(), SweepOptions{Model: "bogus", Gamma: 0.5, PGrid: []float64{0.1}})
+	requireUnknownFamilyError(t, err, "Service.SweepContext")
 
 	if n := bad.NumStates(); n != 0 {
 		t.Errorf("NumStates of unknown family = %d, want 0", n)
@@ -90,9 +91,9 @@ func TestNonForkFamilyThroughService(t *testing.T) {
 		Adversary: 0.3, Switching: 0.5,
 		Depth: 1, Forks: 3, MaxForkLen: 3,
 	}
-	res, err := svc.Analyze(p, WithEpsilon(1e-6), WithBoundOnly())
+	res, err := svc.AnalyzeContext(context.Background(), p, WithEpsilon(1e-6), WithBoundOnly())
 	if err != nil {
-		t.Fatalf("Analyze(singletree): %v", err)
+		t.Fatalf("AnalyzeContext(singletree): %v", err)
 	}
 	want, err := SingleTreeRevenue(0.3, 0.5, 3, 3)
 	if err != nil {
@@ -101,7 +102,7 @@ func TestNonForkFamilyThroughService(t *testing.T) {
 	if math.Abs(res.ERRev-want) > 1e-5 {
 		t.Errorf("service singletree ERRev %v, baseline %v", res.ERRev, want)
 	}
-	_, info, err := svc.AnalyzeDetailed(p, WithEpsilon(1e-6), WithBoundOnly())
+	_, info, err := svc.AnalyzeDetailedContext(context.Background(), p, WithEpsilon(1e-6), WithBoundOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,13 +113,13 @@ func TestNonForkFamilyThroughService(t *testing.T) {
 	// cache: nakamoto (1,1,l) vs fork (1,1,l) is the dangerous pair.
 	nak := AttackParams{Model: "nakamoto", Adversary: 0.3, Switching: 0.5, Depth: 1, Forks: 1, MaxForkLen: 4}
 	fork := AttackParams{Adversary: 0.3, Switching: 0.5, Depth: 1, Forks: 1, MaxForkLen: 4}
-	nakRes, err := svc.Analyze(nak, WithEpsilon(1e-4), WithBoundOnly())
+	nakRes, err := svc.AnalyzeContext(context.Background(), nak, WithEpsilon(1e-4), WithBoundOnly())
 	if err != nil {
-		t.Fatalf("Analyze(nakamoto): %v", err)
+		t.Fatalf("AnalyzeContext(nakamoto): %v", err)
 	}
-	forkRes, err := svc.Analyze(fork, WithEpsilon(1e-4), WithBoundOnly())
+	forkRes, err := svc.AnalyzeContext(context.Background(), fork, WithEpsilon(1e-4), WithBoundOnly())
 	if err != nil {
-		t.Fatalf("Analyze(fork): %v", err)
+		t.Fatalf("AnalyzeContext(fork): %v", err)
 	}
 	if nakRes.ERRev == forkRes.ERRev {
 		t.Errorf("nakamoto and fork at the same shape returned identical ERRev %v — cache key collision?", nakRes.ERRev)
@@ -129,7 +130,7 @@ func TestNonForkFamilyThroughService(t *testing.T) {
 // non-fork analysis works through the compiled kernel, but the physical
 // fork substrate (Simulate/Profile/WriteStrategy) is gated off.
 func TestNonForkFullAnalysisAndSubstrateGates(t *testing.T) {
-	res, err := Analyze(AttackParams{
+	res, err := AnalyzeContext(context.Background(), AttackParams{
 		Model:     "nakamoto",
 		Adversary: 0.4, Switching: 0,
 		Depth: 1, Forks: 1, MaxForkLen: 10,
@@ -160,7 +161,7 @@ func TestNonForkFullAnalysisAndSubstrateGates(t *testing.T) {
 // TestNonForkSweep: a sweep over a non-fork family produces the honest
 // baseline plus one curve per config, with family-named series.
 func TestNonForkSweep(t *testing.T) {
-	fig, err := Sweep(SweepOptions{
+	fig, err := SweepContext(context.Background(), SweepOptions{
 		Model:   "nakamoto",
 		Gamma:   0,
 		PGrid:   []float64{0, 0.2, 0.4},
@@ -191,7 +192,7 @@ func TestNonForkSweep(t *testing.T) {
 // TestSingletreeSweepRejectsPOne: per-point family validation runs before
 // any solving (singletree is non-ergodic at p=1).
 func TestSingletreeSweepRejectsPOne(t *testing.T) {
-	_, err := Sweep(SweepOptions{
+	_, err := SweepContext(context.Background(), SweepOptions{
 		Model:   "singletree",
 		Gamma:   0.5,
 		PGrid:   []float64{0.5, 1},

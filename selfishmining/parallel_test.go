@@ -1,6 +1,7 @@
 package selfishmining
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -47,11 +48,11 @@ func TestAnalyzeWorkersDeterminism(t *testing.T) {
 		{"d2_f2", AttackParams{Adversary: 0.3, Switching: 0.25, Depth: 2, Forks: 2, MaxForkLen: 4}},
 	}
 	for _, tc := range cases {
-		serial, err := Analyze(tc.params, WithWorkers(1))
+		serial, err := AnalyzeContext(context.Background(), tc.params, WithWorkers(1))
 		if err != nil {
 			t.Fatalf("%s workers=1: %v", tc.name, err)
 		}
-		parallel, err := Analyze(tc.params, WithWorkers(4))
+		parallel, err := AnalyzeContext(context.Background(), tc.params, WithWorkers(4))
 		if err != nil {
 			t.Fatalf("%s workers=4: %v", tc.name, err)
 		}
@@ -65,7 +66,7 @@ func sweepPanel(t *testing.T, workers int) []struct {
 	Values []float64
 } {
 	t.Helper()
-	fig, err := Sweep(SweepOptions{
+	fig, err := SweepContext(context.Background(), SweepOptions{
 		Gamma:      0.5,
 		PGrid:      []float64{0, 0.1, 0.2, 0.3},
 		Configs:    []AttackConfig{{Depth: 1, Forks: 1}, {Depth: 2, Forks: 1}},
@@ -75,7 +76,7 @@ func sweepPanel(t *testing.T, workers int) []struct {
 		Workers:    workers,
 	})
 	if err != nil {
-		t.Fatalf("Sweep(workers=%d): %v", workers, err)
+		t.Fatalf("SweepContext(workers=%d): %v", workers, err)
 	}
 	out := make([]struct {
 		Name   string
@@ -117,7 +118,7 @@ func TestAnalyzeConcurrent(t *testing.T) {
 	grid := []float64{0.15, 0.2, 0.25, 0.3}
 	want := make([]float64, len(grid))
 	for i, p := range grid {
-		res, err := Analyze(AttackParams{Adversary: p, Switching: 0.5, Depth: 2, Forks: 1, MaxForkLen: 4},
+		res, err := AnalyzeContext(context.Background(), AttackParams{Adversary: p, Switching: 0.5, Depth: 2, Forks: 1, MaxForkLen: 4},
 			WithWorkers(1), WithoutStrategyEval())
 		if err != nil {
 			t.Fatal(err)
@@ -129,7 +130,7 @@ func TestAnalyzeConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := Analyze(AttackParams{Adversary: grid[i], Switching: 0.5, Depth: 2, Forks: 1, MaxForkLen: 4},
+			res, err := AnalyzeContext(context.Background(), AttackParams{Adversary: grid[i], Switching: 0.5, Depth: 2, Forks: 1, MaxForkLen: 4},
 				WithWorkers(2), WithoutStrategyEval())
 			if err != nil {
 				t.Errorf("p=%v: %v", grid[i], err)
@@ -146,7 +147,7 @@ func TestAnalyzeConcurrent(t *testing.T) {
 // TestSweepEmptyGrid: a non-nil empty p-grid (or config list) bypasses the
 // defaults and must yield an empty figure, not a panic in the pool setup.
 func TestSweepEmptyGrid(t *testing.T) {
-	fig, err := Sweep(SweepOptions{
+	fig, err := SweepContext(context.Background(), SweepOptions{
 		Gamma:   0.5,
 		PGrid:   []float64{},
 		Configs: []AttackConfig{{Depth: 1, Forks: 1}},
@@ -163,7 +164,7 @@ func TestSweepEmptyGrid(t *testing.T) {
 			t.Errorf("series %q has %d values on an empty grid", s.Name, len(s.Values))
 		}
 	}
-	if _, err := Sweep(SweepOptions{
+	if _, err := SweepContext(context.Background(), SweepOptions{
 		Gamma:   0.5,
 		PGrid:   []float64{0.1},
 		Configs: []AttackConfig{},
@@ -176,7 +177,7 @@ func TestSweepEmptyGrid(t *testing.T) {
 // TestSweepWorkersOption sanity-checks the pool against the serial
 // reference values of the seed's TestSweepSmallGrid shape expectations.
 func TestSweepWorkersOption(t *testing.T) {
-	fig, err := Sweep(SweepOptions{
+	fig, err := SweepContext(context.Background(), SweepOptions{
 		Gamma:      0.5,
 		PGrid:      []float64{0, 0.1, 0.3},
 		Configs:    []AttackConfig{{Depth: 2, Forks: 1}},

@@ -238,15 +238,6 @@ type AnalyzeInfo struct {
 	Coalesced bool
 }
 
-// Analyze is AnalyzeContext under context.Background().
-//
-// Deprecated: use AnalyzeContext, the canonical v2 entry point, which adds
-// cancellation, deadlines and partial-progress errors. Analyze remains a
-// thin wrapper and computes bit-identical results.
-func (s *Service) Analyze(p AttackParams, opts ...Option) (*Analysis, error) {
-	return s.AnalyzeContext(context.Background(), p, opts...)
-}
-
 // AnalyzeContext runs (or replays) the fully automated analysis for one
 // attack configuration. Options mirror the package-level AnalyzeContext,
 // and a fresh solve returns bitwise the package-level result.
@@ -262,14 +253,6 @@ func (s *Service) Analyze(p AttackParams, opts ...Option) (*Analysis, error) {
 func (s *Service) AnalyzeContext(ctx context.Context, p AttackParams, opts ...Option) (*Analysis, error) {
 	a, _, err := s.AnalyzeDetailedContext(ctx, p, opts...)
 	return a, err
-}
-
-// AnalyzeDetailed is AnalyzeDetailedContext under context.Background().
-//
-// Deprecated: use AnalyzeDetailedContext, which adds cancellation and
-// deadlines; this wrapper computes bit-identical results.
-func (s *Service) AnalyzeDetailed(p AttackParams, opts ...Option) (*Analysis, AnalyzeInfo, error) {
-	return s.AnalyzeDetailedContext(context.Background(), p, opts...)
 }
 
 // AnalyzeDetailedContext is AnalyzeContext plus serving metadata, for
@@ -513,14 +496,6 @@ func (s *Service) release() {
 	if s.sem != nil {
 		<-s.sem
 	}
-}
-
-// AnalyzeBatch is AnalyzeBatchContext under context.Background().
-//
-// Deprecated: use AnalyzeBatchContext, which adds cancellation and
-// deadlines; this wrapper computes bit-identical results.
-func (s *Service) AnalyzeBatch(reqs []AttackParams, opts ...Option) ([]*Analysis, error) {
-	return s.AnalyzeBatchContext(context.Background(), reqs, opts...)
 }
 
 // AnalyzeBatchContext answers many analysis requests, deduplicating

@@ -1,6 +1,7 @@
 package selfishmining
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sync"
@@ -38,11 +39,11 @@ func TestServiceAnalyzeMatchesPackageAnalyze(t *testing.T) {
 			opts []Option
 		}{{"full", nil}, {"bound-only", []Option{WithBoundOnly()}}} {
 			label := p.String() + " " + mode.name
-			direct, err := Analyze(p, mode.opts...)
+			direct, err := AnalyzeContext(context.Background(), p, mode.opts...)
 			if err != nil {
 				t.Fatalf("%s: package Analyze: %v", label, err)
 			}
-			served, err := newTestService(ServiceConfig{}).Analyze(p, mode.opts...)
+			served, err := newTestService(ServiceConfig{}).AnalyzeContext(context.Background(), p, mode.opts...)
 			if err != nil {
 				t.Fatalf("%s: service Analyze: %v", label, err)
 			}
@@ -56,14 +57,14 @@ func TestServiceAnalyzeMatchesPackageAnalyze(t *testing.T) {
 func TestServiceCacheHitBitwise(t *testing.T) {
 	svc := newTestService(ServiceConfig{})
 	p := smallParams()
-	first, info1, err := svc.AnalyzeDetailed(p)
+	first, info1, err := svc.AnalyzeDetailedContext(context.Background(), p)
 	if err != nil {
 		t.Fatalf("first: %v", err)
 	}
 	if info1.Cached {
 		t.Error("first call reported Cached")
 	}
-	second, info2, err := svc.AnalyzeDetailed(p)
+	second, info2, err := svc.AnalyzeDetailedContext(context.Background(), p)
 	if err != nil {
 		t.Fatalf("second: %v", err)
 	}
@@ -104,7 +105,7 @@ func TestServiceStructureShared(t *testing.T) {
 	for _, p := range []float64{0.2, 0.25, 0.3} {
 		q := base
 		q.Adversary = p
-		if _, err := svc.Analyze(q); err != nil {
+		if _, err := svc.AnalyzeContext(context.Background(), q); err != nil {
 			t.Fatalf("p=%v: %v", p, err)
 		}
 	}
@@ -135,7 +136,7 @@ func TestServiceCoalescesConcurrentIdentical(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res[i], errs[i] = svc.Analyze(p)
+			res[i], errs[i] = svc.AnalyzeContext(context.Background(), p)
 		}(i)
 	}
 	wg.Wait()
@@ -160,11 +161,11 @@ func TestServiceCoalescesConcurrentIdentical(t *testing.T) {
 func TestServiceBoundOnly(t *testing.T) {
 	svc := newTestService(ServiceConfig{})
 	p := smallParams()
-	full, err := svc.Analyze(p)
+	full, err := svc.AnalyzeContext(context.Background(), p)
 	if err != nil {
 		t.Fatalf("full: %v", err)
 	}
-	bound, err := svc.Analyze(p, WithBoundOnly())
+	bound, err := svc.AnalyzeContext(context.Background(), p, WithBoundOnly())
 	if err != nil {
 		t.Fatalf("bound-only: %v", err)
 	}
@@ -201,12 +202,12 @@ func TestServiceWarmVsColdBitwise(t *testing.T) {
 		Workers:    1, // sequential grid maximizes warm reuse
 	}
 	warmSvc := newTestService(ServiceConfig{})
-	warmFig, err := warmSvc.Sweep(opts)
+	warmFig, err := warmSvc.SweepContext(context.Background(), opts)
 	if err != nil {
 		t.Fatalf("warm sweep: %v", err)
 	}
 	coldSvc := newTestService(ServiceConfig{WarmCacheSize: -1})
-	coldFig, err := coldSvc.Sweep(opts)
+	coldFig, err := coldSvc.SweepContext(context.Background(), opts)
 	if err != nil {
 		t.Fatalf("cold sweep: %v", err)
 	}
@@ -241,7 +242,7 @@ func TestServiceWarmVsColdBitwise(t *testing.T) {
 // counts, because warm-start seeding varies with pool scheduling.
 func TestSweepDegenerateGridDeterminism(t *testing.T) {
 	run := func(workers int) *results.Figure {
-		fig, err := NewService(ServiceConfig{}).Sweep(SweepOptions{
+		fig, err := NewService(ServiceConfig{}).SweepContext(context.Background(), SweepOptions{
 			Gamma:   0.5,
 			PGrid:   []float64{0.125, 0.25, 0.3}, // dyadic points probe beta = p exactly
 			Configs: []AttackConfig{{Depth: 1, Forks: 1}, {Depth: 2, Forks: 1}},
@@ -293,12 +294,12 @@ func TestServiceSweepResultReuse(t *testing.T) {
 		TreeWidth:  3,
 		Epsilon:    1e-3,
 	}
-	first, err := svc.Sweep(opts)
+	first, err := svc.SweepContext(context.Background(), opts)
 	if err != nil {
 		t.Fatalf("first sweep: %v", err)
 	}
 	solvesAfterFirst := svc.Stats().Solves
-	second, err := svc.Sweep(opts)
+	second, err := svc.SweepContext(context.Background(), opts)
 	if err != nil {
 		t.Fatalf("second sweep: %v", err)
 	}
@@ -323,7 +324,7 @@ func TestServiceAnalyzeBatch(t *testing.T) {
 	b := smallParams()
 	b.Adversary = 0.2
 	reqs := []AttackParams{a, b, a, a, b}
-	out, err := svc.AnalyzeBatch(reqs)
+	out, err := svc.AnalyzeBatchContext(context.Background(), reqs)
 	if err != nil {
 		t.Fatalf("AnalyzeBatch: %v", err)
 	}
@@ -348,10 +349,10 @@ func TestServiceAnalyzeBatchError(t *testing.T) {
 	svc := newTestService(ServiceConfig{})
 	bad := smallParams()
 	bad.Adversary = 1.5
-	if _, err := svc.AnalyzeBatch([]AttackParams{smallParams(), bad}); err == nil {
+	if _, err := svc.AnalyzeBatchContext(context.Background(), []AttackParams{smallParams(), bad}); err == nil {
 		t.Fatal("invalid batch request accepted")
 	}
-	if out, err := svc.AnalyzeBatch(nil); err != nil || len(out) != 0 {
+	if out, err := svc.AnalyzeBatchContext(context.Background(), nil); err != nil || len(out) != 0 {
 		t.Errorf("empty batch: %v, %v", out, err)
 	}
 }
@@ -371,7 +372,7 @@ func TestServiceMaxConcurrent(t *testing.T) {
 			q := smallParams()
 			q.Adversary = p
 			var err error
-			if res[i], err = svc.Analyze(q); err != nil {
+			if res[i], err = svc.AnalyzeContext(context.Background(), q); err != nil {
 				t.Errorf("p=%v: %v", p, err)
 			}
 		}(i, p)
@@ -380,7 +381,7 @@ func TestServiceMaxConcurrent(t *testing.T) {
 	for i, p := range ps {
 		q := smallParams()
 		q.Adversary = p
-		want, err := ref.Analyze(q)
+		want, err := ref.AnalyzeContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("ref p=%v: %v", p, err)
 		}
@@ -395,10 +396,10 @@ func TestServiceMaxConcurrent(t *testing.T) {
 func TestNonFiniteEpsilonRejected(t *testing.T) {
 	svc := newTestService(ServiceConfig{})
 	for _, eps := range []float64{math.NaN(), math.Inf(1)} {
-		if _, err := svc.Analyze(smallParams(), WithEpsilon(eps)); err == nil {
+		if _, err := svc.AnalyzeContext(context.Background(), smallParams(), WithEpsilon(eps)); err == nil {
 			t.Errorf("service accepted epsilon %v", eps)
 		}
-		if _, err := Analyze(smallParams(), WithEpsilon(eps)); err == nil {
+		if _, err := AnalyzeContext(context.Background(), smallParams(), WithEpsilon(eps)); err == nil {
 			t.Errorf("package Analyze accepted epsilon %v", eps)
 		}
 	}
@@ -413,12 +414,12 @@ func TestServiceKeyCanonicalization(t *testing.T) {
 	svc := newTestService(ServiceConfig{})
 	p := smallParams()
 	p.Switching = 0.0
-	if _, err := svc.Analyze(p); err != nil {
+	if _, err := svc.AnalyzeContext(context.Background(), p); err != nil {
 		t.Fatal(err)
 	}
 	q := p
 	q.Switching = math.Copysign(0, -1) // -0.0
-	_, info, err := svc.AnalyzeDetailed(q, WithEpsilon(1e-4))
+	_, info, err := svc.AnalyzeDetailedContext(context.Background(), q, WithEpsilon(1e-4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +436,7 @@ func TestServiceRepeatedQueryThroughput(t *testing.T) {
 	svc := newTestService(ServiceConfig{})
 	p := smallParams()
 	start := time.Now()
-	if _, err := svc.Analyze(p); err != nil {
+	if _, err := svc.AnalyzeContext(context.Background(), p); err != nil {
 		t.Fatal(err)
 	}
 	uncached := time.Since(start)
@@ -443,7 +444,7 @@ func TestServiceRepeatedQueryThroughput(t *testing.T) {
 	const repeats = 50
 	start = time.Now()
 	for i := 0; i < repeats; i++ {
-		if _, err := svc.Analyze(p); err != nil {
+		if _, err := svc.AnalyzeContext(context.Background(), p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -460,13 +461,13 @@ func TestServiceRepeatedQueryThroughput(t *testing.T) {
 func BenchmarkServiceAnalyzeCached(b *testing.B) {
 	svc := NewService(ServiceConfig{})
 	p := AttackParams{Adversary: 0.3, Switching: 0.5, Depth: 2, Forks: 2, MaxForkLen: 4}
-	if _, err := svc.Analyze(p); err != nil {
+	if _, err := svc.AnalyzeContext(context.Background(), p); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := svc.Analyze(p); err != nil {
+		if _, err := svc.AnalyzeContext(context.Background(), p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -479,7 +480,7 @@ func BenchmarkServiceAnalyzeUncached(b *testing.B) {
 	p := AttackParams{Adversary: 0.3, Switching: 0.5, Depth: 2, Forks: 2, MaxForkLen: 4}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := svc.Analyze(p); err != nil {
+		if _, err := svc.AnalyzeContext(context.Background(), p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -491,7 +492,7 @@ func BenchmarkServiceAnalyzeUncached(b *testing.B) {
 func BenchmarkServiceSweepWarm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		svc := NewService(ServiceConfig{})
-		if _, err := svc.Sweep(SweepOptions{
+		if _, err := svc.SweepContext(context.Background(), SweepOptions{
 			Gamma:   0.5,
 			PGrid:   []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3},
 			Configs: []AttackConfig{{Depth: 2, Forks: 1}},
@@ -508,7 +509,7 @@ func BenchmarkServiceSweepWarm(b *testing.B) {
 func BenchmarkServiceSweepCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		svc := NewService(ServiceConfig{WarmCacheSize: -1})
-		if _, err := svc.Sweep(SweepOptions{
+		if _, err := svc.SweepContext(context.Background(), SweepOptions{
 			Gamma:   0.5,
 			PGrid:   []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3},
 			Configs: []AttackConfig{{Depth: 2, Forks: 1}},

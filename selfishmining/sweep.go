@@ -291,15 +291,6 @@ func (o *SweepOptions) validateAdaptive() error {
 	return nil
 }
 
-// Sweep is SweepContext under context.Background().
-//
-// Deprecated: use SweepContext, the canonical v2 entry point, which adds
-// cancellation, deadlines and point streaming. Sweep remains a thin
-// wrapper and computes bit-identical figures.
-func Sweep(opts SweepOptions) (*results.Figure, error) {
-	return SweepContext(context.Background(), opts)
-}
-
 // SweepContext regenerates one panel of the paper's Figure 2: ERRev as a
 // function of the adversary's resource p for the honest baseline, the
 // single-tree baseline, and each requested attack configuration, at fixed
@@ -316,14 +307,6 @@ func Sweep(opts SweepOptions) (*results.Figure, error) {
 // state.
 func SweepContext(ctx context.Context, opts SweepOptions) (*results.Figure, error) {
 	return NewService(ServiceConfig{}).SweepContext(ctx, opts)
-}
-
-// Sweep is SweepContext under context.Background().
-//
-// Deprecated: use SweepContext, which adds cancellation, deadlines and
-// point streaming; this wrapper computes bit-identical figures.
-func (s *Service) Sweep(opts SweepOptions) (*results.Figure, error) {
-	return s.SweepContext(context.Background(), opts)
 }
 
 // SweepContext computes one Figure-2 panel through the service's caches:
@@ -699,10 +682,11 @@ func laneBytes(base *core.Compiled) int64 {
 
 // batches reports whether a configuration's fresh points are solved in
 // multi-lane units. Both conditions are needed for a batch to beat solo
-// solves: only the assembly dense sweep does the work of several solo
-// sweeps per pass (4.2 to 7.3 on the Figure-2 shapes, against 1.2 to 1.8
-// for the portable 8-lane loop), and the structure must fit
-// batchLaneBudget per lane.
+// solves: the machine must run the assembly batch sweep, which does the
+// work of 4.2 to 7.3 solo sweeps per pass on the Figure-2 shapes and is
+// the only batch sweep (kernel.NewBatch fails without it), and the
+// structure must fit batchLaneBudget per lane, far below the sweep's
+// 2^26-state limit.
 func batches(base *core.Compiled) bool {
 	return kernel.DenseBatchAsm() && laneBytes(base) <= batchLaneBudget
 }

@@ -167,30 +167,60 @@ func TestBatchedSweepMatchesSoloFigure(t *testing.T) {
 	}
 }
 
-// TestBatchSizeRule pins which Figure-2 shapes batch: fork d2f2l5 (0.38
-// MiB per lane) fits the lane budget and fork d3f2l4 (9.5 MiB per lane)
-// does not. Shapes batch only where the assembly dense sweep runs.
+// batchRuleShapes are the fork shapes on either side of the lane budget:
+// d2f2l5 (0.38 MiB per lane) fits it and d3f2l4 (9.5 MiB per lane) does
+// not.
+var batchRuleShapes = []struct {
+	cfg  AttackConfig
+	l    int
+	fits bool
+}{
+	{AttackConfig{Depth: 2, Forks: 2}, 5, true},
+	{AttackConfig{Depth: 3, Forks: 2}, 4, false},
+}
+
+func compileRuleShape(t *testing.T, cfg AttackConfig, l int) *core.Compiled {
+	t.Helper()
+	base, err := families.Compile(families.DefaultName, core.Params{
+		P: 0.1, Gamma: 0.5, Depth: cfg.Depth, Forks: cfg.Forks, MaxLen: l,
+	})
+	if err != nil {
+		t.Fatalf("compile d=%d f=%d l=%d: %v", cfg.Depth, cfg.Forks, l, err)
+	}
+	return base
+}
+
+// TestBatchSizeRule pins which Figure-2 shapes batch: fork d2f2l5 fits the
+// lane budget and fork d3f2l4 does not. Shapes batch only where the
+// assembly batch sweep runs.
 func TestBatchSizeRule(t *testing.T) {
-	for _, c := range []struct {
-		cfg  AttackConfig
-		l    int
-		fits bool
-	}{
-		{AttackConfig{Depth: 2, Forks: 2}, 5, true},
-		{AttackConfig{Depth: 3, Forks: 2}, 4, false},
-	} {
-		base, err := families.Compile(families.DefaultName, core.Params{
-			P: 0.1, Gamma: 0.5, Depth: c.cfg.Depth, Forks: c.cfg.Forks, MaxLen: c.l,
-		})
-		if err != nil {
-			t.Fatalf("compile d=%d f=%d l=%d: %v", c.cfg.Depth, c.cfg.Forks, c.l, err)
-		}
+	for _, c := range batchRuleShapes {
+		base := compileRuleShape(t, c.cfg, c.l)
 		if got := laneBytes(base) <= batchLaneBudget; got != c.fits {
 			t.Errorf("d=%d f=%d l=%d: %d bytes per lane, fits the budget = %v, want %v",
 				c.cfg.Depth, c.cfg.Forks, c.l, laneBytes(base), got, c.fits)
 		}
 		if got, want := batches(base), c.fits && kernel.DenseBatchAsm(); got != want {
 			t.Errorf("d=%d f=%d l=%d: batches = %v, want %v", c.cfg.Depth, c.cfg.Forks, c.l, got, want)
+		}
+	}
+}
+
+// TestBatchRuleImpliesKernelBatch: wherever the scheduler batches a shape,
+// the kernel builds a full-width batch over it, so the scheduler never cuts
+// a unit that kernel.NewBatch refuses.
+func TestBatchRuleImpliesKernelBatch(t *testing.T) {
+	lanes := make([]kernel.LaneParams, kernel.DenseBatchWidth)
+	for i := range lanes {
+		lanes[i] = kernel.LaneParams{P: 0.05 * float64(i), Gamma: 0.5}
+	}
+	for _, c := range batchRuleShapes {
+		base := compileRuleShape(t, c.cfg, c.l)
+		if !batches(base) {
+			continue
+		}
+		if _, err := kernel.NewBatch(base, lanes); err != nil {
+			t.Errorf("d=%d f=%d l=%d: the scheduler batches it, but NewBatch: %v", c.cfg.Depth, c.cfg.Forks, c.l, err)
 		}
 	}
 }
@@ -251,7 +281,7 @@ func TestBatchedSweepResume(t *testing.T) {
 // through the batched scheduler: the refined x-axis and every series value
 // must match the pinned pre-batching constants bit for bit.
 func TestGoldenAdaptiveBatchSweepBitwise(t *testing.T) {
-	fig, err := Sweep(SweepOptions{
+	fig, err := SweepContext(context.Background(), SweepOptions{
 		Gamma:      0.5,
 		PGrid:      []float64{0, 0.1, 0.2, 0.3},
 		Configs:    []AttackConfig{{Depth: 2, Forks: 1}},
