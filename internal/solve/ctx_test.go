@@ -55,7 +55,7 @@ func TestMeanPayoffContextCancelsAtBoundary(t *testing.T) {
 // about a completed solve — the check sits between sweeps, never inside.
 func TestMeanPayoffContextCompletedBitwise(t *testing.T) {
 	plain := stayOrCycle().compile(t)
-	ref, err := plain.MeanPayoff(0.5, kernel.Options{Tol: 1e-9})
+	ref, err := plain.MeanPayoffCtx(context.Background(), 0.5, kernel.Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
