@@ -19,17 +19,25 @@ func mustAnalyze(t *testing.T, p core.Params, eps float64) *Result {
 	return res
 }
 
-// exactGain is the optimal mean payoff MP*_β of the fork model at p, by
-// Howard policy iteration on the generic (on-the-fly) model.
-func exactGain(t *testing.T, p core.Params, beta float64) float64 {
+// exactModel materializes the fork model at p for the exact oracle.
+func exactModel(t *testing.T, p core.Params) solve.Model {
 	t.Helper()
 	m, err := core.NewModel(p)
 	if err != nil {
 		t.Fatalf("NewModel(%v): %v", p, err)
 	}
-	m.SetMode(core.RewardBeta)
-	m.SetBeta(beta)
-	exact, err := solve.PolicyIteration(m, 0)
+	exact, err := solve.Materialize(m, p.P, p.Gamma)
+	if err != nil {
+		t.Fatalf("Materialize(%v): %v", p, err)
+	}
+	return exact
+}
+
+// exactGain is the optimal mean payoff MP*_β of the fork model at p, by
+// Howard policy iteration on the materialized model.
+func exactGain(t *testing.T, p core.Params, beta float64) float64 {
+	t.Helper()
+	exact, err := exactModel(t, p).PolicyIteration(solve.Beta(beta), 0)
 	if err != nil {
 		t.Fatalf("PolicyIteration(%v, beta=%v): %v", p, beta, err)
 	}
@@ -164,8 +172,8 @@ func TestMeanPayoffMonotoneInBeta(t *testing.T) {
 
 // TestAnalyzeAgreesWithPolicyIteration cross-checks the two solver families
 // end to end on the smallest configuration: MP*_β from the compiled
-// kernel's RVI must match exact policy iteration on the generic model at
-// each binary-search midpoint.
+// kernel's RVI must match exact policy iteration at each binary-search
+// midpoint.
 func TestAnalyzeAgreesWithPolicyIteration(t *testing.T) {
 	p := core.Params{P: 0.3, Gamma: 0.5, Depth: 1, Forks: 1, MaxLen: 4}
 	c := compileFor(t, p)
@@ -207,8 +215,8 @@ func TestAnalyzeSkipStrategyEval(t *testing.T) {
 }
 
 // TestCompiledBackendAgreesWithGeneric runs full Algorithm 1 on the
-// compiled kernel and checks it against the exact references on the
-// generic (on-the-fly) fork model: the certified bracket must contain β*,
+// compiled kernel and checks it against the exact oracle on the
+// materialized fork model: the certified bracket must contain β*,
 // the root of MP*_β by policy iteration, and the extracted strategy's exact
 // stationary revenue must match the compiled evaluator's and lie in the
 // bracket.
@@ -230,13 +238,9 @@ func TestCompiledBackendAgreesWithGeneric(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compiled: %v", err)
 			}
-			m, err := core.NewModel(p)
+			exact, err := exactModel(t, p).ERRev(res.Strategy)
 			if err != nil {
-				t.Fatalf("NewModel: %v", err)
-			}
-			exact, err := core.ERRevOfPolicy(m, res.Strategy)
-			if err != nil {
-				t.Fatalf("ERRevOfPolicy: %v", err)
+				t.Fatalf("ERRev: %v", err)
 			}
 			if math.Abs(exact-res.StrategyERRev) > 1e-6 {
 				t.Errorf("strategy ERRev: compiled %v, exact %v", res.StrategyERRev, exact)

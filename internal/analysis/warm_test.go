@@ -45,7 +45,7 @@ func TestSkipStrategyMatchesFullBound(t *testing.T) {
 	}
 
 	// The bracket is certified against the exact reference: MP*_β by
-	// policy iteration on the generic model is ≥ 0 at the lower end and
+	// policy iteration on the materialized model is ≥ 0 at the lower end and
 	// ≤ 0 at the upper end.
 	if g := exactGain(t, params, bound.ERRev); g < -1e-9 {
 		t.Errorf("exact MP* at the lower end %v is %v, want >= 0", bound.ERRev, g)

@@ -5,8 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/linalg"
-	"repro/internal/mdp"
 	"repro/internal/solve"
 )
 
@@ -19,30 +17,11 @@ func mustCompile(t *testing.T, p Params) *Compiled {
 	return c
 }
 
-// exactPolicyGain is the exact mean payoff of a fixed policy on a generic
-// mdp.Model, from the stationary distribution of the induced chain.
-func exactPolicyGain(t *testing.T, m mdp.Model, policy []int) float64 {
-	t.Helper()
-	chain, rewards, err := mdp.InducedChain(m, policy)
-	if err != nil {
-		t.Fatalf("InducedChain: %v", err)
-	}
-	pi, err := linalg.Stationary(chain, linalg.StationaryOptions{})
-	if err != nil {
-		t.Fatalf("Stationary: %v", err)
-	}
-	var g float64
-	for s := range pi {
-		g += pi[s] * rewards[s]
-	}
-	return g
-}
-
 // TestCompiledMatchesGenericGain is the central compiled-path cross-check:
 // over several configurations and β values, the compiled mean payoff must
-// equal the optimal gain that exact policy iteration finds on the generic
-// interface-based model, and the compiled solve's greedy strategy must
-// attain that optimum on the generic model.
+// equal the optimal gain that exact policy iteration finds on the
+// materialized model, and the compiled solve's greedy strategy must attain
+// that optimum under exact evaluation.
 func TestCompiledMatchesGenericGain(t *testing.T) {
 	configs := []Params{
 		{P: 0.3, Gamma: 0.5, Depth: 1, Forks: 1, MaxLen: 4},
@@ -56,12 +35,10 @@ func TestCompiledMatchesGenericGain(t *testing.T) {
 	}
 	for _, p := range configs {
 		t.Run(p.String(), func(t *testing.T) {
-			m := mustModel(t, p)
-			m.SetMode(RewardBeta)
+			m := exact(t, mustModel(t, p))
 			c := mustCompile(t, p)
 			for _, beta := range []float64{0.1, 0.35, 0.6} {
-				m.SetBeta(beta)
-				want, err := solve.PolicyIteration(m, 0)
+				want, err := m.PolicyIteration(solve.Beta(beta), 0)
 				if err != nil {
 					t.Fatalf("policy iteration: %v", err)
 				}
@@ -72,7 +49,11 @@ func TestCompiledMatchesGenericGain(t *testing.T) {
 				if math.Abs(got.Gain-want.Gain) > 1e-6 {
 					t.Errorf("beta=%v: compiled gain %v, PI gain %v", beta, got.Gain, want.Gain)
 				}
-				if g := exactPolicyGain(t, m, c.GreedyPolicy(beta)); math.Abs(g-want.Gain) > 1e-6 {
+				g, _, err := m.EvalPolicy(solve.Beta(beta), c.GreedyPolicy(beta))
+				if err != nil {
+					t.Fatalf("exact evaluation: %v", err)
+				}
+				if math.Abs(g-want.Gain) > 1e-6 {
 					t.Errorf("beta=%v: exact gain of the compiled greedy strategy %v, PI gain %v", beta, g, want.Gain)
 				}
 			}
@@ -149,7 +130,7 @@ func TestCompiledSetChainParamsRejectsBad(t *testing.T) {
 
 // TestCompiledGreedyPolicyEval: the greedy policy extracted after a solve
 // must evaluate (iteratively) to the same ERRev as the exact stationary
-// evaluation on the generic model.
+// evaluation.
 func TestCompiledGreedyPolicyEval(t *testing.T) {
 	p := Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 1, MaxLen: 4}
 	c := mustCompile(t, p)
@@ -161,10 +142,9 @@ func TestCompiledGreedyPolicyEval(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EvalERRev: %v", err)
 	}
-	m := mustModel(t, p)
-	want, err := ERRevOfPolicy(m, policy)
+	want, err := exact(t, mustModel(t, p)).ERRev(policy)
 	if err != nil {
-		t.Fatalf("ERRevOfPolicy: %v", err)
+		t.Fatalf("ERRev: %v", err)
 	}
 	if math.Abs(got-want) > 1e-6 {
 		t.Errorf("compiled ERRev %v, exact %v", got, want)
@@ -200,26 +180,55 @@ func TestCompiledEvalPolicyWrongLength(t *testing.T) {
 	}
 }
 
+// reachable restricts m to the states reachable from state 0 under any
+// actions, renumbered in discovery order (state 0 stays first). Edges of
+// probability zero into dropped states are dropped with them.
+func reachable(m solve.Model) solve.Model {
+	renum := make([]int, len(m))
+	for s := range renum {
+		renum[s] = -1
+	}
+	renum[0] = 0
+	order := []int{0}
+	for i := 0; i < len(order); i++ {
+		for _, succ := range m[order[i]] {
+			for _, tr := range succ {
+				if tr.Prob > 0 && renum[tr.Dst] < 0 {
+					renum[tr.Dst] = len(order)
+					order = append(order, tr.Dst)
+				}
+			}
+		}
+	}
+	sub := make(solve.Model, len(order))
+	for s, old := range order {
+		sub[s] = make([][]solve.Trans, len(m[old]))
+		for a, succ := range m[old] {
+			for _, tr := range succ {
+				if tr.Dst = renum[tr.Dst]; tr.Dst >= 0 {
+					sub[s][a] = append(sub[s][a], tr)
+				}
+			}
+		}
+	}
+	return sub
+}
+
 // TestReachableSubmodelSameGain: restricting the attack MDP to its
-// reachable states (via mdp.Materialize) must not change the optimal mean
-// payoff — the binary search operates on gains from the initial state.
+// reachable states must not change the optimal mean payoff — the binary
+// search operates on gains from the initial state.
 func TestReachableSubmodelSameGain(t *testing.T) {
 	p := Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 1, MaxLen: 3}
-	m := mustModel(t, p)
-	m.SetMode(RewardBeta)
-	m.SetBeta(0.35)
-	full, err := solve.PolicyIteration(m, 0)
+	m := exact(t, mustModel(t, p))
+	full, err := m.PolicyIteration(solve.Beta(0.35), 0)
 	if err != nil {
 		t.Fatalf("full solve: %v", err)
 	}
-	sub, err := mdp.Materialize(m, true)
-	if err != nil {
-		t.Fatalf("Materialize: %v", err)
+	sub := reachable(m)
+	if len(sub) > len(m) {
+		t.Fatalf("reachable model larger than full: %d > %d", len(sub), len(m))
 	}
-	if sub.NumStates() > m.NumStates() {
-		t.Fatalf("reachable model larger than full: %d > %d", sub.NumStates(), m.NumStates())
-	}
-	restricted, err := solve.PolicyIteration(sub, 0)
+	restricted, err := sub.PolicyIteration(solve.Beta(0.35), 0)
 	if err != nil {
 		t.Fatalf("restricted solve: %v", err)
 	}

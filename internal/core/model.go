@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/kernel"
-	"repro/internal/mdp"
 )
 
 // TransKind classifies a transition's probability law, so that the same
@@ -46,46 +45,18 @@ var forkLaws = []kernel.ProbLaw{
 	KindRaceLose: func(_, gamma float64, _ int) float64 { return 1 - gamma },
 }
 
-// RawProb resolves the transition probability of a fork-model transition
-// for concrete chain parameters.
-func RawProb(r Raw, p, gamma float64) float64 {
-	return forkLaws[r.Kind](p, gamma, int(r.Sigma))
-}
-
-// RewardMode selects which scalar reward the mdp.Model view exposes.
-type RewardMode uint8
-
-// Reward views over the (r_A, r_H) block counters.
-const (
-	// RewardBeta exposes r_β = r_A − β(r_A + r_H), the paper's Section 3.3
-	// reward family.
-	RewardBeta RewardMode = iota
-	// RewardAdv exposes r_A.
-	RewardAdv
-	// RewardHon exposes r_H.
-	RewardHon
-	// RewardTotal exposes r_A + r_H.
-	RewardTotal
-)
-
-// Model is the attack MDP. It implements mdp.Model; the scalar reward seen
-// by solvers is selected by Mode (and Beta for RewardBeta).
+// Model is the attack MDP, the fork family's kernel.Source.
 //
 // A Model keeps internal decoding scratch and is NOT safe for concurrent
 // use; create one Model per goroutine with Clone.
 type Model struct {
 	params Params
 	codec  *Codec
-	beta   float64
-	mode   RewardMode
 
-	s      *State // decode scratch
-	tmp    *State // successor-construction scratch
-	rawBuf []Raw  // reusable buffer for the Transitions hot path
+	s   *State // decode scratch
+	tmp *State // successor-construction scratch
 }
 
-var _ mdp.Model = (*Model)(nil)
-var _ mdp.ActionLabeler = (*Model)(nil)
 var _ kernel.Source = (*Model)(nil)
 
 // NewModel constructs the MDP for validated parameters.
@@ -100,10 +71,9 @@ func NewModel(p Params) (*Model, error) {
 	return m, nil
 }
 
-// Clone returns an independent view of the same MDP (own scratch buffers),
-// preserving Beta and Mode.
+// Clone returns an independent view of the same MDP (own scratch buffers).
 func (m *Model) Clone() *Model {
-	c := &Model{params: m.params, codec: m.codec, beta: m.beta, mode: m.mode}
+	c := &Model{params: m.params, codec: m.codec}
 	c.s = m.codec.NewState()
 	c.tmp = m.codec.NewState()
 	return c
@@ -115,19 +85,10 @@ func (m *Model) Params() Params { return m.params }
 // Codec returns the state codec.
 func (m *Model) Codec() *Codec { return m.codec }
 
-// SetBeta sets β for the RewardBeta view.
-func (m *Model) SetBeta(beta float64) { m.beta = beta }
-
-// Beta returns the current β.
-func (m *Model) Beta() float64 { return m.beta }
-
-// SetMode selects the reward view.
-func (m *Model) SetMode(mode RewardMode) { m.mode = mode }
-
-// NumStates implements mdp.Model.
+// NumStates implements kernel.Source.
 func (m *Model) NumStates() int { return m.codec.NumStates() }
 
-// Initial implements mdp.Model.
+// Initial returns the initial state's index (0, as kernel.Source expects).
 func (m *Model) Initial() int { return m.codec.InitialIndex() }
 
 // releaseCount returns the number of legal release actions in a decision
@@ -147,7 +108,7 @@ func (m *Model) releaseCount(s *State) int {
 	return n
 }
 
-// NumActions implements mdp.Model. Action 0 is always "mine" (continue);
+// NumActions implements kernel.Source. Action 0 is always "mine" (continue);
 // decision states additionally offer every legal release.
 func (m *Model) NumActions(sIdx int) int {
 	m.codec.Decode(sIdx, m.s)
@@ -177,23 +138,18 @@ func (m *Model) actionRelease(s *State, a int) (i, j, k int) {
 	panic(fmt.Sprintf("core: release action %d out of range in state %v", a, s))
 }
 
-// ActionLabel implements mdp.ActionLabeler.
-func (m *Model) ActionLabel(sIdx, a int) string {
-	if a == 0 {
-		m.codec.Decode(sIdx, m.s)
-		if m.s.Phase == PendingHonest {
-			return "mine (let pending honest block land)"
-		}
-		return "mine"
-	}
+// Release resolves release action a ≥ 1 of state sIdx to the released
+// fork (i, j) and the number k of its blocks revealed, all 1-based. It
+// panics if a is not a release action of sIdx.
+func (m *Model) Release(sIdx, a int) (i, j, k int) {
 	m.codec.Decode(sIdx, m.s)
-	i, j, k := m.actionRelease(m.s, a)
-	return fmt.Sprintf("release(i=%d,j=%d,k=%d)", i, j, k)
+	return m.actionRelease(m.s, a)
 }
 
-// RawTransitions appends the raw successors of (sIdx, a) to buf. This is
-// the single source of truth for the transition function; the mdp.Model
-// view and the compiled solver both derive from it.
+// RawTransitions implements kernel.Source: it appends the raw successors
+// of (sIdx, a) to buf. This is the single source of truth for the
+// transition function; the compiled solver and the exact test oracle both
+// derive from it.
 func (m *Model) RawTransitions(sIdx, a int, buf []Raw) []Raw {
 	m.codec.Decode(sIdx, m.s)
 	s := m.s
@@ -368,34 +324,6 @@ func (m *Model) acceptRelease(s *State, i, j, k int) (dst int, ra, rh uint8) {
 	}
 	m.tmp.Phase = Mining
 	return m.codec.Encode(m.tmp), ra, rh
-}
-
-// rewardOf maps block counters to the scalar reward of the current view.
-func (m *Model) rewardOf(ra, rh uint8) float64 {
-	a, h := float64(ra), float64(rh)
-	switch m.mode {
-	case RewardBeta:
-		return a - m.beta*(a+h)
-	case RewardAdv:
-		return a
-	case RewardHon:
-		return h
-	case RewardTotal:
-		return a + h
-	default:
-		return 0
-	}
-}
-
-// Transitions implements mdp.Model.
-func (m *Model) Transitions(sIdx, a int, buf []mdp.Transition) []mdp.Transition {
-	raw := m.RawTransitions(sIdx, a, m.rawBuf[:0])
-	m.rawBuf = raw[:0]
-	for _, r := range raw {
-		pr := RawProb(r, m.params.P, m.params.Gamma)
-		buf = append(buf, mdp.Transition{Dst: r.Dst, Prob: pr, Reward: m.rewardOf(r.RA, r.RH)})
-	}
-	return buf
 }
 
 // Laws implements kernel.Source: the fork family's probability-law table,

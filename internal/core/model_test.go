@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/mdp"
+	"repro/internal/solve"
 )
 
 func mustModel(t *testing.T, p Params) *Model {
@@ -14,6 +14,17 @@ func mustModel(t *testing.T, p Params) *Model {
 		t.Fatalf("NewModel(%v): %v", p, err)
 	}
 	return m
+}
+
+// exact materializes m at its own chain parameters for the exact oracle.
+func exact(t *testing.T, m *Model) solve.Model {
+	t.Helper()
+	p := m.Params()
+	e, err := solve.Materialize(m, p.P, p.Gamma)
+	if err != nil {
+		t.Fatalf("Materialize(%v): %v", p, err)
+	}
+	return e
 }
 
 // TestModelIsValidMDP runs full structural validation (probabilities sum to
@@ -30,8 +41,7 @@ func TestModelIsValidMDP(t *testing.T) {
 	}
 	for _, p := range configs {
 		t.Run(p.String(), func(t *testing.T) {
-			m := mustModel(t, p)
-			if err := mdp.Validate(m, 1e-9); err != nil {
+			if _, err := solve.Materialize(mustModel(t, p), p.P, p.Gamma); err != nil {
 				t.Errorf("model invalid: %v", err)
 			}
 		})
@@ -51,7 +61,7 @@ func TestMiningTransitionsInitial(t *testing.T) {
 	s := m.Codec().NewState()
 	var sawAdv, sawHon bool
 	for _, r := range raw {
-		pr := RawProb(r, p.P, p.Gamma)
+		pr := forkLaws[r.Kind](p.P, p.Gamma, int(r.Sigma))
 		m.Codec().Decode(r.Dst, s)
 		switch r.Kind {
 		case KindAdvMine:
@@ -97,7 +107,7 @@ func TestSigmaCountsFreshForkPerDepth(t *testing.T) {
 	}
 	var total float64
 	for _, r := range raw {
-		total += RawProb(r, p.P, p.Gamma)
+		total += forkLaws[r.Kind](p.P, p.Gamma, int(r.Sigma))
 	}
 	if math.Abs(total-1) > 1e-12 {
 		t.Errorf("probabilities sum to %v", total)
@@ -155,7 +165,7 @@ func TestPendingHonestRace(t *testing.T) {
 		switch r.Kind {
 		case KindRaceWin:
 			sawWin = true
-			if pr := RawProb(r, p.P, p.Gamma); math.Abs(pr-0.25) > 1e-12 {
+			if pr := forkLaws[r.Kind](p.P, p.Gamma, int(r.Sigma)); math.Abs(pr-0.25) > 1e-12 {
 				t.Errorf("win probability %v, want 0.25", pr)
 			}
 			// d=1: the revealed block is immediately permanent.
@@ -167,7 +177,7 @@ func TestPendingHonestRace(t *testing.T) {
 			}
 		case KindRaceLose:
 			sawLose = true
-			if pr := RawProb(r, p.P, p.Gamma); math.Abs(pr-0.75) > 1e-12 {
+			if pr := forkLaws[r.Kind](p.P, p.Gamma, int(r.Sigma)); math.Abs(pr-0.75) > 1e-12 {
 				t.Errorf("lose probability %v, want 0.75", pr)
 			}
 			if r.RA != 0 || r.RH != 1 {
@@ -238,7 +248,7 @@ func TestReleaseShiftsOwnersAndForks(t *testing.T) {
 	// Find the release(i=2,j=1,k=2) action.
 	var relIdx int
 	for a := 1; a < m.NumActions(sIdx); a++ {
-		if m.ActionLabel(sIdx, a) == "release(i=2,j=1,k=2)" {
+		if i, j, k := m.Release(sIdx, a); i == 2 && j == 1 && k == 2 {
 			relIdx = a
 			break
 		}
@@ -355,9 +365,9 @@ func TestHonestEquivalentPolicyERRevIsP(t *testing.T) {
 			p := Params{P: pr, Gamma: gamma, Depth: 2, Forks: 1, MaxLen: 3}
 			m := mustModel(t, p)
 			policy := honestEquivalentPolicy(m)
-			got, err := ERRevOfPolicy(m, policy)
+			got, err := exact(t, m).ERRev(policy)
 			if err != nil {
-				t.Fatalf("ERRevOfPolicy(%v): %v", p, err)
+				t.Fatalf("ERRev(%v): %v", p, err)
 			}
 			if math.Abs(got-pr) > 1e-8 {
 				t.Errorf("p=%v gamma=%v: ERRev = %v, want %v", pr, gamma, got, pr)
@@ -371,38 +381,12 @@ func TestNeverReleaseERRevIsZero(t *testing.T) {
 	p := Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 1, MaxLen: 3}
 	m := mustModel(t, p)
 	policy := make([]int, m.NumStates()) // all zeros: always mine
-	got, err := ERRevOfPolicy(m, policy)
+	got, err := exact(t, m).ERRev(policy)
 	if err != nil {
-		t.Fatalf("ERRevOfPolicy: %v", err)
+		t.Fatalf("ERRev: %v", err)
 	}
 	if math.Abs(got) > 1e-9 {
 		t.Errorf("ERRev = %v, want 0", got)
-	}
-}
-
-// TestBetaRewardConsistency: the RewardBeta view must equal
-// r_A − β(r_A + r_H) transition by transition.
-func TestBetaRewardConsistency(t *testing.T) {
-	p := Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 1, MaxLen: 3}
-	m := mustModel(t, p)
-	m.SetBeta(0.37)
-	var trs []mdp.Transition
-	var raws []Raw
-	for s := 0; s < m.NumStates(); s++ {
-		for a := 0; a < m.NumActions(s); a++ {
-			raws = m.RawTransitions(s, a, raws[:0])
-			trs = m.Transitions(s, a, trs[:0])
-			if len(raws) != len(trs) {
-				t.Fatalf("transition count mismatch at (%d,%d)", s, a)
-			}
-			for i := range raws {
-				ra, rh := float64(raws[i].RA), float64(raws[i].RH)
-				want := ra - 0.37*(ra+rh)
-				if math.Abs(trs[i].Reward-want) > 1e-12 {
-					t.Fatalf("reward mismatch at (%d,%d): got %v want %v", s, a, trs[i].Reward, want)
-				}
-			}
-		}
 	}
 }
 
@@ -411,24 +395,21 @@ func TestBetaRewardConsistency(t *testing.T) {
 // argument: d consecutive honest landings reset the window).
 func TestModelUnichainProperty(t *testing.T) {
 	p := Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 1, MaxLen: 2}
-	m := mustModel(t, p)
-	policy := make([]int, m.NumStates())
-	chain, _, err := mdp.InducedChain(m, policy)
-	if err != nil {
-		t.Fatalf("InducedChain: %v", err)
-	}
-	// Breadth-first search from each state along positive-probability edges
-	// must reach state 0.
-	n := m.NumStates()
-	for start := 0; start < n; start++ {
-		if !reaches(chain.RowPtr, chain.ColIdx, chain.Val, start, 0, n) {
+	m := exact(t, mustModel(t, p))
+	policy := make([]int, len(m))
+	// Depth-first search from each state along positive-probability edges
+	// of the induced chain must reach state 0.
+	for start := range m {
+		if !reaches(m, policy, start, 0) {
 			t.Fatalf("state %d cannot reach the initial state under always-mine", start)
 		}
 	}
 }
 
-func reaches(rowPtr []int64, colIdx []int32, val []float64, from, to, n int) bool {
-	seen := make([]bool, n)
+// reaches reports whether the chain policy induces on m leads from state
+// from to state to along positive-probability edges.
+func reaches(m solve.Model, policy []int, from, to int) bool {
+	seen := make([]bool, len(m))
 	stack := []int{from}
 	seen[from] = true
 	for len(stack) > 0 {
@@ -437,10 +418,10 @@ func reaches(rowPtr []int64, colIdx []int32, val []float64, from, to, n int) boo
 		if s == to {
 			return true
 		}
-		for k := rowPtr[s]; k < rowPtr[s+1]; k++ {
-			if val[k] > 0 && !seen[colIdx[k]] {
-				seen[colIdx[k]] = true
-				stack = append(stack, int(colIdx[k]))
+		for _, tr := range m[s][policy[s]] {
+			if tr.Prob > 0 && !seen[tr.Dst] {
+				seen[tr.Dst] = true
+				stack = append(stack, tr.Dst)
 			}
 		}
 	}
@@ -451,11 +432,7 @@ func reaches(rowPtr []int64, colIdx []int32, val []float64, from, to, n int) boo
 func TestCloneIndependence(t *testing.T) {
 	p := Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 1, MaxLen: 3}
 	m := mustModel(t, p)
-	m.SetBeta(0.5)
 	c := m.Clone()
-	if c.Beta() != 0.5 {
-		t.Errorf("clone beta = %v, want 0.5", c.Beta())
-	}
 	// Interleaved use must not corrupt either.
 	r1 := m.RawTransitions(0, 0, nil)
 	r2 := c.RawTransitions(0, 0, nil)

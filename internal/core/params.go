@@ -48,7 +48,8 @@
 // goroutines with bitwise-identical results at any worker count, and its
 // Clone support lets one compilation serve a whole pool of concurrent
 // solvers (see selfishmining.SweepContext); the determinism argument lives
-// with the kernel and package par.
+// with the kernel and package par. The tests' exact oracle (package solve)
+// materializes the same Source.
 package core
 
 import (

@@ -1,7 +1,8 @@
 // Package linalg provides the small dense and sparse linear-algebra
-// routines needed by the Markov chain and MDP analyses: LU factorization
-// with partial pivoting, CSR sparse matrices, power iteration, stationary
-// distributions of stochastic matrices, and absorbing-chain solves.
+// routines needed by the Markov chain analyses and the exact MDP oracle:
+// LU factorization with partial pivoting, CSR sparse matrices, stationary
+// distributions of stochastic matrices by damped power iteration, and the
+// gain/bias evaluation equations of a unichain chain.
 //
 // The package is intentionally minimal and dependency-free; it is not a
 // general-purpose linear-algebra library. All matrices are row-major.

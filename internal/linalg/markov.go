@@ -70,31 +70,6 @@ func Stationary(p *CSR, opts StationaryOptions) ([]float64, error) {
 	return nil, ErrNoConvergence
 }
 
-// AbsorbingCycle solves the expected accumulated reward until absorption for
-// a transient Markov chain: h = r + Q h where Q is the transient-to-transient
-// transition matrix (substochastic) and r the expected one-step reward per
-// transient state. Returns h (dense solve; intended for small chains).
-func AbsorbingCycle(q *CSR, r []float64) ([]float64, error) {
-	if q.Rows != q.Cols {
-		return nil, fmt.Errorf("linalg: AbsorbingCycle needs a square matrix, got %dx%d", q.Rows, q.Cols)
-	}
-	if len(r) != q.Rows {
-		return nil, fmt.Errorf("linalg: AbsorbingCycle reward length %d != %d states", len(r), q.Rows)
-	}
-	n := q.Rows
-	// Build I - Q densely.
-	a := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		a.Set(i, i, 1)
-	}
-	for row := 0; row < n; row++ {
-		for k := q.RowPtr[row]; k < q.RowPtr[row+1]; k++ {
-			a.Add(row, int(q.ColIdx[k]), -q.Val[k])
-		}
-	}
-	return SolveDense(a, r)
-}
-
 // GainBias solves the average-reward evaluation equations for an ergodic
 // unichain Markov chain with transition matrix P and per-state expected
 // reward r:

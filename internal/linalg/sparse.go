@@ -126,14 +126,3 @@ func (m *CSR) IsStochastic(tol float64) bool {
 	}
 	return true
 }
-
-// ToDense expands the matrix; intended for tests and small systems only.
-func (m *CSR) ToDense() *Dense {
-	d := NewDense(m.Rows, m.Cols)
-	for r := 0; r < m.Rows; r++ {
-		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			d.Add(r, int(m.ColIdx[k]), m.Val[k])
-		}
-	}
-	return d
-}

@@ -137,22 +137,6 @@ func TestStationaryRejectsNonStochastic(t *testing.T) {
 	}
 }
 
-func TestAbsorbingCycle(t *testing.T) {
-	// Single transient state looping with prob 0.5, reward 1 per step until
-	// absorption: h = 1 + 0.5 h => h = 2.
-	q, err := NewCSR(1, 1, []Entry{{Row: 0, Col: 0, Val: 0.5}})
-	if err != nil {
-		t.Fatalf("NewCSR: %v", err)
-	}
-	h, err := AbsorbingCycle(q, []float64{1})
-	if err != nil {
-		t.Fatalf("AbsorbingCycle: %v", err)
-	}
-	if !almostEq(h[0], 2, 1e-12) {
-		t.Errorf("h = %v, want 2", h[0])
-	}
-}
-
 func TestGainBiasTwoState(t *testing.T) {
 	// P = [0 1; 1 0], r = [1, 0]: gain = 0.5.
 	p, err := NewCSR(2, 2, []Entry{
@@ -202,16 +186,5 @@ func TestRowSums(t *testing.T) {
 	sums := m.RowSums()
 	if math.Abs(sums[0]-0.75) > 1e-12 || sums[1] != 0 {
 		t.Errorf("RowSums = %v, want [0.75 0]", sums)
-	}
-}
-
-func TestToDense(t *testing.T) {
-	m, err := NewCSR(2, 2, []Entry{{Row: 1, Col: 0, Val: 4}})
-	if err != nil {
-		t.Fatalf("NewCSR: %v", err)
-	}
-	d := m.ToDense()
-	if d.At(1, 0) != 4 || d.At(0, 0) != 0 {
-		t.Errorf("ToDense mismatch: %v", d.Data)
 	}
 }

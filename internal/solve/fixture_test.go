@@ -5,18 +5,17 @@ import (
 	"testing"
 
 	"repro/internal/kernel"
-	"repro/internal/mdp"
 )
 
 // Besides the exact solvers themselves, the tests of this package check the
 // compiled kernel's relative value iteration and policy evaluation against
 // them on small hand-written MDPs.
 //
-// A fixture is one small MDP written once and solved both ways: compiled
-// onto the kernel (it is a kernel.Source) and, under a chosen reward, as an
-// mdp.Explicit for the exact solvers. Probabilities are multiples of 1/256,
-// exact in the kernel's float32 table, and rewards are block counts
-// (RA, RH), so both sides solve the same MDP.
+// A fixture is one small MDP written once as a kernel.Source and solved
+// both ways: compiled onto the kernel and materialized for the exact
+// oracle. Probabilities are multiples of 1/256, exact in the kernel's
+// float32 table, and rewards are block counts (RA, RH), so both sides
+// solve the same MDP.
 type fixture [][][]fixTrans // [state][action] → successors
 
 // fixTrans is one successor: destination, probability num/256, and the
@@ -52,30 +51,14 @@ func (f fixture) RawTransitions(s, a int, buf []kernel.Raw) []kernel.Raw {
 	return buf
 }
 
-// explicitWith returns the fixture as an mdp.Explicit whose transition
-// rewards are reward(RA, RH).
-func (f fixture) explicitWith(reward func(ra, rh float64) float64) *mdp.Explicit {
-	choices := make([][]mdp.Choice, len(f))
-	for s, acts := range f {
-		for _, succ := range acts {
-			var c mdp.Choice
-			for _, tr := range succ {
-				c.Succ = append(c.Succ, mdp.Transition{
-					Dst:    tr.dst,
-					Prob:   float64(tr.num) / 256,
-					Reward: reward(float64(tr.ra), float64(tr.rh)),
-				})
-			}
-			choices[s] = append(choices[s], c)
-		}
+// exact materializes the fixture for the oracle (its laws ignore p and γ).
+func (f fixture) exact(t *testing.T) Model {
+	t.Helper()
+	m, err := Materialize(f, 0.5, 0.5)
+	if err != nil {
+		t.Fatalf("Materialize: %v", err)
 	}
-	return &mdp.Explicit{Init: 0, Choices: choices}
-}
-
-// explicit returns the fixture under the kernel's β-view reward
-// r_β = RA − β(RA + RH).
-func (f fixture) explicit(beta float64) *mdp.Explicit {
-	return f.explicitWith(func(ra, rh float64) float64 { return ra - beta*(ra+rh) })
+	return m
 }
 
 // compile compiles the fixture onto the kernel (its laws ignore p and γ).

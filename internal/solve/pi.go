@@ -3,50 +3,33 @@ package solve
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/mdp"
 )
 
-// PolicyIteration runs Howard's policy iteration with exact gain/bias
-// evaluation via a dense linear solve. It is exact up to linear-algebra
-// round-off and intended for small and medium models (the dense solve is
-// O(n^3)); it serves as an independent cross-check of the compiled
-// kernel's value iteration.
-//
-// The model must be unichain: every positional strategy must induce a chain
-// with a single recurrent class (so the gain is a scalar).
-func PolicyIteration(m mdp.Model, maxIter int) (*Result, error) {
+// PolicyIteration runs Howard's policy iteration under reward r, from
+// action 0 everywhere, with exact gain/bias evaluation by EvalPolicy. It is
+// exact up to linear-algebra round-off and serves as an independent
+// cross-check of the compiled kernel's value iteration. maxIter ≤ 0 means
+// 1000 rounds.
+func (m Model) PolicyIteration(r Reward, maxIter int) (*Result, error) {
 	if maxIter <= 0 {
 		maxIter = 1000
 	}
-	n := m.NumStates()
-	if n == 0 {
-		return nil, fmt.Errorf("solve: model has no states")
-	}
-	policy := make([]int, n)
-	var buf []mdp.Transition
+	policy := make([]int, len(m))
 	const improveTol = 1e-10
-
-	var (
-		gain float64
-		bias []float64
-		err  error
-	)
 	for iter := 1; iter <= maxIter; iter++ {
-		gain, bias, err = EvalPolicyExact(m, policy)
+		gain, bias, err := m.EvalPolicy(r, policy)
 		if err != nil {
 			return nil, fmt.Errorf("solve: evaluating policy: %w", err)
 		}
 		improved := false
-		for s := 0; s < n; s++ {
+		for s, acts := range m {
 			bestQ := math.Inf(-1)
 			bestA := policy[s]
 			var curQ float64
-			for a := 0; a < m.NumActions(s); a++ {
-				buf = m.Transitions(s, a, buf[:0])
+			for a, succ := range acts {
 				var q float64
-				for _, tr := range buf {
-					q += tr.Prob * (tr.Reward + bias[tr.Dst])
+				for _, tr := range succ {
+					q += tr.Prob * (r(tr.RA, tr.RH) + bias[tr.Dst])
 				}
 				if a == policy[s] {
 					curQ = q

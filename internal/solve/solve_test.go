@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/kernel"
-	"repro/internal/mdp"
 )
 
 func TestMeanPayoffChooseLoop(t *testing.T) {
@@ -109,7 +108,7 @@ func TestMeanPayoffBadWarmStart(t *testing.T) {
 }
 
 func TestPolicyIterationChooseLoop(t *testing.T) {
-	res, err := PolicyIteration(chooseLoop().explicit(0.3), 0)
+	res, err := chooseLoop().exact(t).PolicyIteration(Beta(0.3), 0)
 	if err != nil {
 		t.Fatalf("PolicyIteration: %v", err)
 	}
@@ -119,7 +118,7 @@ func TestPolicyIterationChooseLoop(t *testing.T) {
 }
 
 func TestPolicyIterationStayOrCycle(t *testing.T) {
-	res, err := PolicyIteration(stayOrCycle().explicit(0.5), 0)
+	res, err := stayOrCycle().exact(t).PolicyIteration(Beta(0.5), 0)
 	if err != nil {
 		t.Fatalf("PolicyIteration: %v", err)
 	}
@@ -141,11 +140,7 @@ func TestRVIAgreesWithPolicyIteration(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		f := randomUnichain(r, 2+r.Intn(10), 3)
 		beta := r.Float64()
-		m := f.explicit(beta)
-		if err := mdp.Validate(m, 1e-9); err != nil {
-			t.Fatalf("generated invalid model: %v", err)
-		}
-		exact, err := PolicyIteration(m, 0)
+		exact, err := f.exact(t).PolicyIteration(Beta(beta), 0)
 		if err != nil {
 			return false
 		}
@@ -168,27 +163,22 @@ func TestRVIAgreesWithPolicyIteration(t *testing.T) {
 	}
 }
 
-// exactERRev is gain(r_A) / gain(r_A + r_H) of a policy, each gain by the
-// exact dense evaluation.
+// exactERRev is the oracle's stationary ERRev of a policy.
 func exactERRev(t *testing.T, f fixture, policy []int) float64 {
 	t.Helper()
-	gA, _, err := EvalPolicyExact(f.explicitWith(func(ra, _ float64) float64 { return ra }), policy)
+	errev, err := f.exact(t).ERRev(policy)
 	if err != nil {
-		t.Fatalf("EvalPolicyExact(r_A): %v", err)
+		t.Fatalf("ERRev: %v", err)
 	}
-	gT, _, err := EvalPolicyExact(f.explicitWith(func(ra, rh float64) float64 { return ra + rh }), policy)
-	if err != nil {
-		t.Fatalf("EvalPolicyExact(r_A + r_H): %v", err)
-	}
-	return gA / gT
+	return errev
 }
 
 func TestEvalPolicyExactMatchesIterative(t *testing.T) {
 	f := stayOrCycle()
 	policy := []int{1, 0}
-	gain, _, err := EvalPolicyExact(f.explicit(0.5), policy)
+	gain, _, err := f.exact(t).EvalPolicy(Beta(0.5), policy)
 	if err != nil {
-		t.Fatalf("EvalPolicyExact: %v", err)
+		t.Fatalf("EvalPolicy: %v", err)
 	}
 	if math.Abs(gain-1) > 1e-10 {
 		t.Errorf("gain = %v, want 1", gain)
@@ -252,5 +242,59 @@ func TestGreedyPolicy(t *testing.T) {
 	}
 	if policy := c.GreedyPolicy(0.3); policy[0] != 1 {
 		t.Errorf("greedy policy = %v, want action 1", policy)
+	}
+}
+
+// withLaws is a fixture under a replaced law table.
+type withLaws struct {
+	fixture
+	laws []kernel.ProbLaw
+}
+
+func (w withLaws) Laws() []kernel.ProbLaw { return w.laws }
+
+// TestMaterializeRejectsMalformedSources: Materialize refuses every
+// source that is not an MDP, and the policy evaluators refuse a policy
+// that does not pick one available action per state.
+func TestMaterializeRejectsMalformedSources(t *testing.T) {
+	constant := func(v float64) []kernel.ProbLaw {
+		return []kernel.ProbLaw{func(_, _ float64, _ int) float64 { return v }}
+	}
+	cases := []struct {
+		name   string
+		src    kernel.Source
+		policy []int // nil: the source itself must be refused
+	}{
+		{"no states", fixture{}, nil},
+		{"state without actions", fixture{{sure(0, 0, 0)}, {}}, nil},
+		{"action without successors", fixture{{{}}}, nil},
+		{"destination out of range", fixture{{sure(1, 0, 0)}}, nil},
+		{"law beyond the table", withLaws{fixture{{sure(0, 0, 0)}}, constant(1)}, nil},
+		{"negative probability", withLaws{fixture{{{{0, 1, 0, 0}}}}, constant(-1)}, nil},
+		{"NaN probability", withLaws{fixture{{{{0, 1, 0, 0}}}}, constant(math.NaN())}, nil},
+		{"infinite probability", withLaws{fixture{{{{0, 1, 0, 0}}}}, constant(math.Inf(1))}, nil},
+		{"probabilities miss 1", fixture{{{{0, 128, 0, 0}}}}, nil},
+		{"policy of the wrong length", stayOrCycle(), []int{1}},
+		{"policy action out of range", stayOrCycle(), []int{2, 0}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := Materialize(tc.src, 0.5, 0.5)
+			if tc.policy == nil {
+				if err == nil {
+					t.Fatal("malformed source accepted")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Materialize: %v", err)
+			}
+			if _, _, err := m.EvalPolicy(Beta(0.5), tc.policy); err == nil {
+				t.Error("EvalPolicy accepted the policy")
+			}
+			if _, err := m.ERRev(tc.policy); err == nil {
+				t.Error("ERRev accepted the policy")
+			}
+		})
 	}
 }

@@ -58,6 +58,9 @@ func Profiled(m *core.Model, policy []int) (*Profile, error) {
 	if len(policy) != m.NumStates() {
 		return nil, fmt.Errorf("strategy: policy covers %d states, model has %d", len(policy), m.NumStates())
 	}
+	if err := checkActions(m, policy); err != nil {
+		return nil, err
+	}
 	p := &Profile{
 		Counts:         make(map[Kind]int),
 		ReleaseDepths:  make(map[int]int),
@@ -76,10 +79,7 @@ func Profiled(m *core.Model, policy []int) (*Profile, error) {
 			continue
 		}
 		m.Codec().Decode(s, st)
-		i, _, k, err := parseRelease(m.ActionLabel(s, a))
-		if err != nil {
-			return nil, err
-		}
+		i, _, k := m.Release(s, a)
 		if k == i && st.Phase == core.PendingHonest {
 			p.Counts[KindRace]++
 		} else {
@@ -89,13 +89,6 @@ func Profiled(m *core.Model, policy []int) (*Profile, error) {
 		p.ReleaseLengths[k]++
 	}
 	return p, nil
-}
-
-func parseRelease(label string) (i, j, k int, err error) {
-	if n, err := fmt.Sscanf(label, "release(i=%d,j=%d,k=%d)", &i, &j, &k); err != nil || n != 3 {
-		return 0, 0, 0, fmt.Errorf("strategy: unparseable action label %q", label)
-	}
-	return i, j, k, nil
 }
 
 // Describe renders the profile as a short human-readable report.
@@ -148,7 +141,8 @@ func Write(w io.Writer, params core.Params, policy []int) error {
 }
 
 // Read parses a policy written by Write and checks it against the expected
-// parameters.
+// parameters: the header must match them, and every state must select one
+// of its actions.
 func Read(r io.Reader, params core.Params) ([]int, error) {
 	sc := bufio.NewScanner(r)
 	if !sc.Scan() {
@@ -177,5 +171,23 @@ func Read(r io.Reader, params core.Params) ([]int, error) {
 	if len(policy) != params.NumStates() {
 		return nil, fmt.Errorf("strategy: %d actions for %d states", len(policy), params.NumStates())
 	}
+	m, err := core.NewModel(params)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkActions(m, policy); err != nil {
+		return nil, err
+	}
 	return policy, nil
+}
+
+// checkActions reports the first state whose policy action m does not
+// offer.
+func checkActions(m *core.Model, policy []int) error {
+	for s, a := range policy {
+		if na := m.NumActions(s); a < 0 || a >= na {
+			return fmt.Errorf("strategy: state %d: action %d out of range [0,%d)", s, a, na)
+		}
+	}
+	return nil
 }

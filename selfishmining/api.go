@@ -423,7 +423,8 @@ func (a *Analysis) WriteStrategy(w io.Writer) error {
 }
 
 // ReadStrategy loads a strategy previously saved with WriteStrategy,
-// verifying the parameter header.
+// verifying the parameter header and that every state selects one of its
+// actions.
 func ReadStrategy(r io.Reader, p AttackParams) ([]int, error) {
 	return strategy.Read(r, p.core())
 }

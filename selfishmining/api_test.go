@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/solve"
 )
 
@@ -34,8 +33,8 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 }
 
 // TestAnalyzeBackendsAgree checks the package-level analysis against the
-// exact references on the generic (on-the-fly) fork model: the compiled
-// kernel's evaluation of the computed strategy agrees with exact stationary
+// exact oracle on the materialized fork model: the compiled kernel's
+// evaluation of the computed strategy agrees with exact stationary
 // analysis of that strategy, which reaches the certified bound, and the
 // certified bracket contains β*, the root of MP*_β by policy iteration.
 func TestAnalyzeBackendsAgree(t *testing.T) {
@@ -43,9 +42,14 @@ func TestAnalyzeBackendsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
-	exact, err := core.ERRevOfPolicy(res.model, res.Strategy)
+	p := res.model.Params()
+	oracle, err := solve.Materialize(res.model, p.P, p.Gamma)
 	if err != nil {
-		t.Fatalf("ERRevOfPolicy: %v", err)
+		t.Fatalf("Materialize: %v", err)
+	}
+	exact, err := oracle.ERRev(res.Strategy)
+	if err != nil {
+		t.Fatalf("ERRev: %v", err)
 	}
 	if math.Abs(exact-res.StrategyERRev) > 1e-6 {
 		t.Errorf("backends disagree: compiled strategy ERRev %v, exact %v", res.StrategyERRev, exact)
@@ -54,15 +58,9 @@ func TestAnalyzeBackendsAgree(t *testing.T) {
 		t.Errorf("exact strategy ERRev %v below the certified bound %v", exact, res.ERRev)
 	}
 
-	m, err := core.NewModel(smallParams().core())
-	if err != nil {
-		t.Fatalf("NewModel: %v", err)
-	}
-	m.SetMode(core.RewardBeta)
 	mpStar := func(beta float64) float64 {
 		t.Helper()
-		m.SetBeta(beta)
-		pi, err := solve.PolicyIteration(m, 0)
+		pi, err := oracle.PolicyIteration(solve.Beta(beta), 0)
 		if err != nil {
 			t.Fatalf("PolicyIteration(beta=%v): %v", beta, err)
 		}
