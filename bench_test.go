@@ -27,6 +27,8 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/families"
+	"repro/internal/kernel"
 	"repro/internal/results"
 	"repro/selfishmining"
 )
@@ -191,7 +193,7 @@ func BenchmarkMicro_TransitionEnumeration(b *testing.B) {
 // BenchmarkMicro_CompiledVISweep measures one relative-value-iteration
 // sweep over the compiled d=3, f=2 model (187 500 states).
 func BenchmarkMicro_CompiledVISweep(b *testing.B) {
-	comp, err := core.Compile(core.Params{P: 0.3, Gamma: 0.5, Depth: 3, Forks: 2, MaxLen: 4})
+	comp, err := families.Compile("fork", core.Params{P: 0.3, Gamma: 0.5, Depth: 3, Forks: 2, MaxLen: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -201,7 +203,7 @@ func BenchmarkMicro_CompiledVISweep(b *testing.B) {
 		// MaxIter=1 runs exactly one cold sweep; the expected non-convergence
 		// error carries the partial bracket, so assert on the sweep count
 		// rather than the error.
-		res, err := comp.MeanPayoffCtx(context.Background(), 0.4, core.CompiledOptions{MaxIter: 1})
+		res, err := comp.MeanPayoffCtx(context.Background(), 0.4, kernel.Options{MaxIter: 1})
 		if res == nil || res.Iters != 1 {
 			b.Fatalf("expected exactly one sweep, got %+v (err: %v)", res, err)
 		}
@@ -213,7 +215,7 @@ func BenchmarkMicro_CompiledVISweep(b *testing.B) {
 // speedup in the benchmark trajectory.
 func benchVISweepWorkers(b *testing.B, workers int) {
 	b.Helper()
-	comp, err := core.Compile(core.Params{P: 0.3, Gamma: 0.5, Depth: 3, Forks: 2, MaxLen: 4})
+	comp, err := families.Compile("fork", core.Params{P: 0.3, Gamma: 0.5, Depth: 3, Forks: 2, MaxLen: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -224,7 +226,7 @@ func benchVISweepWorkers(b *testing.B, workers int) {
 		// MaxIter=1 runs exactly one cold sweep; the expected non-convergence
 		// error carries the partial bracket, so assert on the sweep count
 		// rather than the error.
-		res, err := comp.MeanPayoffCtx(context.Background(), 0.4, core.CompiledOptions{MaxIter: 1})
+		res, err := comp.MeanPayoffCtx(context.Background(), 0.4, kernel.Options{MaxIter: 1})
 		if res == nil || res.Iters != 1 {
 			b.Fatalf("expected exactly one sweep, got %+v (err: %v)", res, err)
 		}
@@ -238,14 +240,14 @@ func BenchmarkMicro_VISweep_Workers8(b *testing.B) { benchVISweepWorkers(b, 8) }
 // BenchmarkMicro_BinarySearchStep measures a full sign-only solve on the
 // compiled d=2, f=2 model, the unit of work of Algorithm 1.
 func BenchmarkMicro_BinarySearchStep(b *testing.B) {
-	comp, err := core.Compile(core.Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 2, MaxLen: 4})
+	comp, err := families.Compile("fork", core.Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 2, MaxLen: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := comp.MeanPayoffCtx(context.Background(), 0.35, core.CompiledOptions{Tol: 1e-6, SignOnly: true}); err != nil {
+		if _, err := comp.MeanPayoffCtx(context.Background(), 0.35, kernel.Options{Tol: 1e-6, SignOnly: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -283,18 +285,18 @@ func BenchmarkMicro_Figure2Grid(b *testing.B) {
 // full analysis: the ERRev of the final strategy, r_A and r_A + r_H
 // evaluated in one fused fixed-policy sweep loop, on the d=2, f=2 model.
 func BenchmarkMicro_StrategyEval(b *testing.B) {
-	comp, err := core.Compile(core.Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 2, MaxLen: 4})
+	comp, err := families.Compile("fork", core.Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 2, MaxLen: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := comp.MeanPayoffCtx(context.Background(), 0.44, core.CompiledOptions{Tol: 1e-6}); err != nil {
+	if _, err := comp.MeanPayoffCtx(context.Background(), 0.44, kernel.Options{Tol: 1e-6}); err != nil {
 		b.Fatal(err)
 	}
 	policy := comp.GreedyPolicy(0.44)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := comp.EvalERRevCtx(context.Background(), policy, core.CompiledOptions{Tol: 1e-5}); err != nil {
+		if _, err := comp.EvalERRevCtx(context.Background(), policy, kernel.Options{Tol: 1e-5}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -304,14 +306,14 @@ func BenchmarkMicro_StrategyEval(b *testing.B) {
 // exit in Algorithm 1's inner solves: a full-precision solve at the same
 // beta for comparison with BenchmarkMicro_BinarySearchStep.
 func BenchmarkAblation_SignOnlyOff(b *testing.B) {
-	comp, err := core.Compile(core.Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 2, MaxLen: 4})
+	comp, err := families.Compile("fork", core.Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 2, MaxLen: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := comp.MeanPayoffCtx(context.Background(), 0.35, core.CompiledOptions{Tol: 1e-6}); err != nil {
+		if _, err := comp.MeanPayoffCtx(context.Background(), 0.35, kernel.Options{Tol: 1e-6}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -324,7 +326,7 @@ func BenchmarkAblation_ColdCompilePerPoint(b *testing.B) {
 	params := core.Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 2, MaxLen: 4}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		comp, err := core.Compile(params)
+		comp, err := families.Compile("fork", params)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -397,7 +399,7 @@ func TestCtxOverheadGuard(t *testing.T) {
 	if os.Getenv("BENCH_GUARD") == "" {
 		t.Skip("timing guard; set BENCH_GUARD=1 to run (CI bench job does)")
 	}
-	comp, err := core.Compile(core.Params{P: 0.3, Gamma: 0.5, Depth: 3, Forks: 2, MaxLen: 4})
+	comp, err := families.Compile("fork", core.Params{P: 0.3, Gamma: 0.5, Depth: 3, Forks: 2, MaxLen: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +409,7 @@ func TestCtxOverheadGuard(t *testing.T) {
 	const sweeps = 20
 	run := func(c context.Context) time.Duration {
 		start := time.Now()
-		res, _ := comp.MeanPayoffCtx(c, 0.4, core.CompiledOptions{MaxIter: sweeps})
+		res, _ := comp.MeanPayoffCtx(c, 0.4, kernel.Options{MaxIter: sweeps})
 		if res == nil || res.Iters != sweeps {
 			t.Fatalf("expected exactly %d sweeps, got %+v", sweeps, res)
 		}

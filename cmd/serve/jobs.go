@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/selfishmining"
 	"repro/selfishmining/jobs"
 	"repro/selfishmining/obs"
 )
@@ -43,35 +42,22 @@ func (s *server) jobError(w http.ResponseWriter, r *http.Request, err error) {
 	}
 }
 
-// checkJobRequest applies the server's state-space guard (-max-states) to
-// a job request before it reaches the manager. Sweep specs are normalized
-// in place so defaults are known; the manager's own validation re-runs
-// cheaply after.
+// checkJobRequest runs the server check of the request's spec — the same
+// one /v1/analyze and /v1/sweep apply — before it reaches the manager.
+// Sweep specs are normalized in place, with the server's default configs;
+// the manager's own validation re-runs cheaply after.
 func (s *server) checkJobRequest(req *jobs.Request) error {
 	switch req.Kind {
 	case jobs.KindAnalyze:
 		if req.Analyze == nil {
 			return fmt.Errorf("missing analyze spec")
 		}
-		return s.checkParams(req.Analyze.Params())
+		return s.checkAnalyze(*req.Analyze)
 	case jobs.KindSweep:
 		if req.Sweep == nil {
 			return fmt.Errorf("missing sweep spec")
 		}
-		if err := req.Sweep.Normalize(); err != nil {
-			return err
-		}
-		for _, cfg := range req.Sweep.Configs {
-			p := selfishmining.AttackParams{
-				Model:     req.Sweep.Model,
-				Adversary: 0.1, Switching: req.Sweep.Gamma,
-				Depth: cfg.Depth, Forks: cfg.Forks, MaxForkLen: req.Sweep.Len,
-			}
-			if err := s.checkParams(p); err != nil {
-				return fmt.Errorf("config d=%d f=%d: %w", cfg.Depth, cfg.Forks, err)
-			}
-		}
-		return nil
+		return s.checkSweep(req.Sweep)
 	default:
 		return fmt.Errorf("unknown job kind %q", req.Kind)
 	}
@@ -240,73 +226,5 @@ func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			}
 			after = ev.Seq
 		}
-	}
-}
-
-// handleSweepSSE is the Server-Sent-Events twin of /v1/sweep/stream
-// (satellite of the jobs subsystem, sharing its SSE writer): one "point"
-// event per completed grid point, then a terminal "summary" (the full
-// panel) or "error" event. Event ids number the points, so a consumer can
-// detect gaps; unlike job streams there is no replay — reconnecting
-// restarts the sweep request.
-func (s *server) handleSweepSSE(w http.ResponseWriter, r *http.Request) {
-	var req sweepRequest
-	if !s.decodeJSON(w, r, &req) {
-		return
-	}
-	opts, err := s.buildSweepOptions(req)
-	if err != nil {
-		s.httpError(w, r, err, http.StatusBadRequest)
-		return
-	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMs)
-	defer cancel()
-
-	sse := jobs.NewSSEWriter(w)
-	var points int64
-	// As in the NDJSON stream: a dead client fails every later write, so
-	// the first failure is counted and logged once, the rest stay quiet.
-	var dropped bool
-	drop := func(err error) {
-		if !dropped {
-			dropped = true
-			s.streamWriteError(r, "sse", err)
-		}
-	}
-	opts.OnPoint = func(pt selfishmining.SweepPoint) {
-		line := pointLine{
-			Type:   "point",
-			Series: pt.Series,
-			Depth:  pt.Config.Depth, Forks: pt.Config.Forks,
-			PIndex: pt.PIndex, P: pt.P, RefineDepth: pt.Depth,
-			ERRev: pt.ERRev, Sweeps: pt.Sweeps,
-		}
-		// A failed write means the client is gone → ctx stops the sweep.
-		if werr := sse.Send(points, "point", line); werr != nil {
-			drop(fmt.Errorf("point event: %w", werr))
-		}
-		points++
-	}
-	start := time.Now()
-	fig, err := s.svc.SweepContext(ctx, opts)
-	if err != nil {
-		_, code := solveStatus(err)
-		if werr := sse.Send(points, "error", errorLine{Type: "error", Error: err.Error(), Code: code}); werr != nil {
-			drop(fmt.Errorf("error event: %w", werr))
-		}
-		return
-	}
-	sum := summaryLine{
-		Type:       "summary",
-		Title:      fig.Title,
-		X:          fig.X,
-		Points:     int(points),
-		DurationMs: float64(time.Since(start)) / float64(time.Millisecond),
-	}
-	for _, series := range fig.Series {
-		sum.AllSeries = append(sum.AllSeries, wireSeries{Name: series.Name, Values: series.Values})
-	}
-	if werr := sse.Send(points, "summary", sum); werr != nil {
-		drop(fmt.Errorf("summary event: %w", werr))
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -160,6 +161,9 @@ func TestJobEndpointValidation(t *testing.T) {
 		// The -max-states guard applies to jobs too (d=4 f=2 l=4 is 9.4M states).
 		{`{"kind":"analyze","analyze":{"p":0.3,"gamma":0.5,"d":4,"f":2,"l":4}}`, http.StatusBadRequest},
 		{`{"kind":"sweep","sweep":{"gamma":0.5,"configs":[{"d":4,"f":2}],"l":4}}`, http.StatusBadRequest},
+		// Sweep jobs share /v1/sweep's worst-case x-axis bound: depth 20
+		// could refine two points to ~2^21.
+		{`{"kind":"sweep","sweep":{"gamma":0.5,"p_grid":[0.1,0.2],"configs":[{"d":1,"f":1}],"l":3,"adaptive":true,"max_depth":20,"tolerance":1e-12}}`, http.StatusBadRequest},
 		// Unknown fields are typos, not silently dropped options.
 		{`{"kind":"analyze","analyze":{"p":0.3,"gama":0.5,"d":1,"f":1,"l":2}}`, http.StatusBadRequest},
 	}
@@ -400,6 +404,34 @@ func TestSweepSSEEndpoint(t *testing.T) {
 				t.Errorf("summary: %+v", sum)
 			}
 		})
+	}
+}
+
+// TestJobSweepDefaultConfigs: a sweep job that names no configs runs the
+// server's bounded default curves, as /v1/sweep does, not the library's
+// Figure2Configs with the 9.4M-state d=4 shape.
+func TestJobSweepDefaultConfigs(t *testing.T) {
+	ts, _ := testServer(t)
+	resp, data := postJSON(t, ts.URL+"/v1/jobs",
+		`{"kind":"sweep","sweep":{"gamma":0.5,"p_grid":[0.1],"l":2,"tree_width":2,"epsilon":1e-2}}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	}
+	var st jobs.Status
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatalf("%s: %v", data, err)
+	}
+	want := []jobs.SweepConfig{{Depth: 1, Forks: 1}, {Depth: 2, Forks: 1}, {Depth: 2, Forks: 2}}
+	if st.Sweep == nil || !slices.Equal(st.Sweep.Configs, want) {
+		t.Fatalf("submitted spec %+v, want configs %v", st.Sweep, want)
+	}
+	done := waitJobState(t, ts.URL, st.ID, jobs.StateDone)
+	var names []string
+	for _, s := range done.SweepResult.Series {
+		names = append(names, s.Name)
+	}
+	if wantNames := []string{"honest", "single-tree(f=2)", "ours(d=1,f=1)", "ours(d=2,f=1)", "ours(d=2,f=2)"}; !slices.Equal(names, wantNames) {
+		t.Errorf("job ran series %v, want %v", names, wantNames)
 	}
 }
 

@@ -97,11 +97,13 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net"
@@ -110,6 +112,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -430,8 +433,12 @@ func newServer(svc *selfishmining.Service, mgr *jobs.Manager, cfg *serverConfig,
 	s.handle("POST /v1/analyze", s.handleAnalyze)
 	s.handle("POST /v1/analyze/batch", s.handleBatch)
 	s.handle("POST /v1/sweep", s.handleSweep)
-	s.handle("POST /v1/sweep/stream", s.handleSweepStream)
-	s.handle("POST /v1/sweep/sse", s.handleSweepSSE)
+	s.handle("POST /v1/sweep/stream", func(w http.ResponseWriter, r *http.Request) {
+		// Clients that prefer Server-Sent Events get that framing, as from
+		// /v1/sweep/sse.
+		s.streamSweep(w, r, strings.Contains(r.Header.Get("Accept"), "text/event-stream"))
+	})
+	s.handle("POST /v1/sweep/sse", func(w http.ResponseWriter, r *http.Request) { s.streamSweep(w, r, true) })
 	s.handle("POST /v1/jobs", s.handleJobSubmit)
 	s.handle("GET /v1/jobs", s.handleJobList)
 	s.handle("GET /v1/jobs/{id}", s.handleJobGet)
@@ -448,23 +455,10 @@ func newServer(svc *selfishmining.Service, mgr *jobs.Manager, cfg *serverConfig,
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// analyzeRequest is the wire form of one analysis query.
+// analyzeRequest is the wire form of one analysis query: the analyze job
+// spec plus two per-request fields.
 type analyzeRequest struct {
-	// Model selects the attack-model family ("" = "fork"); GET /v1/models
-	// lists the valid names.
-	Model string  `json:"model,omitempty"`
-	P     float64 `json:"p"`
-	Gamma float64 `json:"gamma"`
-	Depth int     `json:"d"`
-	Forks int     `json:"f"`
-	Len   int     `json:"l"`
-	// Epsilon is the analysis precision (default 1e-4).
-	Epsilon float64 `json:"epsilon,omitempty"`
-	// SkipEval skips the independent exact evaluation of the strategy.
-	SkipEval bool `json:"skip_eval,omitempty"`
-	// BoundOnly certifies the revenue bracket without extracting a
-	// strategy — the cheapest mode, and the one warm starts accelerate.
-	BoundOnly bool `json:"bound_only,omitempty"`
+	jobs.AnalyzeSpec
 	// IncludeStrategy inlines the full strategy (one action index per MDP
 	// state) in the response; off by default since it is O(states).
 	IncludeStrategy bool `json:"include_strategy,omitempty"`
@@ -473,28 +467,6 @@ type analyzeRequest struct {
 	// is 504 with code "deadline". It can only tighten -request-timeout,
 	// never extend it (both deadlines apply).
 	TimeoutMs int `json:"timeout_ms,omitempty"`
-}
-
-func (r *analyzeRequest) params() selfishmining.AttackParams {
-	return selfishmining.AttackParams{
-		Model:     r.Model,
-		Adversary: r.P, Switching: r.Gamma,
-		Depth: r.Depth, Forks: r.Forks, MaxForkLen: r.Len,
-	}
-}
-
-func (r *analyzeRequest) options() []selfishmining.Option {
-	opts := []selfishmining.Option{}
-	if r.Epsilon > 0 {
-		opts = append(opts, selfishmining.WithEpsilon(r.Epsilon))
-	}
-	if r.SkipEval {
-		opts = append(opts, selfishmining.WithoutStrategyEval())
-	}
-	if r.BoundOnly {
-		opts = append(opts, selfishmining.WithBoundOnly())
-	}
-	return opts
 }
 
 // analyzeResponse is the wire form of one analysis result. StrategyERRev is
@@ -538,16 +510,35 @@ func buildResponse(req analyzeRequest, res *selfishmining.Analysis) *analyzeResp
 	return resp
 }
 
-// checkParams validates ranges and the state-space guard, returning an
-// HTTP-ready error message.
-func (s *server) checkParams(p selfishmining.AttackParams) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
+// checkStates applies the -max-states guard to a validated point.
+func (s *server) checkStates(p selfishmining.AttackParams) error {
 	if n := p.NumStates(); n > s.cfg.maxStates {
 		return fmt.Errorf("model has %d states, server limit is %d (-max-states)", n, s.cfg.maxStates)
 	}
 	return nil
+}
+
+// checkAnalyze is the server check of every analyze spec — /v1/analyze,
+// its batch form and analyze jobs alike: the spec's own validation (ranges
+// and epsilon), then the -max-states guard.
+func (s *server) checkAnalyze(spec jobs.AnalyzeSpec) error {
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	return s.checkStates(spec.Params())
+}
+
+// parseAnalyze decodes and checks one /v1/analyze body; every error is the
+// client's (400).
+func (s *server) parseAnalyze(body io.Reader) (analyzeRequest, error) {
+	var req analyzeRequest
+	if err := decode(body, &req); err != nil {
+		return req, err
+	}
+	if req.TimeoutMs < 0 {
+		return req, fmt.Errorf("timeout_ms %d: need >= 0", req.TimeoutMs)
+	}
+	return req, s.checkAnalyze(req.AnalyzeSpec)
 }
 
 // requestCtx derives the context governing one request's solve: the
@@ -568,24 +559,21 @@ func (s *server) requestCtx(r *http.Request, timeoutMs int) (context.Context, co
 	return ctx, cancel
 }
 
+// msSince is the elapsed wall-clock since start, in milliseconds.
+func msSince(start time.Time) float64 {
+	return float64(time.Since(start)) / float64(time.Millisecond)
+}
+
 func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	var req analyzeRequest
-	if !s.decodeJSON(w, r, &req) {
-		return
-	}
-	if req.TimeoutMs < 0 {
-		s.httpError(w, r, fmt.Errorf("timeout_ms %d: need >= 0", req.TimeoutMs), http.StatusBadRequest)
-		return
-	}
-	p := req.params()
-	if err := s.checkParams(p); err != nil {
+	req, err := s.parseAnalyze(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
 		s.httpError(w, r, err, http.StatusBadRequest)
 		return
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMs)
 	defer cancel()
 	start := time.Now()
-	res, info, err := s.svc.AnalyzeDetailedContext(ctx, p, req.options()...)
+	res, info, err := s.svc.AnalyzeDetailedContext(ctx, req.Params(), req.Options()...)
 	if err != nil {
 		// The request was well-formed; a failure here is the solver's or
 		// the context's (matching the batch endpoint's classification).
@@ -595,7 +583,7 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	resp := buildResponse(req, res)
 	resp.Cached = info.Cached
 	resp.Coalesced = info.Coalesced
-	resp.DurationMs = float64(time.Since(start)) / float64(time.Millisecond)
+	resp.DurationMs = msSince(start)
 	s.writeJSON(w, r, resp)
 }
 
@@ -625,34 +613,35 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Validate everything up front so a bad entry cannot waste the batch's
 	// solves, then let the service deduplicate and fan out.
+	first := req.Requests[0]
+	if first.TimeoutMs < 0 {
+		s.httpError(w, r, fmt.Errorf("timeout_ms %d: need >= 0", first.TimeoutMs), http.StatusBadRequest)
+		return
+	}
 	params := make([]selfishmining.AttackParams, len(req.Requests))
 	for i, ar := range req.Requests {
-		params[i] = ar.params()
-		if err := s.checkParams(params[i]); err != nil {
+		if err := s.checkAnalyze(ar.AnalyzeSpec); err != nil {
 			s.httpError(w, r, fmt.Errorf("request %d: %w", i, err), http.StatusBadRequest)
 			return
 		}
-		if ar.Epsilon != req.Requests[0].Epsilon || ar.SkipEval != req.Requests[0].SkipEval ||
-			ar.BoundOnly != req.Requests[0].BoundOnly || ar.TimeoutMs != req.Requests[0].TimeoutMs {
+		if ar.Epsilon != first.Epsilon || ar.SkipEval != first.SkipEval ||
+			ar.BoundOnly != first.BoundOnly || ar.TimeoutMs != first.TimeoutMs {
 			s.httpError(w, r, fmt.Errorf("request %d: batch options must match request 0 (epsilon, skip_eval, bound_only, timeout_ms)", i), http.StatusBadRequest)
 			return
 		}
+		params[i] = ar.Params()
 	}
-	if req.Requests[0].TimeoutMs < 0 {
-		s.httpError(w, r, fmt.Errorf("timeout_ms %d: need >= 0", req.Requests[0].TimeoutMs), http.StatusBadRequest)
-		return
-	}
-	ctx, cancel := s.requestCtx(r, req.Requests[0].TimeoutMs)
+	ctx, cancel := s.requestCtx(r, first.TimeoutMs)
 	defer cancel()
 	start := time.Now()
-	analyses, err := s.svc.AnalyzeBatchContext(ctx, params, req.Requests[0].options()...)
+	analyses, err := s.svc.AnalyzeBatchContext(ctx, params, first.Options()...)
 	if err != nil {
 		s.solveError(w, r, err)
 		return
 	}
 	resp := batchResponse{
 		Results:    make([]*analyzeResponse, len(analyses)),
-		DurationMs: float64(time.Since(start)) / float64(time.Millisecond),
+		DurationMs: msSince(start),
 	}
 	for i, res := range analyses {
 		resp.Results[i] = buildResponse(req.Requests[i], res)
@@ -661,19 +650,18 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // sweepRequest is the wire form of one Figure-2 panel request (buffered or
-// streaming).
+// streaming): a sweep job spec whose p-grid is given as pmin/pmax/pstep,
+// plus timeout_ms.
 type sweepRequest struct {
 	// Model selects the attack-model family of the panel's attack curves
 	// ("" = "fork"); GET /v1/models lists the valid names.
-	Model   string  `json:"model,omitempty"`
-	Gamma   float64 `json:"gamma"`
-	PMin    float64 `json:"pmin,omitempty"`
-	PMax    float64 `json:"pmax,omitempty"`  // default 0.3
-	PStep   float64 `json:"pstep,omitempty"` // default 0.01
-	Configs []struct {
-		Depth int `json:"d"`
-		Forks int `json:"f"`
-	} `json:"configs,omitempty"`
+	Model   string             `json:"model,omitempty"`
+	Gamma   float64            `json:"gamma"`
+	PMin    float64            `json:"pmin,omitempty"`
+	PMax    float64            `json:"pmax,omitempty"`  // default 0.3
+	PStep   float64            `json:"pstep,omitempty"` // default 0.01
+	Configs []jobs.SweepConfig `json:"configs,omitempty"`
+	// Len, TreeWidth and Epsilon default as in the sweep job spec.
 	Len       int     `json:"l,omitempty"`
 	TreeWidth int     `json:"tree_width,omitempty"`
 	Epsilon   float64 `json:"epsilon,omitempty"`
@@ -692,6 +680,9 @@ type sweepRequest struct {
 	TimeoutMs int `json:"timeout_ms,omitempty"`
 }
 
+// wireSeries is one named curve of a sweep response.
+type wireSeries = jobs.SweepSeries
+
 type sweepResponse struct {
 	Title      string       `json:"title"`
 	X          []float64    `json:"x"`
@@ -699,134 +690,128 @@ type sweepResponse struct {
 	DurationMs float64      `json:"duration_ms"`
 }
 
-type wireSeries struct {
-	Name   string    `json:"name"`
-	Values []float64 `json:"values"`
+// seriesOf lists a figure's curves in wire form.
+func seriesOf(fig *results.Figure) []wireSeries {
+	var out []wireSeries
+	for _, series := range fig.Series {
+		out = append(out, wireSeries{Name: series.Name, Values: series.Values})
+	}
+	return out
 }
 
-// buildSweepOptions validates req and assembles the sweep options shared
-// by the buffered (/v1/sweep) and streaming (/v1/sweep/stream) endpoints.
-// Every returned error is a client error (400).
-func (s *server) buildSweepOptions(req sweepRequest) (selfishmining.SweepOptions, error) {
-	var opts selfishmining.SweepOptions
+// maxSweepXValues bounds the worst-case x-axis of every sweep request: the
+// grid plus, for an adaptive sweep, every midpoint refinement could add.
+const maxSweepXValues = 10000
+
+// serverDefaultConfigs are the fork curves of a sweep request that names
+// none. The library default adds the 9.4M-state d=4 configuration; the
+// server default stays bounded.
+var serverDefaultConfigs = []jobs.SweepConfig{{Depth: 1, Forks: 1}, {Depth: 2, Forks: 1}, {Depth: 2, Forks: 2}}
+
+// spec turns the body into a sweep job spec, materializing the p-grid from
+// pmin/pmax/pstep (defaults 0, 0.3 and 0.01) once its length is known to
+// be bounded.
+func (req sweepRequest) spec() (*jobs.SweepSpec, error) {
 	if req.TimeoutMs < 0 {
-		return opts, fmt.Errorf("timeout_ms %d: need >= 0", req.TimeoutMs)
+		return nil, fmt.Errorf("timeout_ms %d: need >= 0", req.TimeoutMs)
 	}
-	// Validate gamma here so a malformed panel is a 400 before any work
-	// (post-validation sweep failures are classified as solver errors).
-	if req.Gamma < 0 || req.Gamma > 1 || math.IsNaN(req.Gamma) {
-		return opts, fmt.Errorf("gamma %v outside [0, 1]", req.Gamma)
+	pmax, pstep := cmp.Or(req.PMax, 0.3), cmp.Or(req.PStep, 0.01)
+	if !(pstep > 0) || !(req.PMin <= pmax) {
+		return nil, fmt.Errorf("bad p-grid: pmin=%v pmax=%v pstep=%v", req.PMin, pmax, pstep)
 	}
-	pmax := req.PMax
-	if pmax == 0 {
-		pmax = 0.3
+	// Bound the grid before materializing it: a tiny step would make it
+	// astronomically long.
+	if n := (pmax-req.PMin)/pstep + 1; !(n <= maxSweepXValues) {
+		return nil, fmt.Errorf("p-grid has ~%.0f points, server limit is %d", n, maxSweepXValues)
 	}
-	pstep := req.PStep
-	if pstep == 0 {
-		pstep = 0.01
+	return &jobs.SweepSpec{
+		Model: req.Model, Gamma: req.Gamma,
+		PGrid:   results.Grid(req.PMin, pmax, pstep),
+		Configs: req.Configs, Len: req.Len, TreeWidth: req.TreeWidth, Epsilon: req.Epsilon,
+		Adaptive: req.Adaptive, Tolerance: req.Tolerance, MaxDepth: req.MaxDepth, MaxPoints: req.MaxPoints,
+	}, nil
+}
+
+// checkSweep is the server check of every sweep request — /v1/sweep, its
+// streams and sweep jobs alike. It fills the server's default configs,
+// normalizes the spec in place (selfishmining.SweepOptions.Normalize does
+// all validation), then bounds the worst-case x-axis and applies the
+// -max-states guard per config.
+func (s *server) checkSweep(spec *jobs.SweepSpec) error {
+	if len(spec.Configs) == 0 && selfishmining.IsDefaultModel(spec.Model) {
+		spec.Configs = slices.Clone(serverDefaultConfigs)
 	}
-	if pstep <= 0 || math.IsNaN(pstep) || req.PMin < 0 || pmax > 1 || req.PMin > pmax || math.IsNaN(req.PMin) || math.IsNaN(pmax) {
-		return opts, fmt.Errorf("bad p-grid: pmin=%v pmax=%v pstep=%v", req.PMin, pmax, pstep)
+	if err := spec.Normalize(); err != nil {
+		return err
 	}
-	// A tiny step would make the grid astronomically long; bound the point
-	// count before materializing anything.
-	const maxSweepPoints = 10000
-	points := (pmax - req.PMin) / pstep
-	if points > maxSweepPoints {
-		return opts, fmt.Errorf("p-grid has ~%.0f points, server limit is %d", points+1, maxSweepPoints)
-	}
-	if !req.Adaptive && (req.Tolerance != 0 || req.MaxDepth != 0 || req.MaxPoints != 0) {
-		return opts, fmt.Errorf("tolerance/max_depth/max_points require adaptive = true")
-	}
-	if req.Adaptive {
-		if req.Tolerance < 0 || math.IsNaN(req.Tolerance) || math.IsInf(req.Tolerance, 0) {
-			return opts, fmt.Errorf("tolerance %v: need >= 0 (0 = default)", req.Tolerance)
+	// Full refinement adds up to 2^max_depth − 1 midpoints per coarse
+	// point, fewer when max_points caps them.
+	worst := float64(len(spec.PGrid))
+	if spec.Adaptive {
+		refined := worst * (math.Exp2(float64(spec.MaxDepth)) - 1)
+		if spec.MaxPoints > 0 {
+			refined = min(refined, float64(spec.MaxPoints))
 		}
-		if req.MaxDepth < 0 || req.MaxPoints < 0 {
-			return opts, fmt.Errorf("max_depth %d / max_points %d: need >= 0", req.MaxDepth, req.MaxPoints)
-		}
-		// Bound the worst case up front: full refinement adds 2^depth − 1
-		// midpoints per coarse cell (fewer when max_points caps it).
-		depth := req.MaxDepth
-		if depth == 0 {
-			depth = selfishmining.DefaultSweepMaxDepth
-		}
-		refined := (points + 1) * (math.Pow(2, float64(depth)) - 1)
-		if req.MaxPoints > 0 && float64(req.MaxPoints) < refined {
-			refined = float64(req.MaxPoints)
-		}
-		if points+1+refined > maxSweepPoints {
-			return opts, fmt.Errorf("adaptive sweep could refine to ~%.0f points, server limit is %d (lower max_depth or set max_points)",
-				points+1+refined, maxSweepPoints)
-		}
+		worst += refined
 	}
-	info, ok := selfishmining.ModelInfoFor(req.Model)
-	if !ok {
-		// Produce the registry's unknown-family error (listing the valid
-		// names) through validation.
-		bad := selfishmining.AttackParams{Model: req.Model, Depth: 1, Forks: 1, MaxForkLen: 1}
-		return opts, bad.Validate()
+	if worst > maxSweepXValues {
+		return fmt.Errorf("sweep could reach ~%.0f x-values, server limit is %d (shrink the grid, lower max_depth or set max_points)",
+			worst, maxSweepXValues)
 	}
-	opts = selfishmining.SweepOptions{
-		Model:      req.Model,
-		Gamma:      req.Gamma,
-		PGrid:      results.Grid(req.PMin, pmax, pstep),
-		MaxForkLen: req.Len,
-		TreeWidth:  req.TreeWidth,
-		Epsilon:    req.Epsilon,
-		Adaptive:   req.Adaptive,
-		Tolerance:  req.Tolerance,
-		MaxDepth:   req.MaxDepth,
-		MaxPoints:  req.MaxPoints,
-	}
-	maxLen := req.Len
-	if maxLen <= 0 {
-		maxLen = selfishmining.DefaultSweepMaxForkLen
-		if info.Name != selfishmining.DefaultModel {
-			maxLen = info.DefaultMaxForkLen
-		}
-	}
-	configs := req.Configs
-	if len(configs) == 0 {
-		if info.Name == selfishmining.DefaultModel {
-			// The library default is the paper's full list including the
-			// 9.4M state d=4 configuration; a server default stays bounded.
-			configs = []struct {
-				Depth int `json:"d"`
-				Forks int `json:"f"`
-			}{{1, 1}, {2, 1}, {2, 2}}
-		} else {
-			configs = []struct {
-				Depth int `json:"d"`
-				Forks int `json:"f"`
-			}{{info.DefaultDepth, info.DefaultForks}}
-		}
-	}
-	for _, c := range configs {
+	for _, c := range spec.Configs {
 		p := selfishmining.AttackParams{
-			Model:     req.Model,
-			Adversary: 0.1, Switching: req.Gamma,
-			Depth: c.Depth, Forks: c.Forks, MaxForkLen: maxLen,
+			Model:     spec.Model,
+			Adversary: spec.PGrid[0], Switching: spec.Gamma,
+			Depth: c.Depth, Forks: c.Forks, MaxForkLen: spec.Len,
 		}
-		if err := s.checkParams(p); err != nil {
-			return opts, fmt.Errorf("config d=%d f=%d: %w", c.Depth, c.Forks, err)
+		if err := s.checkStates(p); err != nil {
+			return fmt.Errorf("config d=%d f=%d: %w", c.Depth, c.Forks, err)
 		}
+	}
+	return nil
+}
+
+// parseSweep decodes and checks one /v1/sweep* body into the options to run
+// and the body's timeout_ms; every error is the client's (400).
+func (s *server) parseSweep(body io.Reader) (selfishmining.SweepOptions, int, error) {
+	var req sweepRequest
+	if err := decode(body, &req); err != nil {
+		return selfishmining.SweepOptions{}, 0, err
+	}
+	spec, err := req.spec()
+	if err == nil {
+		err = s.checkSweep(spec)
+	}
+	if err != nil {
+		return selfishmining.SweepOptions{}, 0, err
+	}
+	opts := selfishmining.SweepOptions{
+		Model: spec.Model, Gamma: spec.Gamma, PGrid: spec.PGrid,
+		MaxForkLen: spec.Len, TreeWidth: spec.TreeWidth, Epsilon: spec.Epsilon,
+		Adaptive: spec.Adaptive, Tolerance: spec.Tolerance, MaxDepth: spec.MaxDepth, MaxPoints: spec.MaxPoints,
+	}
+	for _, c := range spec.Configs {
 		opts.Configs = append(opts.Configs, selfishmining.AttackConfig{Depth: c.Depth, Forks: c.Forks})
 	}
-	return opts, nil
+	return opts, req.TimeoutMs, nil
+}
+
+// readSweep is parseSweep on a request body, answering 400 itself.
+func (s *server) readSweep(w http.ResponseWriter, r *http.Request) (selfishmining.SweepOptions, int, bool) {
+	opts, timeoutMs, err := s.parseSweep(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		s.httpError(w, r, err, http.StatusBadRequest)
+		return opts, 0, false
+	}
+	return opts, timeoutMs, true
 }
 
 func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req sweepRequest
-	if !s.decodeJSON(w, r, &req) {
+	opts, timeoutMs, ok := s.readSweep(w, r)
+	if !ok {
 		return
 	}
-	opts, err := s.buildSweepOptions(req)
-	if err != nil {
-		s.httpError(w, r, err, http.StatusBadRequest)
-		return
-	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMs)
+	ctx, cancel := s.requestCtx(r, timeoutMs)
 	defer cancel()
 	start := time.Now()
 	fig, err := s.svc.SweepContext(ctx, opts)
@@ -834,35 +819,17 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.solveError(w, r, err)
 		return
 	}
-	resp := sweepResponse{
-		Title:      fig.Title,
-		X:          fig.X,
-		DurationMs: float64(time.Since(start)) / float64(time.Millisecond),
-	}
-	for _, series := range fig.Series {
-		resp.Series = append(resp.Series, wireSeries{Name: series.Name, Values: series.Values})
-	}
-	s.writeJSON(w, r, resp)
+	s.writeJSON(w, r, sweepResponse{Title: fig.Title, X: fig.X, Series: seriesOf(fig), DurationMs: msSince(start)})
 }
 
-// The NDJSON lines of /v1/sweep/stream: a "point" per completed grid point
-// (in completion order), then exactly one terminal "summary" (the full
-// panel, as /v1/sweep would have returned it) or "error" line. Each line
-// kind is its own struct so every field of a point — including legitimate
-// zero values like the p=0 grid point — is always present on the wire.
+// The records of a sweep stream: a "point" per completed grid point (in
+// completion order), then exactly one terminal "summary" (the full panel,
+// as /v1/sweep would have returned it) or "error". Each kind is its own
+// struct so every field of a point — including legitimate zero values like
+// the p=0 grid point — is always present on the wire.
 type pointLine struct {
-	Type   string `json:"type"`
-	Series string `json:"series"`
-	Depth  int    `json:"d"`
-	Forks  int    `json:"f"`
-	// PIndex indexes the requested grid; refined points of an adaptive
-	// sweep lie between grid entries and carry p_index = -1 plus their
-	// bisection depth in refine_depth.
-	PIndex      int     `json:"p_index"`
-	P           float64 `json:"p"`
-	RefineDepth int     `json:"refine_depth,omitempty"`
-	ERRev       float64 `json:"errev"`
-	Sweeps      int     `json:"sweeps"`
+	Type string `json:"type"`
+	jobs.SweepPoint
 }
 
 type summaryLine struct {
@@ -880,89 +847,76 @@ type errorLine struct {
 	Code  string `json:"code,omitempty"`
 }
 
-// handleSweepStream computes the same panel as /v1/sweep but delivers each
-// completed attack-curve grid point as one NDJSON line the moment it is
-// solved, followed by a terminal summary line carrying the assembled
-// figure (or an error line — after streaming has started, errors can no
-// longer change the HTTP status). A client that disconnects cancels the
-// request context, which stops the remaining grid work at the next
-// value-iteration sweep boundary. Requests that prefer Server-Sent Events
-// (Accept: text/event-stream) are answered in that framing instead, as
-// /v1/sweep/sse would.
-func (s *server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
-	if strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
-		s.handleSweepSSE(w, r)
+// streamSweep computes the /v1/sweep panel but delivers each completed
+// attack-curve grid point the moment it is solved, then the terminal
+// summary or error record. It frames each record as one NDJSON line
+// (/v1/sweep/stream), or with sse as one Server-Sent Event named by the
+// record type, whose id counts the points sent before it (/v1/sweep/sse,
+// and /v1/sweep/stream for clients that Accept text/event-stream). Once
+// streaming has started, errors can no longer change the HTTP status. A
+// client that disconnects cancels the request context, which stops the
+// remaining grid work at the next value-iteration sweep boundary; unlike
+// job event streams there is no replay.
+func (s *server) streamSweep(w http.ResponseWriter, r *http.Request, sse bool) {
+	opts, timeoutMs, ok := s.readSweep(w, r)
+	if !ok {
 		return
 	}
-	var req sweepRequest
-	if !s.decodeJSON(w, r, &req) {
-		return
-	}
-	opts, err := s.buildSweepOptions(req)
-	if err != nil {
-		s.httpError(w, r, err, http.StatusBadRequest)
-		return
-	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMs)
+	ctx, cancel := s.requestCtx(r, timeoutMs)
 	defer cancel()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Content-Type-Options", "nosniff")
-	enc := json.NewEncoder(w)
-	fl, _ := w.(http.Flusher)
-	var points int
+	var send func(id int64, kind string, record any) error
+	framing := "sse"
+	if sse {
+		send = jobs.NewSSEWriter(w).Send
+	} else {
+		framing, send = "ndjson", ndjsonSender(w)
+	}
+	var points int64
 	// A broken pipe keeps failing for every later write; report the first
 	// failure once (counted + logged) instead of a line of noise per point.
 	var dropped bool
-	drop := func(err error) {
-		if !dropped {
+	emit := func(kind string, record any) {
+		if err := send(points, kind, record); err != nil && !dropped {
 			dropped = true
-			s.streamWriteError(r, "ndjson", err)
+			s.streamWriteError(r, framing, fmt.Errorf("%s record: %w", kind, err))
 		}
 	}
 	// OnPoint calls are serialized by the sweep and stop before
-	// SweepContext returns, so enc is never written concurrently.
+	// SweepContext returns, so the stream is never written concurrently. A
+	// failed write means the client is gone; ctx then stops the sweep.
 	opts.OnPoint = func(pt selfishmining.SweepPoint) {
+		emit("point", pointLine{Type: "point", SweepPoint: jobs.NewSweepPoint(pt)})
 		points++
-		line := pointLine{
-			Type:   "point",
-			Series: pt.Series,
-			Depth:  pt.Config.Depth, Forks: pt.Config.Forks,
-			PIndex: pt.PIndex, P: pt.P, RefineDepth: pt.Depth,
-			ERRev: pt.ERRev, Sweeps: pt.Sweeps,
-		}
-		if err := enc.Encode(line); err != nil {
-			// Client gone; the ctx cancellation stops the sweep.
-			drop(fmt.Errorf("encoding point line: %w", err))
-			return
-		}
-		if fl != nil {
-			fl.Flush()
-		}
 	}
 	start := time.Now()
 	fig, err := s.svc.SweepContext(ctx, opts)
 	if err != nil {
-		// Headers may already be out (points were streamed), so the
-		// terminal line — not the HTTP status — carries the outcome.
 		_, code := solveStatus(err)
-		if encErr := enc.Encode(errorLine{Type: "error", Error: err.Error(), Code: code}); encErr != nil {
-			drop(fmt.Errorf("encoding stream error line: %w", encErr))
-		}
+		emit("error", errorLine{Type: "error", Error: err.Error(), Code: code})
 		return
 	}
-	sum := summaryLine{
-		Type:       "summary",
-		Title:      fig.Title,
-		X:          fig.X,
-		Points:     points,
-		DurationMs: float64(time.Since(start)) / float64(time.Millisecond),
-	}
-	for _, series := range fig.Series {
-		sum.AllSeries = append(sum.AllSeries, wireSeries{Name: series.Name, Values: series.Values})
-	}
-	if err := enc.Encode(sum); err != nil {
-		drop(fmt.Errorf("encoding stream summary: %w", err))
+	emit("summary", summaryLine{
+		Type: "summary", Title: fig.Title, X: fig.X, AllSeries: seriesOf(fig),
+		Points: int(points), DurationMs: msSince(start),
+	})
+}
+
+// ndjsonSender frames stream records as NDJSON lines, each flushed as it
+// is written.
+func ndjsonSender(w http.ResponseWriter) func(int64, string, any) error {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("X-Content-Type-Options", "nosniff")
+	enc := json.NewEncoder(w)
+	fl, _ := w.(http.Flusher)
+	return func(_ int64, _ string, record any) error {
+		if err := enc.Encode(record); err != nil {
+			return err
+		}
+		if fl != nil {
+			fl.Flush()
+		}
+		return nil
 	}
 }
 
@@ -1007,13 +961,22 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // keeping an unauthenticated client from ballooning the decoder.
 const maxBodyBytes = 4 << 20
 
-// decodeJSON parses the body strictly (unknown fields are errors, catching
-// typos like "gama"), writing a 400 and returning false on failure.
-func (s *server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// decode parses one request body strictly: unknown fields are errors,
+// catching typos like "gama".
+func decode(body io.Reader, dst any) error {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		s.httpError(w, r, fmt.Errorf("bad request body: %w", err), http.StatusBadRequest)
+		return fmt.Errorf("bad request body: %w", err)
+	}
+	return nil
+}
+
+// decodeJSON decodes the request body, writing a 400 and returning false
+// on failure.
+func (s *server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
+	if err := decode(http.MaxBytesReader(w, r.Body, maxBodyBytes), dst); err != nil {
+		s.httpError(w, r, err, http.StatusBadRequest)
 		return false
 	}
 	return true

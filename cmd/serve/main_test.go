@@ -170,6 +170,7 @@ func TestAnalyzeEndpointRejects(t *testing.T) {
 		{"unknown field", `{"p":0.3,"gama":0.5,"d":1,"f":1,"l":2}`},
 		{"invalid params", `{"p":1.5,"gamma":0.5,"d":1,"f":1,"l":2}`},
 		{"too large", `{"p":0.3,"gamma":0.5,"d":3,"f":2,"l":4}`},
+		{"negative epsilon", `{"p":0.3,"gamma":0.5,"d":1,"f":1,"l":2,"epsilon":-1}`},
 	}
 	for _, tc := range cases {
 		resp, data := postJSON(t, ts.URL+"/v1/analyze", tc.body)
@@ -254,6 +255,7 @@ func TestBatchEndpointRejects(t *testing.T) {
 		"over limit":    fmt.Sprintf(`{"requests":[%s,%s,%s]}`, req, req, req),
 		"invalid entry": `{"requests":[{"p":2,"gamma":0.5,"d":1,"f":1,"l":2}]}`,
 		"mixed options": fmt.Sprintf(`{"requests":[%s,{"p":0.2,"gamma":0.5,"d":1,"f":1,"l":2,"bound_only":true}]}`, req),
+		"negative eps":  `{"requests":[{"p":0.3,"gamma":0.5,"d":1,"f":1,"l":2,"epsilon":-1}]}`,
 	} {
 		resp, data := postJSON(t, ts.URL+"/v1/analyze/batch", body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -297,6 +299,8 @@ func TestSweepEndpointRejects(t *testing.T) {
 		"negative step": `{"gamma":0.5,"pstep":-0.1}`,
 		"tiny step":     `{"gamma":0.5,"pstep":1e-300}`,
 		"large config":  `{"gamma":0.5,"configs":[{"d":3,"f":2}]}`,
+		"negative eps":  `{"gamma":0.5,"configs":[{"d":1,"f":1}],"l":2,"epsilon":-1}`,
+		"negative l":    `{"gamma":0.5,"configs":[{"d":1,"f":1}],"l":-1}`,
 	} {
 		resp, data := postJSON(t, ts.URL+"/v1/sweep", body)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -109,40 +109,29 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := jobs.ValidateRemoteFlags(*server, *submit, *resumeID, *wait); err != nil {
 		return err
 	}
-	if *pstep <= 0 || math.IsNaN(*pstep) {
-		return fmt.Errorf("-pstep %v: need a positive grid step", *pstep)
+	// The p-grid is materialized from these flags, so they are checked
+	// here; everything else is SweepOptions.Normalize's job below.
+	if !(*pstep > 0) || math.IsInf(*pstep, 0) {
+		return fmt.Errorf("-pstep %v: need a positive finite grid step", *pstep)
 	}
-	if *pmin < 0 || *pmax > 1 || *pmin > *pmax || math.IsNaN(*pmin) || math.IsNaN(*pmax) {
+	if !(0 <= *pmin && *pmin <= *pmax && *pmax <= 1) {
 		return fmt.Errorf("-pmin %v -pmax %v: need 0 <= pmin <= pmax <= 1", *pmin, *pmax)
 	}
-	if *eps <= 0 || math.IsNaN(*eps) {
-		return fmt.Errorf("-eps %v: need a positive precision", *eps)
-	}
-	if !*adaptive && (*tol != 0 || *maxDepth != 0 || *maxPts != 0) {
-		return fmt.Errorf("-tolerance/-max-depth/-max-points require -adaptive")
-	}
-	if *adaptive {
-		if *tol < 0 || math.IsNaN(*tol) {
-			return fmt.Errorf("-tolerance %v: need >= 0 (0 = default)", *tol)
-		}
-		if *maxDepth < 0 || *maxPts < 0 {
-			return fmt.Errorf("-max-depth %d / -max-points %d: need >= 0", *maxDepth, *maxPts)
-		}
-	}
+	// A zero the library would read as "default" is an error on a flag
+	// with an explicit default.
 	lSet := false
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "l" {
 			lSet = true
 		}
 	})
-	if lSet && *l < 1 {
-		return fmt.Errorf("-l %d: need a fork length bound >= 1", *l)
-	}
-	if *width < 1 {
-		return fmt.Errorf("-width %d: need a baseline tree width >= 1", *width)
-	}
-	if *workers < 0 {
-		return fmt.Errorf("-workers %d: need >= 0 (0 = all cores)", *workers)
+	switch {
+	case *eps == 0:
+		return fmt.Errorf("-eps 0: need a positive precision")
+	case lSet && *l == 0:
+		return fmt.Errorf("-l 0: need a fork length bound >= 1")
+	case *width == 0:
+		return fmt.Errorf("-width 0: need a baseline tree width >= 1")
 	}
 	if *timeout < 0 {
 		return fmt.Errorf("-timeout %v: need >= 0 (0 = none)", *timeout)
@@ -155,11 +144,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *resumeID != "" {
 		return remoteSweepResume(ctx, *server, *resumeID, *wait, *quiet, stdout, *out, *markdown)
 	}
-	isFork := selfishmining.IsDefaultModel(*model)
 	// The library default config list includes 4x2 (9.4M states); the CLI
 	// default stays bounded. Non-fork families default to their own shape.
 	cfgSpec := *configs
-	if cfgSpec == "" && isFork {
+	if cfgSpec == "" && selfishmining.IsDefaultModel(*model) {
 		cfgSpec = "1x1,2x1,2x2,3x2"
 	}
 	var cfgs []selfishmining.AttackConfig
@@ -170,41 +158,18 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			return err
 		}
 	}
-	maxLen := *l
-	if !lSet && isFork {
-		maxLen = selfishmining.DefaultSweepMaxForkLen
-	}
-	if *submit {
-		spec := jobs.SweepSpec{
-			Model: *model, Gamma: *gamma,
-			PGrid:     results.Grid(*pmin, *pmax, *pstep),
-			Len:       maxLen,
-			Epsilon:   *eps,
-			Adaptive:  *adaptive,
-			Tolerance: *tol,
-			MaxDepth:  *maxDepth,
-			MaxPoints: *maxPts,
-		}
-		if *width != 5 {
-			spec.TreeWidth = *width
-		}
-		for _, c := range cfgs {
-			spec.Configs = append(spec.Configs, jobs.SweepConfig{Depth: c.Depth, Forks: c.Forks})
-		}
-		return remoteSweepSubmit(ctx, *server, spec, *priority, *wait, *quiet, stdout, *out, *markdown)
-	}
 	progress := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
 	}
 	if *quiet {
 		progress = nil
 	}
-	fig, err := selfishmining.SweepContext(ctx, selfishmining.SweepOptions{
+	opts := selfishmining.SweepOptions{
 		Model:      *model,
 		Gamma:      *gamma,
 		PGrid:      results.Grid(*pmin, *pmax, *pstep),
 		Configs:    cfgs,
-		MaxForkLen: maxLen,
+		MaxForkLen: *l,
 		TreeWidth:  *width,
 		Epsilon:    *eps,
 		Adaptive:   *adaptive,
@@ -213,7 +178,22 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		MaxPoints:  *maxPts,
 		Workers:    *workers,
 		Progress:   progress,
-	})
+	}
+	if err := opts.Normalize(); err != nil {
+		return err
+	}
+	if *submit {
+		spec := jobs.SweepSpec{
+			Model: *model, Gamma: opts.Gamma, PGrid: opts.PGrid,
+			Len: opts.MaxForkLen, TreeWidth: opts.TreeWidth, Epsilon: opts.Epsilon,
+			Adaptive: opts.Adaptive, Tolerance: opts.Tolerance, MaxDepth: opts.MaxDepth, MaxPoints: opts.MaxPoints,
+		}
+		for _, c := range opts.Configs {
+			spec.Configs = append(spec.Configs, jobs.SweepConfig{Depth: c.Depth, Forks: c.Forks})
+		}
+		return remoteSweepSubmit(ctx, *server, spec, *priority, *wait, *quiet, stdout, *out, *markdown)
+	}
+	fig, err := selfishmining.SweepContext(ctx, opts)
 	if err != nil {
 		if errors.Is(err, selfishmining.ErrCanceled) {
 			// Completed points already streamed via -progress; the panel

@@ -101,9 +101,13 @@ func TestRunRejectsBadFlagCombos(t *testing.T) {
 	for _, args := range [][]string{
 		{"-pstep", "0"},
 		{"-pstep", "-0.1"},
+		{"-pstep", "inf"},
 		{"-pmin", "0.5", "-pmax", "0.2"},
 		{"-pmin", "-0.1"},
 		{"-pmax", "1.5"},
+		{"-pmax", "1e9"},
+		{"-pmin", "-1e9"},
+		{"-pmin", "nan"},
 		{"-eps", "0"},
 		{"-l", "0"},
 		{"-width", "0"},

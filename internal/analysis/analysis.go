@@ -22,8 +22,6 @@ type Options struct {
 	// Epsilon is the precision of the binary search on β; the returned
 	// ERRev lies in [ERRev* − ε, ERRev*]. Default 1e-4.
 	Epsilon float64
-	// SolverMaxIter bounds value-iteration sweeps per solve. Default 500000.
-	SolverMaxIter int
 	// SkipStrategyEval skips the independent evaluation of the final
 	// strategy's revenue; useful for large models where only the bound is
 	// needed.
@@ -125,9 +123,6 @@ func (ck *Checkpoint) validate() error {
 func (o *Options) defaults() {
 	if o.Epsilon <= 0 {
 		o.Epsilon = 1e-4
-	}
-	if o.SolverMaxIter <= 0 {
-		o.SolverMaxIter = 500000
 	}
 }
 

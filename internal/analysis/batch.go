@@ -128,7 +128,6 @@ func AnalyzeBatch(ctx context.Context, c *kernel.Compiled, lanes []BatchLane, op
 	// the final bracket stay bitwise equal to the solo analysis.
 	betas := make([]float64, len(lanes))
 	srs, err := b.RunCtx(ctx, kernel.BatchRunOptions{
-		MaxIter:    opts.SolverMaxIter,
 		SignOnly:   true,
 		KeepValues: true, // unseeded lanes start from zero = solo cold
 	}, func(ln int, prev *kernel.Result) (kernel.LaneSolve, bool) {

@@ -141,7 +141,7 @@ func TestAnalyzeBatchWarmLanesMatchSolo(t *testing.T) {
 		}
 		p := shape
 		p.P, p.Gamma = math.Min(1, lanes[i].P+0.01), lanes[i].Gamma
-		comp, err := core.Compile(p)
+		comp, err := families.Compile("fork", p)
 		if err != nil {
 			t.Fatalf("Compile: %v", err)
 		}
@@ -152,7 +152,7 @@ func TestAnalyzeBatchWarmLanesMatchSolo(t *testing.T) {
 	}
 	p := shape
 	p.P, p.Gamma = lanes[0].P, lanes[0].Gamma
-	comp, err := core.Compile(p)
+	comp, err := families.Compile("fork", p)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
@@ -169,7 +169,7 @@ func TestAnalyzeBatchWarmLanesMatchSolo(t *testing.T) {
 // TestAnalyzeBatchValidation: malformed batches are rejected up front, and
 // a rejected batch counts no Algorithm 1 run and times none.
 func TestAnalyzeBatchValidation(t *testing.T) {
-	comp, err := core.Compile(core.Params{P: 0.3, Gamma: 0.5, Depth: 1, Forks: 1, MaxLen: 3})
+	comp, err := families.Compile("fork", core.Params{P: 0.3, Gamma: 0.5, Depth: 1, Forks: 1, MaxLen: 3})
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
@@ -200,7 +200,7 @@ func TestAnalyzeBatchValidation(t *testing.T) {
 // brackets with an error wrapping ctx.Err, mirroring the solo contract.
 func TestAnalyzeBatchCancel(t *testing.T) {
 	skipWithoutBatch(t)
-	comp, err := core.Compile(core.Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 1, MaxLen: 4})
+	comp, err := families.Compile("fork", core.Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 1, MaxLen: 4})
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
@@ -227,7 +227,7 @@ func TestAnalyzeBatchCancel(t *testing.T) {
 // three lanes' Iterations and Sweeps — idle padding lanes count nowhere.
 func TestAnalyzeBatchCountsRequestedLanes(t *testing.T) {
 	skipWithoutBatch(t)
-	comp, err := core.Compile(core.Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 1, MaxLen: 4})
+	comp, err := families.Compile("fork", core.Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 1, MaxLen: 4})
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}

@@ -92,7 +92,6 @@ func Analyze(ctx context.Context, c *kernel.Compiled, opts Options) (*Result, er
 		beta := (res.BetaLow + res.BetaUp) / 2
 		sr, err := c.MeanPayoffCtx(ctx, beta, kernel.Options{
 			Tol:        zeta,
-			MaxIter:    opts.SolverMaxIter,
 			SignOnly:   true,
 			KeepValues: warm,
 		})
@@ -139,7 +138,6 @@ func Analyze(ctx context.Context, c *kernel.Compiled, opts Options) (*Result, er
 
 	sr, err := c.MeanPayoffCtx(ctx, res.BetaLow, kernel.Options{
 		Tol:        zeta,
-		MaxIter:    opts.SolverMaxIter,
 		KeepValues: warm,
 	})
 	if sr != nil {
@@ -151,7 +149,7 @@ func Analyze(ctx context.Context, c *kernel.Compiled, opts Options) (*Result, er
 	res.Strategy = c.GreedyPolicy(res.BetaLow)
 
 	if !opts.SkipStrategyEval {
-		errev, err := c.EvalERRevCtx(ctx, res.Strategy, kernel.Options{Tol: zeta, MaxIter: opts.SolverMaxIter})
+		errev, err := c.EvalERRevCtx(ctx, res.Strategy, kernel.Options{Tol: zeta})
 		if err != nil {
 			return res, fmt.Errorf("analysis: evaluating final strategy: %w", err)
 		}

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/families"
+	"repro/internal/kernel"
 )
 
 // errAfterChecks cancels after n Err() observations, landing the
@@ -83,7 +85,7 @@ func TestProgressReportsEveryStep(t *testing.T) {
 		}
 		lastLo, lastUp = lo, up
 	}}
-	comp, err := core.Compile(core.Params{P: 0.3, Gamma: 0.5, Depth: 1, Forks: 1, MaxLen: 3})
+	comp, err := families.Compile("fork", core.Params{P: 0.3, Gamma: 0.5, Depth: 1, Forks: 1, MaxLen: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +108,9 @@ func TestProgressReportsEveryStep(t *testing.T) {
 	}
 }
 
-func mustCompile(t *testing.T) *core.Compiled {
+func mustCompile(t *testing.T) *kernel.Compiled {
 	t.Helper()
-	comp, err := core.Compile(core.Params{P: 0.3, Gamma: 0.5, Depth: 1, Forks: 1, MaxLen: 3})
+	comp, err := families.Compile("fork", core.Params{P: 0.3, Gamma: 0.5, Depth: 1, Forks: 1, MaxLen: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

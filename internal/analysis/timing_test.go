@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/families"
 )
 
 // TestTimingCompiled reports compiled-path analysis timings on the medium
@@ -18,7 +19,7 @@ func TestTimingCompiled(t *testing.T) {
 		{P: 0.3, Gamma: 0.5, Depth: 3, Forks: 2, MaxLen: 4},
 	} {
 		start := time.Now()
-		c, err := core.Compile(cfg)
+		c, err := families.Compile("fork", cfg)
 		if err != nil {
 			t.Fatalf("Compile(%v): %v", cfg, err)
 		}

@@ -5,11 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/families"
+	"repro/internal/kernel"
 )
 
-func compileFor(t *testing.T, p core.Params) *core.Compiled {
+func compileFor(t *testing.T, p core.Params) *kernel.Compiled {
 	t.Helper()
-	c, err := core.Compile(p)
+	c, err := families.Compile("fork", p)
 	if err != nil {
 		t.Fatalf("Compile(%v): %v", p, err)
 	}

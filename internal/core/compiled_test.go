@@ -5,14 +5,24 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/solve"
 )
 
-func mustCompile(t *testing.T, p Params) *Compiled {
-	t.Helper()
-	c, err := Compile(p)
+// compile builds the kernel structure of the fork model at p.
+func compile(p Params) (*kernel.Compiled, error) {
+	m, err := NewModel(p)
 	if err != nil {
-		t.Fatalf("Compile(%v): %v", p, err)
+		return nil, err
+	}
+	return kernel.Compile(m, p.P, p.Gamma)
+}
+
+func mustCompile(t *testing.T, p Params) *kernel.Compiled {
+	t.Helper()
+	c, err := compile(p)
+	if err != nil {
+		t.Fatalf("compile(%v): %v", p, err)
 	}
 	return c
 }
@@ -42,7 +52,7 @@ func TestCompiledMatchesGenericGain(t *testing.T) {
 				if err != nil {
 					t.Fatalf("policy iteration: %v", err)
 				}
-				got, err := c.MeanPayoffCtx(context.Background(), beta, CompiledOptions{Tol: 1e-9})
+				got, err := c.MeanPayoffCtx(context.Background(), beta, kernel.Options{Tol: 1e-9})
 				if err != nil {
 					t.Fatalf("compiled solve: %v", err)
 				}
@@ -107,12 +117,12 @@ func TestCompiledSetChainParams(t *testing.T) {
 	if err := c.SetChainParams(0.3, 0.75); err != nil {
 		t.Fatalf("SetChainParams: %v", err)
 	}
-	got, err := c.MeanPayoffCtx(context.Background(), 0.3, CompiledOptions{Tol: 1e-9})
+	got, err := c.MeanPayoffCtx(context.Background(), 0.3, kernel.Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatalf("MeanPayoff: %v", err)
 	}
 	fresh := mustCompile(t, Params{P: 0.3, Gamma: 0.75, Depth: 2, Forks: 1, MaxLen: 3})
-	want, err := fresh.MeanPayoffCtx(context.Background(), 0.3, CompiledOptions{Tol: 1e-9})
+	want, err := fresh.MeanPayoffCtx(context.Background(), 0.3, kernel.Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatalf("fresh MeanPayoff: %v", err)
 	}
@@ -134,11 +144,11 @@ func TestCompiledSetChainParamsRejectsBad(t *testing.T) {
 func TestCompiledGreedyPolicyEval(t *testing.T) {
 	p := Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 1, MaxLen: 4}
 	c := mustCompile(t, p)
-	if _, err := c.MeanPayoffCtx(context.Background(), 0.35, CompiledOptions{Tol: 1e-9}); err != nil {
+	if _, err := c.MeanPayoffCtx(context.Background(), 0.35, kernel.Options{Tol: 1e-9}); err != nil {
 		t.Fatalf("MeanPayoff: %v", err)
 	}
 	policy := c.GreedyPolicy(0.35)
-	got, err := c.EvalERRevCtx(context.Background(), policy, CompiledOptions{Tol: 1e-9})
+	got, err := c.EvalERRevCtx(context.Background(), policy, kernel.Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatalf("EvalERRev: %v", err)
 	}
@@ -156,11 +166,11 @@ func TestCompiledGreedyPolicyEval(t *testing.T) {
 func TestCompiledWarmStart(t *testing.T) {
 	p := Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 2, MaxLen: 3}
 	c := mustCompile(t, p)
-	cold, err := c.MeanPayoffCtx(context.Background(), 0.4, CompiledOptions{Tol: 1e-8})
+	cold, err := c.MeanPayoffCtx(context.Background(), 0.4, kernel.Options{Tol: 1e-8})
 	if err != nil {
 		t.Fatalf("cold: %v", err)
 	}
-	warm, err := c.MeanPayoffCtx(context.Background(), 0.4, CompiledOptions{Tol: 1e-8, KeepValues: true})
+	warm, err := c.MeanPayoffCtx(context.Background(), 0.4, kernel.Options{Tol: 1e-8, KeepValues: true})
 	if err != nil {
 		t.Fatalf("warm: %v", err)
 	}
@@ -175,7 +185,7 @@ func TestCompiledWarmStart(t *testing.T) {
 // TestCompiledEvalPolicyWrongLength exercises the failure path.
 func TestCompiledEvalPolicyWrongLength(t *testing.T) {
 	c := mustCompile(t, Params{P: 0.2, Gamma: 0.5, Depth: 1, Forks: 1, MaxLen: 2})
-	if _, err := c.EvalERRevCtx(context.Background(), []int{0}, CompiledOptions{}); err == nil {
+	if _, err := c.EvalERRevCtx(context.Background(), []int{0}, kernel.Options{}); err == nil {
 		t.Fatal("expected error for short policy, got nil")
 	}
 }

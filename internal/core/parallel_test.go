@@ -5,23 +5,25 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"repro/internal/kernel"
 )
 
 // solveAll runs a full-precision solve, policy extraction, and policy
 // evaluation at the given worker count, returning every numeric output.
-func solveAll(t *testing.T, workers int) (*CompiledResult, []int, float64, []float64) {
+func solveAll(t *testing.T, workers int) (*kernel.Result, []int, float64, []float64) {
 	t.Helper()
-	c, err := Compile(Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 2, MaxLen: 4})
+	c, err := compile(Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 2, MaxLen: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.SetWorkers(workers)
-	res, err := c.MeanPayoffCtx(context.Background(), 0.35, CompiledOptions{Tol: 1e-9})
+	res, err := c.MeanPayoffCtx(context.Background(), 0.35, kernel.Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatalf("workers=%d: MeanPayoff: %v", workers, err)
 	}
 	policy := c.GreedyPolicy(0.35)
-	errev, err := c.EvalERRevCtx(context.Background(), policy, CompiledOptions{Tol: 1e-9})
+	errev, err := c.EvalERRevCtx(context.Background(), policy, kernel.Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatalf("workers=%d: EvalERRev: %v", workers, err)
 	}
@@ -63,7 +65,7 @@ func TestCompiledParallelDeterminism(t *testing.T) {
 // TestCompiledCloneIndependence: clones share the immutable structure but
 // carry independent parameters, probabilities, and value state.
 func TestCompiledCloneIndependence(t *testing.T) {
-	base, err := Compile(Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 1, MaxLen: 4})
+	base, err := compile(Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 1, MaxLen: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +79,11 @@ func TestCompiledCloneIndependence(t *testing.T) {
 		t.Errorf("clone's SetChainParams leaked into base: p=%v gamma=%v", base.P(), base.Gamma())
 	}
 	// Both still solve, to different gains (different p).
-	rb, err := base.MeanPayoffCtx(context.Background(), 0.35, CompiledOptions{})
+	rb, err := base.MeanPayoffCtx(context.Background(), 0.35, kernel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := cl.MeanPayoffCtx(context.Background(), 0.35, CompiledOptions{})
+	rc, err := cl.MeanPayoffCtx(context.Background(), 0.35, kernel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +96,11 @@ func TestCompiledCloneIndependence(t *testing.T) {
 // concurrently with multi-worker sweeps; run under -race this is the
 // shared-structure race check for the sweep orchestration.
 func TestCompiledClonesConcurrent(t *testing.T) {
-	base, err := Compile(Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 2, MaxLen: 4})
+	base, err := compile(Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 2, MaxLen: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := base.Clone().MeanPayoffCtx(context.Background(), 0.35, CompiledOptions{Tol: 1e-9})
+	serial, err := base.Clone().MeanPayoffCtx(context.Background(), 0.35, kernel.Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +116,7 @@ func TestCompiledClonesConcurrent(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			res, err := cl.MeanPayoffCtx(context.Background(), 0.35, CompiledOptions{Tol: 1e-9})
+			res, err := cl.MeanPayoffCtx(context.Background(), 0.35, kernel.Options{Tol: 1e-9})
 			if err != nil {
 				t.Errorf("p=%v: %v", pGrid[i], err)
 				return

@@ -41,14 +41,15 @@
 // # Compilation onto the protocol-agnostic kernel
 //
 // Model implements kernel.Source: its transition kinds are indices into a
-// probability-law table (Laws), so Compile flattens the state machine onto
-// the shared flat-CSR mean-payoff kernel of package kernel — the same
-// kernel every other registered attack-model family (package families)
-// solves on. The kernel fans every value-iteration sweep out across worker
-// goroutines with bitwise-identical results at any worker count, and its
-// Clone support lets one compilation serve a whole pool of concurrent
-// solvers (see selfishmining.SweepContext); the determinism argument lives
-// with the kernel and package par. The tests' exact oracle (package solve)
+// probability-law table (Laws), so kernel.Compile (reached through
+// families.Compile) flattens the state machine onto the shared flat-CSR
+// mean-payoff kernel of package kernel — the same kernel every other
+// registered attack-model family (package families) solves on. The kernel
+// fans every value-iteration sweep out across worker goroutines with
+// bitwise-identical results at any worker count, and its Clone support
+// lets one compilation serve a whole pool of concurrent solvers (see
+// selfishmining.SweepContext); the determinism argument lives with the
+// kernel and package par. The tests' exact oracle (package solve)
 // materializes the same Source.
 package core
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"repro/internal/kernel"
 )
 
 // TestCompiledValuesRoundTrip: Values returns an independent copy of the
@@ -12,7 +14,7 @@ import (
 func TestCompiledValuesRoundTrip(t *testing.T) {
 	p := Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 1, MaxLen: 3}
 	a := mustCompile(t, p)
-	cold, err := a.MeanPayoffCtx(context.Background(), 0.35, CompiledOptions{Tol: 1e-8})
+	cold, err := a.MeanPayoffCtx(context.Background(), 0.35, kernel.Options{Tol: 1e-8})
 	if err != nil {
 		t.Fatalf("cold: %v", err)
 	}
@@ -32,7 +34,7 @@ func TestCompiledValuesRoundTrip(t *testing.T) {
 	if err := b.SetValues(vals); err != nil {
 		t.Fatalf("SetValues: %v", err)
 	}
-	warm, err := b.MeanPayoffCtx(context.Background(), 0.35, CompiledOptions{Tol: 1e-8, KeepValues: true})
+	warm, err := b.MeanPayoffCtx(context.Background(), 0.35, kernel.Options{Tol: 1e-8, KeepValues: true})
 	if err != nil {
 		t.Fatalf("warm: %v", err)
 	}
@@ -59,7 +61,7 @@ func TestSignOnlySurvivesAdversarialSeed(t *testing.T) {
 	p := Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 1, MaxLen: 3}
 	for _, beta := range []float64{0.2, 0.35, 0.5} {
 		a := mustCompile(t, p)
-		cold, err := a.MeanPayoffCtx(context.Background(), beta, CompiledOptions{Tol: 1e-6, SignOnly: true})
+		cold, err := a.MeanPayoffCtx(context.Background(), beta, kernel.Options{Tol: 1e-6, SignOnly: true})
 		if err != nil {
 			t.Fatalf("beta=%v cold: %v", beta, err)
 		}
@@ -71,7 +73,7 @@ func TestSignOnlySurvivesAdversarialSeed(t *testing.T) {
 		if err := b.SetValues(bad); err != nil {
 			t.Fatal(err)
 		}
-		seeded, err := b.MeanPayoffCtx(context.Background(), beta, CompiledOptions{Tol: 1e-6, SignOnly: true, KeepValues: true})
+		seeded, err := b.MeanPayoffCtx(context.Background(), beta, kernel.Options{Tol: 1e-6, SignOnly: true, KeepValues: true})
 		if err != nil {
 			t.Fatalf("beta=%v seeded: %v", beta, err)
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/kernel"
 )
 
 func TestGetDefaultAndNamed(t *testing.T) {
@@ -69,26 +70,30 @@ func TestNamesSorted(t *testing.T) {
 }
 
 // TestForkCompileMatchesCore: the registry's fork path must produce the
-// same compiled solver as the historical core.Compile entry point.
+// same compiled solver as compiling core's model directly.
 func TestForkCompileMatchesCore(t *testing.T) {
 	params := core.Params{P: 0.3, Gamma: 0.5, Depth: 2, Forks: 1, MaxLen: 3}
 	viaRegistry, err := Compile("fork", params)
 	if err != nil {
 		t.Fatalf("families.Compile: %v", err)
 	}
-	viaCore, err := core.Compile(params)
+	m, err := core.NewModel(params)
 	if err != nil {
-		t.Fatalf("core.Compile: %v", err)
+		t.Fatalf("core.NewModel: %v", err)
+	}
+	viaCore, err := kernel.Compile(m, params.P, params.Gamma)
+	if err != nil {
+		t.Fatalf("kernel.Compile: %v", err)
 	}
 	if viaRegistry.NumStates() != viaCore.NumStates() || viaRegistry.NumTransitions() != viaCore.NumTransitions() {
 		t.Fatalf("structures differ: %d/%d states, %d/%d transitions",
 			viaRegistry.NumStates(), viaCore.NumStates(), viaRegistry.NumTransitions(), viaCore.NumTransitions())
 	}
-	a, err := viaRegistry.MeanPayoffCtx(context.Background(), 0.35, core.CompiledOptions{Tol: 1e-9})
+	a, err := viaRegistry.MeanPayoffCtx(context.Background(), 0.35, kernel.Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := viaCore.MeanPayoffCtx(context.Background(), 0.35, core.CompiledOptions{Tol: 1e-9})
+	b, err := viaCore.MeanPayoffCtx(context.Background(), 0.35, kernel.Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -242,11 +242,6 @@ type LaneSolve struct {
 // BatchRunOptions tunes a batched run; fields are shared by every solve of
 // every lane (the per-solve β and tolerance arrive via LaneSolve).
 type BatchRunOptions struct {
-	// MaxIter bounds each individual lane solve's sweep count; default
-	// 500000, exactly the solo Options.MaxIter semantics.
-	MaxIter int
-	// Damping is the aperiodicity mix shared by all lanes; default 0.95.
-	Damping float64
 	// SignOnly stops each lane solve as soon as its bracket excludes zero,
 	// with the floor and stall semantics of Options.SignOnly.
 	SignOnly bool
@@ -299,12 +294,12 @@ func (b *Batch) installSolve(ln int, s LaneSolve, iter int, r *Result) {
 // starts its next one instead of idling while slower lanes converge.
 //
 // The returned slice holds each lane's LAST solve result (zero Result for
-// lanes never issued a solve). On a lane exhausting MaxIter, partial
-// results return with an error naming the first unconverged lane. ctx is
-// checked once per sweep, exactly like the solo kernel: on cancellation
-// the partial per-lane Results return alongside an error wrapping
-// ctx.Err(), and each lane keeps its current vector for a later
-// KeepValues resume.
+// lanes never issued a solve). On a lane exhausting defaultMaxIter, the
+// solo default sweep budget, partial results return with an error naming
+// the first unconverged lane. ctx is checked once per sweep, exactly like
+// the solo kernel: on cancellation the partial per-lane Results return
+// alongside an error wrapping ctx.Err(), and each lane keeps its current
+// vector for a later KeepValues resume.
 func (b *Batch) RunCtx(ctx context.Context, opts BatchRunOptions, src func(ln int, prev *Result) (LaneSolve, bool)) ([]Result, error) {
 	sp := obs.StartSpan(batchRunSeconds)
 	defer sp.End()
@@ -319,12 +314,6 @@ func (b *Batch) RunCtx(ctx context.Context, opts BatchRunOptions, src func(ln in
 		solveSweeps.Add(uint64(r.Iters))
 	}
 	const k = DenseBatchWidth
-	if opts.MaxIter <= 0 {
-		opts.MaxIter = 500000
-	}
-	if opts.Damping <= 0 || opts.Damping > 1 {
-		opts.Damping = 0.95
-	}
 	n := b.c.NumStates()
 	w := b.sweepWorkers()
 	chunks := par.NumChunks(n, w)
@@ -373,7 +362,7 @@ func (b *Batch) RunCtx(ctx context.Context, opts BatchRunOptions, src func(ln in
 	// only visit live lanes), so the extra arithmetic cannot perturb
 	// anything — lanes never mix.
 	var hv, nx []float64
-	sweep := b.asmSweep(opts.Damping, &hv, &nx)
+	sweep := b.asmSweep(damping, &hv, &nx)
 	shift := func(_, from, to int) {
 		for s := from; s < to; s++ {
 			ns := nx[s*k : s*k+k]
@@ -452,7 +441,7 @@ func (b *Batch) RunCtx(ctx context.Context, opts BatchRunOptions, src func(ln in
 				} else {
 					unpack(ln, h) // freeze at exactly the solo stopping sweep
 				}
-			case r.Iters >= opts.MaxIter:
+			case r.Iters >= defaultMaxIter:
 				if exhausted < 0 {
 					exhausted = ln
 				}

@@ -370,14 +370,21 @@ func (r *Result) SignKnown() bool { return r.Lo > 0 || r.Hi < 0 }
 // Options tunes the compiled solver.
 type Options struct {
 	Tol      float64 // gain bracket width target; default 1e-7
-	MaxIter  int     // sweep budget; default 500000
-	Damping  float64 // aperiodicity mix; default 0.95
+	MaxIter  int     // sweep budget; default defaultMaxIter
 	SignOnly bool    // stop when the bracket excludes zero
 	// KeepValues reuses the value vector currently on this Compiled
 	// instance — from the previous solve, or installed with SetValues — as
 	// a warm start (valid across β and nearby (p, γ)).
 	KeepValues bool
 }
+
+// damping is the aperiodicity mix τ of every solve, solo and batched: a
+// sweep applies (1−τ)I + τT instead of the Bellman operator T.
+const damping = 0.95
+
+// defaultMaxIter is the sweep budget of a solo solve without
+// Options.MaxIter and of every batched lane solve.
+const defaultMaxIter = 500000
 
 // signOnlyFloorFrac scales Tol down to the bracket width at which a
 // sign-only solve gives up on certifying a sign and concludes the gain is
@@ -412,10 +419,7 @@ func (o *Options) defaults() {
 		o.Tol = 1e-7
 	}
 	if o.MaxIter <= 0 {
-		o.MaxIter = 500000
-	}
-	if o.Damping <= 0 || o.Damping > 1 {
-		o.Damping = 0.95
+		o.MaxIter = defaultMaxIter
 	}
 }
 
@@ -427,7 +431,7 @@ func (o *Options) defaults() {
 //
 // for unichain models, where T is the Bellman operator; brackets of
 // successive sweeps all contain g*, so they are intersected. Damping
-// (Options.Damping) replaces T with (1−τ)I + τT, which keeps the bounds
+// replaces T with (1−τ)I + τT (τ = damping), which keeps the bounds
 // contracting on periodic structures. Values are renormalized against
 // state 0 after every sweep.
 //
@@ -465,7 +469,7 @@ func (c *Compiled) meanPayoffCtx(ctx context.Context, beta float64, opts Options
 	}
 	var rwd [rwdTableSize]float64
 	rewardTable(&rwd, beta)
-	tau := opts.Damping
+	tau := damping
 	res := &Result{Lo: math.Inf(-1), Hi: math.Inf(1)}
 	h, next := c.h, c.next
 	w := c.sweepWorkers()
@@ -614,7 +618,7 @@ func (c *Compiled) EvalERRevCtx(ctx context.Context, policy []int, opts Options)
 	w := c.sweepWorkers()
 	chunks := par.NumChunks(n, w)
 	adv, total := newPolicyEval(n, chunks), newPolicyEval(n, chunks)
-	tau := opts.Damping
+	tau := damping
 	for iter := 1; !adv.done || !total.done; iter++ {
 		if iter > opts.MaxIter {
 			if !adv.done {

@@ -48,7 +48,7 @@ func (c *Compiled) evalPolicyGainTwoPass(ctx context.Context, policy []int, advO
 	}
 	h := make([]float64, n)
 	next := make([]float64, n)
-	tau := opts.Damping
+	tau := damping
 	resLo, resHi := math.Inf(-1), math.Inf(1)
 	w := c.sweepWorkers()
 	red := par.NewMinMax(par.NumChunks(n, w))

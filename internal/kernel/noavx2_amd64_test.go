@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/families"
 	"repro/internal/kernel"
 	"repro/internal/obs"
 )
@@ -17,7 +18,7 @@ import (
 // exists, so NewBatch and the batched analysis built on it refuse with an
 // error naming AVX2, and the refused analysis counts no Algorithm 1 run.
 func TestBatchWithoutAVX2Fails(t *testing.T) {
-	c, err := core.Compile(core.Params{P: 0.3, Gamma: 0.5, Depth: 1, Forks: 1, MaxLen: 3})
+	c, err := families.Compile("fork", core.Params{P: 0.3, Gamma: 0.5, Depth: 1, Forks: 1, MaxLen: 3})
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/families"
 )
 
 func analyzed(t *testing.T, p core.Params) (*core.Model, []int, float64) {
@@ -14,7 +15,7 @@ func analyzed(t *testing.T, p core.Params) (*core.Model, []int, float64) {
 	if err != nil {
 		t.Fatalf("NewModel(%v): %v", p, err)
 	}
-	comp, err := core.Compile(p)
+	comp, err := families.Compile("fork", p)
 	if err != nil {
 		t.Fatalf("Compile(%v): %v", p, err)
 	}

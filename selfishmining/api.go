@@ -192,7 +192,6 @@ func (p AttackParams) NumStates() int {
 // config collects analysis options.
 type config struct {
 	epsilon    float64
-	maxIter    int
 	workers    int
 	skipEval   bool
 	boundOnly  bool
@@ -207,9 +206,6 @@ type Option func(*config)
 // WithEpsilon sets the binary-search precision ε (default 1e-4): the
 // returned ERRev lies in [ERRev* − ε, ERRev*].
 func WithEpsilon(eps float64) Option { return func(c *config) { c.epsilon = eps } }
-
-// WithSolverMaxIter bounds value-iteration sweeps per solve.
-func WithSolverMaxIter(n int) Option { return func(c *config) { c.maxIter = n } }
 
 // WithWorkers sets the number of goroutines each inner value-iteration
 // sweep is fanned out across. n > 0 is honored exactly; the default uses
@@ -301,7 +297,6 @@ func AnalyzeContext(ctx context.Context, p AttackParams, opts ...Option) (*Analy
 	}
 	aOpts := analysis.Options{
 		Epsilon:          cfg.epsilon,
-		SolverMaxIter:    cfg.maxIter,
 		SkipStrategyEval: cfg.skipEval,
 		SkipStrategy:     cfg.boundOnly,
 		Workers:          cfg.workers,

@@ -99,8 +99,10 @@ func (s AnalyzeSpec) Params() selfishmining.AttackParams {
 	}
 }
 
-// validate rejects specs the pipeline would reject, up front at Submit.
-func (s AnalyzeSpec) validate() error {
+// Validate rejects specs the pipeline would reject or silently reinterpret
+// (a negative epsilon), so Submit and the HTTP analyze routes refuse them
+// up front.
+func (s AnalyzeSpec) Validate() error {
 	if err := s.Params().Validate(); err != nil {
 		return err
 	}
@@ -110,9 +112,9 @@ func (s AnalyzeSpec) validate() error {
 	return nil
 }
 
-// options assembles the analysis options the spec encodes (the manager
-// appends its progress, checkpoint and resume hooks).
-func (s AnalyzeSpec) options() []selfishmining.Option {
+// Options assembles the analysis options the spec encodes (callers append
+// their own hooks: the manager its progress, checkpoint and resume ones).
+func (s AnalyzeSpec) Options() []selfishmining.Option {
 	var opts []selfishmining.Option
 	if s.Epsilon > 0 {
 		opts = append(opts, selfishmining.WithEpsilon(s.Epsilon))
@@ -167,92 +169,22 @@ type SweepSpec struct {
 	MaxPoints int `json:"max_points,omitempty"`
 }
 
-// Normalize fills defaults (mirroring SweepOptions) and validates every
-// grid point, so a bad point is a Submit error, never a late job failure.
+// Normalize fills defaults and validates the spec through
+// selfishmining.SweepOptions.Normalize, so a bad point is a Submit error,
+// never a late job failure, and the stored record says exactly what will
+// run. It writes back the grid, configs, fork length, tree width and, for
+// adaptive sweeps, tolerance and depth; Model and Epsilon keep their
+// submitted form.
 func (s *SweepSpec) Normalize() error {
-	info, ok := selfishmining.ModelInfoFor(s.Model)
-	if !ok {
-		// Produce the registry's unknown-family error, listing valid names.
-		bad := selfishmining.AttackParams{Model: s.Model, Depth: 1, Forks: 1, MaxForkLen: 1}
-		return bad.Validate()
+	opts := s.options()
+	if err := opts.Normalize(); err != nil {
+		return err
 	}
-	if s.Gamma < 0 || s.Gamma > 1 || math.IsNaN(s.Gamma) {
-		return fmt.Errorf("jobs: sweep gamma = %v outside [0, 1]", s.Gamma)
-	}
-	if s.Epsilon < 0 || math.IsNaN(s.Epsilon) || math.IsInf(s.Epsilon, 0) {
-		return fmt.Errorf("jobs: epsilon %v: need >= 0 (0 = default)", s.Epsilon)
-	}
-	if s.PGrid == nil {
-		s.PGrid = results.Grid(0, 0.3, 0.01)
-	}
-	if len(s.PGrid) == 0 {
-		return fmt.Errorf("jobs: sweep has an empty p-grid")
-	}
-	isFork := selfishmining.IsDefaultModel(s.Model)
-	if s.Len == 0 {
-		s.Len = selfishmining.DefaultSweepMaxForkLen
-		if !isFork {
-			s.Len = info.DefaultMaxForkLen
-		}
-	}
-	if len(s.Configs) == 0 {
-		if isFork {
-			for _, c := range selfishmining.Figure2Configs {
-				s.Configs = append(s.Configs, SweepConfig{Depth: c.Depth, Forks: c.Forks})
-			}
-		} else {
-			s.Configs = []SweepConfig{{Depth: info.DefaultDepth, Forks: info.DefaultForks}}
-		}
-	}
-	if s.TreeWidth == 0 {
-		s.TreeWidth = 5
-	}
-	if s.TreeWidth < 1 {
-		return fmt.Errorf("jobs: tree width %d: need >= 1", s.TreeWidth)
-	}
-	if !s.Adaptive && (s.Tolerance != 0 || s.MaxDepth != 0 || s.MaxPoints != 0) {
-		return fmt.Errorf("jobs: tolerance/max_depth/max_points require adaptive = true")
-	}
-	if s.Adaptive {
-		if len(s.PGrid) < 2 {
-			return fmt.Errorf("jobs: adaptive sweep needs a coarse grid of >= 2 points, got %d", len(s.PGrid))
-		}
-		for i := 1; i < len(s.PGrid); i++ {
-			if !(s.PGrid[i] > s.PGrid[i-1]) {
-				return fmt.Errorf("jobs: adaptive sweep grid must be strictly increasing, got p[%d] = %v after %v",
-					i, s.PGrid[i], s.PGrid[i-1])
-			}
-		}
-		if s.Tolerance < 0 || math.IsNaN(s.Tolerance) || math.IsInf(s.Tolerance, 0) {
-			return fmt.Errorf("jobs: tolerance %v: need >= 0 (0 = default)", s.Tolerance)
-		}
-		if s.Tolerance == 0 {
-			s.Tolerance = selfishmining.DefaultSweepTolerance
-		}
-		if s.MaxDepth < 0 {
-			return fmt.Errorf("jobs: max depth %d: need >= 0 (0 = default)", s.MaxDepth)
-		}
-		if s.MaxDepth == 0 {
-			s.MaxDepth = selfishmining.DefaultSweepMaxDepth
-		}
-		if s.MaxPoints < 0 {
-			return fmt.Errorf("jobs: max points %d: need >= 0 (0 = unlimited)", s.MaxPoints)
-		}
-	}
-	for _, cfg := range s.Configs {
-		for _, p := range s.PGrid {
-			if p == 0 {
-				continue // the sweep's no-resource shortcut, any family
-			}
-			params := selfishmining.AttackParams{
-				Model:     s.Model,
-				Adversary: p, Switching: s.Gamma,
-				Depth: cfg.Depth, Forks: cfg.Forks, MaxForkLen: s.Len,
-			}
-			if err := params.Validate(); err != nil {
-				return fmt.Errorf("jobs: sweep point d=%d f=%d p=%g: %w", cfg.Depth, cfg.Forks, p, err)
-			}
-		}
+	s.PGrid, s.Len, s.TreeWidth = opts.PGrid, opts.MaxForkLen, opts.TreeWidth
+	s.Tolerance, s.MaxDepth = opts.Tolerance, opts.MaxDepth
+	s.Configs = make([]SweepConfig, len(opts.Configs))
+	for i, c := range opts.Configs {
+		s.Configs[i] = SweepConfig{Depth: c.Depth, Forks: c.Forks}
 	}
 	return nil
 }
@@ -468,4 +400,15 @@ type SweepPoint struct {
 	RefineDepth int     `json:"refine_depth,omitempty"`
 	ERRev       float64 `json:"errev"`
 	Sweeps      int     `json:"sweeps"`
+}
+
+// NewSweepPoint converts a point streamed by selfishmining's OnPoint into
+// its wire and checkpoint form — the one conversion sweep jobs and
+// cmd/serve's sweep streams share.
+func NewSweepPoint(pt selfishmining.SweepPoint) SweepPoint {
+	return SweepPoint{
+		Series: pt.Series, Depth: pt.Config.Depth, Forks: pt.Config.Forks,
+		PIndex: pt.PIndex, P: pt.P, RefineDepth: pt.Depth,
+		ERRev: pt.ERRev, Sweeps: pt.Sweeps,
+	}
 }

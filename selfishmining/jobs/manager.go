@@ -514,7 +514,7 @@ func (m *Manager) Submit(req Request) (*Status, error) {
 			return nil, fmt.Errorf("jobs: kind %q needs exactly the analyze spec", req.Kind)
 		}
 		spec := *req.Analyze
-		if err := spec.validate(); err != nil {
+		if err := spec.Validate(); err != nil {
 			return nil, err
 		}
 		j.kind, j.analyze = KindAnalyze, &spec
@@ -1015,7 +1015,7 @@ func (m *Manager) run(ctx context.Context, j *job) {
 		m.mu.Lock()
 		resume := j.checkpoint
 		m.mu.Unlock()
-		opts := j.analyze.options()
+		opts := j.analyze.Options()
 		opts = append(opts,
 			selfishmining.WithProgress(func(lo, up float64, iter int) {
 				m.mu.Lock()
@@ -1075,11 +1075,7 @@ func (m *Manager) run(ctx context.Context, j *job) {
 			m.mu.Lock()
 			j.progress.PointsDone++
 			done := j.progress.PointsDone
-			sp := SweepPoint{
-				Series: pt.Series, Depth: pt.Config.Depth, Forks: pt.Config.Forks,
-				PIndex: pt.PIndex, P: pt.P, RefineDepth: pt.Depth,
-				ERRev: pt.ERRev, Sweeps: pt.Sweeps,
-			}
+			sp := NewSweepPoint(pt)
 			m.emitLocked(j, Event{Type: "point", Progress: cloneProgress(j.progress), Point: &sp})
 			persist := func() {}
 			if k := (sweepSeenKey{sp.Depth, sp.Forks, math.Float64bits(sp.P)}); !seen[k] {

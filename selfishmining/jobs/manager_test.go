@@ -95,7 +95,7 @@ func equalJobResults(t *testing.T, label string, want, got *AnalyzeResult) {
 func reference(t *testing.T, spec AnalyzeSpec) *AnalyzeResult {
 	t.Helper()
 	res, err := selfishmining.NewService(selfishmining.ServiceConfig{}).
-		AnalyzeContext(context.Background(), spec.Params(), spec.options()...)
+		AnalyzeContext(context.Background(), spec.Params(), spec.Options()...)
 	if err != nil {
 		t.Fatalf("reference solve: %v", err)
 	}
@@ -667,7 +667,7 @@ func TestJobsRaceStress(t *testing.T) {
 func BenchmarkJobSubmitOverhead(b *testing.B) {
 	svc := selfishmining.NewService(selfishmining.ServiceConfig{})
 	spec := AnalyzeSpec{P: 0.3, Gamma: 0.5, Depth: 1, Forks: 1, Len: 3, Epsilon: 1e-3}
-	if _, err := svc.AnalyzeContext(context.Background(), spec.Params(), spec.options()...); err != nil {
+	if _, err := svc.AnalyzeContext(context.Background(), spec.Params(), spec.Options()...); err != nil {
 		b.Fatal(err)
 	}
 	m, err := New(svc, Config{Workers: 2, TTL: -1, MaxFinished: -1})

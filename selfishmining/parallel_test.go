@@ -3,6 +3,7 @@ package selfishmining
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -144,33 +145,28 @@ func TestAnalyzeConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSweepEmptyGrid: a non-nil empty p-grid (or config list) bypasses the
-// defaults and must yield an empty figure, not a panic in the pool setup.
+// TestSweepEmptyGrid: a non-nil empty p-grid is rejected before the pool
+// starts, and an empty config list means the default curves.
 func TestSweepEmptyGrid(t *testing.T) {
-	fig, err := SweepContext(context.Background(), SweepOptions{
+	if _, err := SweepContext(context.Background(), SweepOptions{
 		Gamma:   0.5,
 		PGrid:   []float64{},
 		Configs: []AttackConfig{{Depth: 1, Forks: 1}},
 		Workers: 4,
-	})
-	if err != nil {
-		t.Fatalf("Sweep on empty grid: %v", err)
+	}); err == nil {
+		t.Fatal("Sweep accepted an empty grid")
 	}
-	if len(fig.X) != 0 {
-		t.Errorf("empty grid produced %d x-points", len(fig.X))
-	}
-	for _, s := range fig.Series {
-		if len(s.Values) != 0 {
-			t.Errorf("series %q has %d values on an empty grid", s.Name, len(s.Values))
-		}
-	}
-	if _, err := SweepContext(context.Background(), SweepOptions{
+	opts := SweepOptions{
 		Gamma:   0.5,
 		PGrid:   []float64{0.1},
 		Configs: []AttackConfig{},
 		Workers: 4,
-	}); err != nil {
-		t.Fatalf("Sweep with empty config list: %v", err)
+	}
+	if err := opts.Normalize(); err != nil {
+		t.Fatalf("Normalize with empty config list: %v", err)
+	}
+	if !slices.Equal(opts.Configs, Figure2Configs) {
+		t.Errorf("empty config list normalized to %v, want Figure2Configs", opts.Configs)
 	}
 }
 

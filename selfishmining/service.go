@@ -13,6 +13,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/families"
+	"repro/internal/kernel"
 )
 
 // Default sizing of a Service's caches. All are entry counts; memory per
@@ -95,7 +96,6 @@ type resultKey struct {
 	p, gamma             float64
 	depth, forks, maxLen int
 	epsilon              float64
-	maxIter              int
 	skipEval             bool
 	boundOnly            bool
 }
@@ -200,11 +200,11 @@ type Service struct {
 	cfg ServiceConfig
 
 	results    *cache.LRU[resultKey, *Analysis]
-	structures *cache.LRU[structKey, *core.Compiled]
+	structures *cache.LRU[structKey, *kernel.Compiled]
 	warm       *cache.LRU[warmKey, *warmStore]
 
 	flight       cache.Group[resultKey, *Analysis]
-	structFlight cache.Group[structKey, *core.Compiled]
+	structFlight cache.Group[structKey, *kernel.Compiled]
 
 	sem chan struct{}
 
@@ -221,7 +221,7 @@ func NewService(cfg ServiceConfig) *Service {
 	s := &Service{
 		cfg:        cfg,
 		results:    cache.NewLRU[resultKey, *Analysis](max(cfg.ResultCacheSize, 0)),
-		structures: cache.NewLRU[structKey, *core.Compiled](max(cfg.StructureCacheSize, 0)),
+		structures: cache.NewLRU[structKey, *kernel.Compiled](max(cfg.StructureCacheSize, 0)),
 		warm:       cache.NewLRU[warmKey, *warmStore](max(cfg.WarmCacheSize, 0)),
 	}
 	if cfg.MaxConcurrent > 0 {
@@ -323,7 +323,6 @@ func (s *Service) key(p AttackParams, cfg *config) resultKey {
 		p:     p.Adversary, gamma: p.Switching,
 		depth: p.Depth, forks: p.Forks, maxLen: p.MaxForkLen,
 		epsilon:   cfg.epsilon,
-		maxIter:   cfg.maxIter,
 		skipEval:  cfg.skipEval || cfg.boundOnly,
 		boundOnly: cfg.boundOnly,
 	}
@@ -336,20 +335,17 @@ func (s *Service) key(p AttackParams, cfg *config) resultKey {
 	if k.epsilon <= 0 {
 		k.epsilon = 1e-4 // the analysis default for non-positive ε
 	}
-	if k.maxIter <= 0 {
-		k.maxIter = 0 // all non-positive budgets mean "solver default"
-	}
 	return k
 }
 
 // structure returns the shared compiled structure for sk, compiling it at
 // most once across all concurrent requests. The returned instance is a
 // clone source only and is never solved on directly.
-func (s *Service) structure(sk structKey) (*core.Compiled, error) {
+func (s *Service) structure(sk structKey) (*kernel.Compiled, error) {
 	if c, ok := s.structures.Get(sk); ok {
 		return c, nil
 	}
-	c, err, _ := s.structFlight.Do(sk, func() (*core.Compiled, error) {
+	c, err, _ := s.structFlight.Do(sk, func() (*kernel.Compiled, error) {
 		if c, ok := s.structures.Get(sk); ok {
 			return c, nil
 		}
@@ -371,7 +367,7 @@ func (s *Service) structure(sk structKey) (*core.Compiled, error) {
 
 // solver clones the shared structure for sk and points it at (p, γ) with
 // the effective worker count.
-func (s *Service) solver(sk structKey, p, gamma float64, workers int) (*core.Compiled, error) {
+func (s *Service) solver(sk structKey, p, gamma float64, workers int) (*kernel.Compiled, error) {
 	base, err := s.structure(sk)
 	if err != nil {
 		return nil, err
@@ -402,7 +398,6 @@ func (s *Service) solve(ctx context.Context, key resultKey, p AttackParams, cp c
 	}
 	aOpts := analysis.Options{
 		Epsilon:          cfg.epsilon,
-		SolverMaxIter:    cfg.maxIter,
 		SkipStrategyEval: cfg.skipEval,
 		SkipStrategy:     cfg.boundOnly,
 		Progress:         cfg.progress,
@@ -452,7 +447,7 @@ func (s *Service) warmSeed(sk structKey, gamma, p float64, n int) ([]float64, bo
 
 // warmPut retains comp's converged value vector as a future seed, unless
 // the model is too large or warm starts are disabled.
-func (s *Service) warmPut(sk structKey, gamma, p float64, comp *core.Compiled) {
+func (s *Service) warmPut(sk structKey, gamma, p float64, comp *kernel.Compiled) {
 	if s.cfg.WarmCacheSize < 0 || comp.NumStates() > s.cfg.MaxCachedStates {
 		return
 	}

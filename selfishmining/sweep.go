@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,24 +19,15 @@ import (
 	adaptive "repro/internal/sweep"
 )
 
-// sweepModel canonicalizes the sweep's family name for cache keys.
-func sweepModel(opts SweepOptions) string {
-	if opts.Model == "" {
-		return families.DefaultName
-	}
-	return opts.Model
-}
-
 // attackSeriesName names one attack curve of a panel. The assembled figure
 // and every streamed SweepPoint use this single naming, which is what lets
 // stream consumers (like cmd/serve's NDJSON endpoint) match points to the
-// summary's series by string equality.
+// summary's series by string equality. opts must be normalized.
 func attackSeriesName(opts SweepOptions, cfg AttackConfig) string {
-	model := sweepModel(opts)
-	if model == families.DefaultName {
+	if opts.Model == families.DefaultName {
 		return fmt.Sprintf("ours(d=%d,f=%d)", cfg.Depth, cfg.Forks)
 	}
-	return fmt.Sprintf("%s(d=%d,f=%d)", model, cfg.Depth, cfg.Forks)
+	return fmt.Sprintf("%s(d=%d,f=%d)", opts.Model, cfg.Depth, cfg.Forks)
 }
 
 // AttackConfig names one (d, f) curve of the paper's Figure 2.
@@ -43,15 +35,12 @@ type AttackConfig struct {
 	Depth, Forks int
 }
 
-// DefaultSweepMaxForkLen is the fork length bound SweepOptions defaults to
-// (the paper's l = 4). Exported so callers that must size-check a sweep
-// before running it (cmd/serve's -max-states guard) resolve the same
-// default the sweep will use.
+// DefaultSweepMaxForkLen is the fork length bound SweepOptions.Normalize
+// fills in for the fork family (the paper's l = 4).
 const DefaultSweepMaxForkLen = 4
 
-// Defaults of the adaptive refinement options (see SweepOptions.Adaptive).
-// Exported so the HTTP and CLI layers document and apply the same values
-// the sweep would substitute.
+// Defaults of the adaptive refinement options (see SweepOptions.Adaptive),
+// filled in by SweepOptions.Normalize.
 const (
 	// DefaultSweepTolerance is the refinement tolerance substituted when
 	// an adaptive sweep leaves Tolerance unset.
@@ -71,7 +60,9 @@ var Figure2Configs = []AttackConfig{
 	{Depth: 4, Forks: 2},
 }
 
-// SweepOptions configures a Figure-2-style parameter sweep for one γ.
+// SweepOptions configures a Figure-2-style parameter sweep for one γ. Zero
+// values mean the documented defaults; Normalize fills them in and checks
+// the whole request, and SweepContext normalizes before it runs.
 type SweepOptions struct {
 	// Model selects the attack-model family the attack curves are computed
 	// over ("" means DefaultModel, the paper's fork model). The honest
@@ -228,65 +219,105 @@ func resumePoints(ck *SweepCheckpoint) map[sweepResumeKey]SweepPoint {
 	return m
 }
 
-func (o *SweepOptions) defaults() {
+// Normalize fills every default of o and validates the result, so the
+// options then say exactly what SweepContext will run. A zero number or an
+// empty list means "default": Model "" becomes DefaultModel, a nil PGrid
+// the paper's 0..0.3 grid in steps of 0.01, no Configs the family's
+// default curves, and MaxForkLen, TreeWidth, Epsilon and — with Adaptive —
+// Tolerance and MaxDepth their documented defaults. Normalize rejects an
+// unknown Model, a Gamma outside [0, 1], negative or non-finite numbers,
+// an empty PGrid, Tolerance, MaxDepth, MaxPoints or Exhaustive without
+// Adaptive, an adaptive PGrid that is not strictly increasing with at
+// least two points, and every (config, p) point the family rejects.
+//
+// Normalize is idempotent. SweepContext calls it before anything else —
+// after dropping the refinement fields of a uniform sweep, which it
+// ignores — so the job, HTTP and CLI layers that call Normalize up front
+// reject every sweep SweepContext would, and misplaced refinement fields
+// too.
+func (o *SweepOptions) Normalize() error {
+	fam, err := families.Get(o.Model)
+	if err != nil {
+		return err
+	}
+	o.Model = fam.Name()
+	if !(o.Gamma >= 0 && o.Gamma <= 1) {
+		return fmt.Errorf("selfishmining: sweep gamma = %v outside [0, 1]", o.Gamma)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"epsilon", o.Epsilon}, {"tolerance", o.Tolerance}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("selfishmining: sweep %s = %v: need a finite value >= 0 (0 = default)", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"max fork length", o.MaxForkLen}, {"tree width", o.TreeWidth}, {"workers", o.Workers},
+		{"max depth", o.MaxDepth}, {"max points", o.MaxPoints}} {
+		if f.v < 0 {
+			return fmt.Errorf("selfishmining: sweep %s = %d: need >= 0 (0 = default)", f.name, f.v)
+		}
+	}
+	if !o.Adaptive && (o.Tolerance != 0 || o.MaxDepth != 0 || o.MaxPoints != 0 || o.Exhaustive) {
+		return fmt.Errorf("selfishmining: sweep Tolerance, MaxDepth, MaxPoints and Exhaustive need Adaptive")
+	}
 	if o.PGrid == nil {
 		o.PGrid = results.Grid(0, 0.3, 0.01)
 	}
-	isFork := o.Model == "" || o.Model == families.DefaultName
-	if o.Configs == nil {
+	if len(o.PGrid) == 0 {
+		return fmt.Errorf("selfishmining: sweep has an empty p-grid")
+	}
+	d, f, l := fam.DefaultShape()
+	isFork := o.Model == families.DefaultName
+	if len(o.Configs) == 0 {
+		o.Configs = []AttackConfig{{Depth: d, Forks: f}}
 		if isFork {
-			o.Configs = Figure2Configs
-		} else if fam, err := families.Get(o.Model); err == nil {
-			d, f, _ := fam.DefaultShape()
-			o.Configs = []AttackConfig{{Depth: d, Forks: f}}
+			o.Configs = slices.Clone(Figure2Configs)
 		}
 	}
-	if o.MaxForkLen <= 0 {
-		o.MaxForkLen = DefaultSweepMaxForkLen
-		if !isFork {
-			if fam, err := families.Get(o.Model); err == nil {
-				_, _, l := fam.DefaultShape()
-				o.MaxForkLen = l
-			}
+	if o.MaxForkLen == 0 {
+		o.MaxForkLen = l
+		if isFork {
+			o.MaxForkLen = DefaultSweepMaxForkLen
 		}
 	}
-	if o.TreeWidth <= 0 {
+	if o.TreeWidth == 0 {
 		o.TreeWidth = 5
 	}
-	if o.Epsilon <= 0 {
+	if o.Epsilon == 0 {
 		o.Epsilon = 1e-4
 	}
 	if o.Adaptive {
-		if o.Tolerance <= 0 {
+		if o.Tolerance == 0 {
 			o.Tolerance = DefaultSweepTolerance
 		}
-		if o.MaxDepth <= 0 {
+		if o.MaxDepth == 0 {
 			o.MaxDepth = DefaultSweepMaxDepth
 		}
-		if o.MaxPoints < 0 {
-			o.MaxPoints = 0
+		if len(o.PGrid) < 2 {
+			return fmt.Errorf("selfishmining: adaptive sweep needs a coarse grid of >= 2 points, got %d", len(o.PGrid))
+		}
+		for i := 1; i < len(o.PGrid); i++ {
+			if !(o.PGrid[i] > o.PGrid[i-1]) {
+				return fmt.Errorf("selfishmining: adaptive sweep grid must be strictly increasing, got p[%d] = %v after %v",
+					i, o.PGrid[i], o.PGrid[i-1])
+			}
 		}
 	}
-	if o.Progress == nil {
-		o.Progress = func(string, ...any) {}
-	}
-}
-
-// validateAdaptive checks the adaptive-only option surface (after
-// defaults). The refinement engine re-validates; these duplicate the
-// checks a caller can get wrong, with package-appropriate messages.
-func (o *SweepOptions) validateAdaptive() error {
-	if len(o.PGrid) < 2 {
-		return fmt.Errorf("selfishmining: adaptive sweep needs a coarse grid of >= 2 points, got %d", len(o.PGrid))
-	}
-	for i := 1; i < len(o.PGrid); i++ {
-		if !(o.PGrid[i] > o.PGrid[i-1]) {
-			return fmt.Errorf("selfishmining: adaptive sweep grid must be strictly increasing, got p[%d] = %v after %v",
-				i, o.PGrid[i], o.PGrid[i-1])
+	// Validate every (config, p) grid point up front, so one bad point
+	// cannot waste a partially solved panel. Adaptive midpoints lie
+	// strictly between grid entries, and every family's validity region
+	// in p is an interval, so validating the grid covers them too.
+	for _, cfg := range o.Configs {
+		for _, p := range o.PGrid {
+			cp := core.Params{P: p, Gamma: o.Gamma, Depth: cfg.Depth, Forks: cfg.Forks, MaxLen: o.MaxForkLen}
+			if err := fam.Validate(cp); err != nil {
+				return fmt.Errorf("selfishmining: sweep point %v: %w", cp, err)
+			}
 		}
-	}
-	if math.IsNaN(o.Tolerance) || math.IsInf(o.Tolerance, 0) {
-		return fmt.Errorf("selfishmining: adaptive tolerance = %v is not finite", o.Tolerance)
 	}
 	return nil
 }
@@ -355,35 +386,15 @@ func (s *Service) SweepContext(ctx context.Context, opts SweepOptions) (*results
 // configurations as a parameter; tests run width 1 (every point solo) as
 // the reference the default width must match bit for bit.
 func (s *Service) sweepContext(ctx context.Context, opts SweepOptions, width int) (*results.Figure, error) {
-	opts.defaults()
-	if opts.Gamma < 0 || opts.Gamma > 1 || math.IsNaN(opts.Gamma) {
-		return nil, fmt.Errorf("selfishmining: sweep gamma = %v outside [0, 1]", opts.Gamma)
+	if !opts.Adaptive {
+		// A uniform sweep ignores the refinement fields; Normalize, which
+		// request layers call up front, rejects them instead.
+		opts.Tolerance, opts.MaxDepth, opts.MaxPoints, opts.Exhaustive = 0, 0, 0, false
 	}
-	if opts.Adaptive {
-		if err := opts.validateAdaptive(); err != nil {
-			return nil, err
-		}
-	}
-	fam, err := families.Get(opts.Model)
-	if err != nil {
+	if err := opts.Normalize(); err != nil {
 		return nil, err
 	}
-	isFork := fam.Name() == families.DefaultName
-	// Validate every (config, p) grid point up front, so one bad point
-	// cannot waste a partially solved panel. Adaptive midpoints lie
-	// strictly between grid entries, and every family's validity region
-	// in p is an interval, so validating the grid covers them too.
-	for _, cfg := range opts.Configs {
-		for _, p := range opts.PGrid {
-			if p == 0 {
-				continue // served by the no-resource shortcut, any family
-			}
-			cp := core.Params{P: p, Gamma: opts.Gamma, Depth: cfg.Depth, Forks: cfg.Forks, MaxLen: opts.MaxForkLen}
-			if err := fam.Validate(cp); err != nil {
-				return nil, fmt.Errorf("selfishmining: sweep point %v: %w", cp, err)
-			}
-		}
-	}
+	isFork := opts.Model == families.DefaultName
 	if err := ctx.Err(); err != nil {
 		return nil, s.countCancel(cancelError(err, nil))
 	}
@@ -391,15 +402,18 @@ func (s *Service) sweepContext(ctx context.Context, opts SweepOptions, width int
 	if s.cfg.MaxConcurrent > 0 && workers > s.cfg.MaxConcurrent {
 		workers = s.cfg.MaxConcurrent
 	}
-	var progressMu sync.Mutex
-	progress := func(format string, args ...any) {
-		progressMu.Lock()
-		defer progressMu.Unlock()
-		opts.Progress(format, args...)
+	progress := func(string, ...any) {}
+	if opts.Progress != nil {
+		var progressMu sync.Mutex
+		progress = func(format string, args ...any) {
+			progressMu.Lock()
+			defer progressMu.Unlock()
+			opts.Progress(format, args...)
+		}
 	}
 	title := fmt.Sprintf("Expected relative revenue vs adversary resource (gamma=%g)", opts.Gamma)
 	if !isFork {
-		title = fmt.Sprintf("Expected relative revenue vs adversary resource (model=%s, gamma=%g)", fam.Name(), opts.Gamma)
+		title = fmt.Sprintf("Expected relative revenue vs adversary resource (model=%s, gamma=%g)", opts.Model, opts.Gamma)
 	}
 	fig := &results.Figure{
 		Title:  title,
@@ -488,13 +502,13 @@ func (s *Service) addBaselines(fig *results.Figure, xs []float64, opts SweepOpti
 // bases' own mutable buffers stay idle while workers solve on clones,
 // because a worker adopting a base would race its parameter mutation
 // against other workers cloning from it.
-func (s *Service) sweepBases(opts SweepOptions, workers int) ([]*core.Compiled, error) {
-	bases := make([]*core.Compiled, len(opts.Configs))
+func (s *Service) sweepBases(opts SweepOptions, workers int) ([]*kernel.Compiled, error) {
+	bases := make([]*kernel.Compiled, len(opts.Configs))
 	structErrs := make([]error, len(opts.Configs))
 	par.For(len(opts.Configs), workers, func(_, from, to int) {
 		for ci := from; ci < to; ci++ {
 			cfg := opts.Configs[ci]
-			bases[ci], structErrs[ci] = s.structure(structKey{sweepModel(opts), cfg.Depth, cfg.Forks, opts.MaxForkLen})
+			bases[ci], structErrs[ci] = s.structure(structKey{opts.Model, cfg.Depth, cfg.Forks, opts.MaxForkLen})
 		}
 	})
 	for ci, err := range structErrs {
@@ -526,7 +540,7 @@ type gridTask struct {
 // sweepBatch solve. onDone runs exactly once per task, serialized under
 // one mutex, in completion order; ctx stops workers from drawing new units
 // and interrupts the ones being solved at their next sweep boundary.
-func (s *Service) solveTasks(ctx context.Context, opts SweepOptions, bases []*core.Compiled, workers, width int,
+func (s *Service) solveTasks(ctx context.Context, opts SweepOptions, bases []*kernel.Compiled, workers, width int,
 	resume map[sweepResumeKey]SweepPoint, tasks []gridTask, onDone func(ti int, errev float64, sweeps int)) error {
 	var doneMu sync.Mutex
 	done := func(ti int, errev float64, sweeps int) {
@@ -598,7 +612,7 @@ func (s *Service) solveTasks(ctx context.Context, opts SweepOptions, bases []*co
 			// peak memory stays at one clone per worker. Batched units read
 			// only the base's immutable structure and need no clone.
 			cloneOf := -1
-			var comp *core.Compiled
+			var comp *kernel.Compiled
 			for !failed.Load() {
 				ui := int(cursor.Add(1)) - 1
 				if ui >= len(units) {
@@ -676,7 +690,7 @@ const batchLaneBudget = 4 << 20
 
 // laneBytes is the data one batch lane adds over base's shared structure:
 // a float32 probability per transition and two float64 values per state.
-func laneBytes(base *core.Compiled) int64 {
+func laneBytes(base *kernel.Compiled) int64 {
 	return base.NumTransitions()*4 + int64(base.NumStates())*16
 }
 
@@ -687,7 +701,7 @@ func laneBytes(base *core.Compiled) int64 {
 // the only batch sweep (kernel.NewBatch fails without it), and the
 // structure must fit batchLaneBudget per lane, far below the sweep's
 // 2^26-state limit.
-func batches(base *core.Compiled) bool {
+func batches(base *kernel.Compiled) bool {
 	return kernel.DenseBatchAsm() && laneBytes(base) <= batchLaneBudget
 }
 
@@ -696,7 +710,7 @@ func batches(base *core.Compiled) bool {
 // sharing entries is sound).
 func (s *Service) sweepPointKey(opts SweepOptions, cfg AttackConfig, p float64) resultKey {
 	params := AttackParams{
-		Model:     sweepModel(opts),
+		Model:     opts.Model,
 		Adversary: p, Switching: opts.Gamma,
 		Depth: cfg.Depth, Forks: cfg.Forks, MaxForkLen: opts.MaxForkLen,
 	}
@@ -831,10 +845,10 @@ func (s *Service) sweepAdaptive(ctx context.Context, opts SweepOptions, workers,
 // calling worker's clone as the singleflight leader — seeded from the
 // nearest solved p — when the point is genuinely new. A cancellation
 // interrupts the solve at its next sweep boundary and stores nothing.
-func (s *Service) sweepPoint(ctx context.Context, comp *core.Compiled, cfg AttackConfig, p float64, opts SweepOptions) (*Analysis, error) {
+func (s *Service) sweepPoint(ctx context.Context, comp *kernel.Compiled, cfg AttackConfig, p float64, opts SweepOptions) (*Analysis, error) {
 	s.sweepPoints.Add(1)
 	params := AttackParams{
-		Model:     sweepModel(opts),
+		Model:     opts.Model,
 		Adversary: p, Switching: opts.Gamma,
 		Depth: cfg.Depth, Forks: cfg.Forks, MaxForkLen: opts.MaxForkLen,
 	}
@@ -855,7 +869,7 @@ func (s *Service) sweepPoint(ctx context.Context, comp *core.Compiled, cfg Attac
 			if err := comp.SetChainParams(p, opts.Gamma); err != nil {
 				return nil, err
 			}
-			sk := structKey{sweepModel(opts), cfg.Depth, cfg.Forks, opts.MaxForkLen}
+			sk := structKey{opts.Model, cfg.Depth, cfg.Forks, opts.MaxForkLen}
 			aOpts := analysis.Options{Epsilon: opts.Epsilon, SkipStrategyEval: true, SkipStrategy: true}
 			if seed, ok := s.warmSeed(sk, opts.Gamma, p, comp.NumStates()); ok {
 				aOpts.InitialValues = seed
@@ -899,7 +913,7 @@ func (s *Service) sweepPoint(ctx context.Context, comp *core.Compiled, cfg Attac
 // the scheduler filters cached points before cutting units, and a
 // concurrent identical sweep merely duplicates work, never diverges
 // results.
-func (s *Service) sweepBatch(ctx context.Context, base *core.Compiled, cfg AttackConfig, ps []float64,
+func (s *Service) sweepBatch(ctx context.Context, base *kernel.Compiled, cfg AttackConfig, ps []float64,
 	opts SweepOptions, workers int) ([]*Analysis, error) {
 	s.sweepPoints.Add(uint64(len(ps)))
 	batchGroupsScheduled.Inc()
@@ -908,7 +922,7 @@ func (s *Service) sweepBatch(ctx context.Context, base *core.Compiled, cfg Attac
 		return nil, cancelError(err, nil)
 	}
 	defer s.release()
-	sk := structKey{sweepModel(opts), cfg.Depth, cfg.Forks, opts.MaxForkLen}
+	sk := structKey{opts.Model, cfg.Depth, cfg.Forks, opts.MaxForkLen}
 	n := base.NumStates()
 	lanes := make([]analysis.BatchLane, len(ps))
 	for i, p := range ps {
@@ -928,7 +942,7 @@ func (s *Service) sweepBatch(ctx context.Context, base *core.Compiled, cfg Attac
 	for i, lr := range lrs {
 		s.warmPutVec(sk, opts.Gamma, ps[i], n, lr.Values)
 		params := AttackParams{
-			Model:     sweepModel(opts),
+			Model:     opts.Model,
 			Adversary: ps[i], Switching: opts.Gamma,
 			Depth: cfg.Depth, Forks: cfg.Forks, MaxForkLen: opts.MaxForkLen,
 		}

@@ -167,6 +167,26 @@ func TestBatchedSweepMatchesSoloFigure(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsBadEpsilon: Algorithm 1 certifies an ε-tight bound only
+// for a finite ε ≥ 0 (0 = default), so a NaN, infinite or negative
+// epsilon is refused before any point solves — whether the points run solo
+// (width 1) or in batched units.
+func TestSweepRejectsBadEpsilon(t *testing.T) {
+	for _, eps := range []float64{math.NaN(), math.Inf(1), -1e-4} {
+		for _, width := range []int{1, kernel.DenseBatchWidth} {
+			svc := NewService(ServiceConfig{})
+			opts := SweepOptions{Gamma: 0.5, PGrid: []float64{0.1, 0.15, 0.2, 0.25, 0.3},
+				Configs: []AttackConfig{{Depth: 2, Forks: 1}}, MaxForkLen: 3, Epsilon: eps}
+			if _, err := svc.sweepContext(context.Background(), opts, width); err == nil {
+				t.Errorf("epsilon %v width %d: sweep accepted", eps, width)
+			}
+			if st := svc.Stats(); st.Solves != 0 || st.SweepPoints != 0 {
+				t.Errorf("epsilon %v width %d: %d solves, %d sweep points before the error", eps, width, st.Solves, st.SweepPoints)
+			}
+		}
+	}
+}
+
 // batchRuleShapes are the fork shapes on either side of the lane budget:
 // d2f2l5 (0.38 MiB per lane) fits it and d3f2l4 (9.5 MiB per lane) does
 // not.
@@ -179,7 +199,7 @@ var batchRuleShapes = []struct {
 	{AttackConfig{Depth: 3, Forks: 2}, 4, false},
 }
 
-func compileRuleShape(t *testing.T, cfg AttackConfig, l int) *core.Compiled {
+func compileRuleShape(t *testing.T, cfg AttackConfig, l int) *kernel.Compiled {
 	t.Helper()
 	base, err := families.Compile(families.DefaultName, core.Params{
 		P: 0.1, Gamma: 0.5, Depth: cfg.Depth, Forks: cfg.Forks, MaxLen: l,
