@@ -33,9 +33,10 @@
 // -save are fork-only (the physical chain substrate replays fork
 // strategies).
 //
-// The command runs through selfishmining.Service, whose solves are bitwise
-// identical to the package-level selfishmining.AnalyzeContext: both compile
-// the attack MDP onto the same kernel.
+// The command runs through selfishmining.Service, the only path from
+// options to Algorithm 1: the package-level selfishmining.AnalyzeContext
+// is the same call on a fresh Service, so both return bitwise identical
+// analyses.
 package main
 
 import (

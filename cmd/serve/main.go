@@ -785,15 +785,7 @@ func (s *server) parseSweep(body io.Reader) (selfishmining.SweepOptions, int, er
 	if err != nil {
 		return selfishmining.SweepOptions{}, 0, err
 	}
-	opts := selfishmining.SweepOptions{
-		Model: spec.Model, Gamma: spec.Gamma, PGrid: spec.PGrid,
-		MaxForkLen: spec.Len, TreeWidth: spec.TreeWidth, Epsilon: spec.Epsilon,
-		Adaptive: spec.Adaptive, Tolerance: spec.Tolerance, MaxDepth: spec.MaxDepth, MaxPoints: spec.MaxPoints,
-	}
-	for _, c := range spec.Configs {
-		opts.Configs = append(opts.Configs, selfishmining.AttackConfig{Depth: c.Depth, Forks: c.Forks})
-	}
-	return opts, req.TimeoutMs, nil
+	return spec.Options(), req.TimeoutMs, nil
 }
 
 // readSweep is parseSweep on a request body, answering 400 itself.

@@ -294,13 +294,14 @@ func TestSweepEndpoint(t *testing.T) {
 func TestSweepEndpointRejects(t *testing.T) {
 	ts, _ := testServer(t, "-max-states", "1000")
 	for name, body := range map[string]string{
-		"bad gamma":     `{"gamma":1.5}`,
-		"bad grid":      `{"gamma":0.5,"pmin":0.4,"pmax":0.2}`,
-		"negative step": `{"gamma":0.5,"pstep":-0.1}`,
-		"tiny step":     `{"gamma":0.5,"pstep":1e-300}`,
-		"large config":  `{"gamma":0.5,"configs":[{"d":3,"f":2}]}`,
-		"negative eps":  `{"gamma":0.5,"configs":[{"d":1,"f":1}],"l":2,"epsilon":-1}`,
-		"negative l":    `{"gamma":0.5,"configs":[{"d":1,"f":1}],"l":-1}`,
+		"bad gamma":        `{"gamma":1.5}`,
+		"bad grid":         `{"gamma":0.5,"pmin":0.4,"pmax":0.2}`,
+		"negative step":    `{"gamma":0.5,"pstep":-0.1}`,
+		"tiny step":        `{"gamma":0.5,"pstep":1e-300}`,
+		"large config":     `{"gamma":0.5,"configs":[{"d":3,"f":2}]}`,
+		"negative eps":     `{"gamma":0.5,"configs":[{"d":1,"f":1}],"l":2,"epsilon":-1}`,
+		"negative l":       `{"gamma":0.5,"configs":[{"d":1,"f":1}],"l":-1}`,
+		"duplicate config": `{"gamma":0.5,"configs":[{"d":1,"f":1},{"d":1,"f":1}],"l":2}`,
 	} {
 		resp, data := postJSON(t, ts.URL+"/v1/sweep", body)
 		if resp.StatusCode != http.StatusBadRequest {

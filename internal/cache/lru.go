@@ -50,9 +50,11 @@ func NewLRU[K comparable, V any](capacity int) *LRU[K, V] {
 	if capacity < 0 {
 		capacity = 0
 	}
+	// The map grows with use: a short-lived cache that holds a handful of
+	// entries never pays for its full capacity.
 	return &LRU[K, V]{
 		capacity: capacity,
-		items:    make(map[K]*entry[K, V], capacity),
+		items:    make(map[K]*entry[K, V]),
 	}
 }
 

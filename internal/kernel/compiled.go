@@ -92,17 +92,15 @@ func (c *Compiled) sweepWorkers() int {
 	return par.Grain(c.NumStates(), par.Workers(0), minStatesPerWorker)
 }
 
-// Clone returns an independent solver over the same compiled transition
-// structure. The immutable arrays (transition ranges, destinations,
-// metadata, law table) are shared with the receiver; the mutable per-solve
-// state (resolved probabilities, value vectors, parameters, worker count)
-// is copied. Distinct clones are safe for concurrent use, which is how the
-// sweep orchestration in package selfishmining gives each worker its own
-// solver while compiling every attack shape once.
-func (c *Compiled) Clone() *Compiled {
-	nc := &Compiled{
-		p:          c.p,
-		gamma:      c.gamma,
+// Structure returns the structure-only form of c: the immutable arrays
+// (transition ranges, destinations, metadata, law table), shared with c,
+// and no per-solve buffers — no resolved probabilities, no value vectors.
+// It is what a structure cache retains. It cannot be solved on directly;
+// Clone it and point the clone at chain parameters with SetChainParams.
+// Batches (NewBatch) read only the structure, so it serves as their donor
+// as is.
+func (c *Compiled) Structure() *Compiled {
+	return &Compiled{
 		laws:       c.laws,
 		rate:       c.rate,
 		maxSigma:   c.maxSigma,
@@ -111,11 +109,25 @@ func (c *Compiled) Clone() *Compiled {
 		meta:       c.meta,
 		stateAct:   c.stateAct,
 		actStart:   c.actStart,
-		probs:      append([]float32(nil), c.probs...),
-		h:          append([]float64(nil), c.h...),
-		next:       make([]float64, len(c.next)),
-		workers:    c.workers,
 	}
+}
+
+// Clone returns an independent solver over the same compiled transition
+// structure. The immutable arrays are shared with the receiver; the mutable
+// per-solve state (resolved probabilities, value vectors, parameters,
+// worker count) is copied — or, when the receiver is structure-only (see
+// Structure), freshly allocated, with probabilities unresolved until
+// SetChainParams. Distinct clones are safe for concurrent use, which is how
+// the service in package selfishmining solves many (p, γ) points at once
+// while compiling every attack shape once.
+func (c *Compiled) Clone() *Compiled {
+	nc := c.Structure()
+	nc.p, nc.gamma, nc.workers = c.p, c.gamma, c.workers
+	nc.probs = make([]float32, c.NumTransitions())
+	nc.h = make([]float64, c.NumStates())
+	nc.next = make([]float64, c.NumStates())
+	copy(nc.probs, c.probs) // a no-op from a structure-only receiver
+	copy(nc.h, c.h)
 	return nc
 }
 

@@ -152,6 +152,49 @@ func TestCloneSharesStructure(t *testing.T) {
 	}
 }
 
+// TestStructureCloneSolvesLikeCompiled: the structure-only form carries no
+// solver buffers, and a clone of it pointed at (p, γ) solves bitwise like
+// an instance compiled at (p, γ) — the equivalence that lets a structure
+// cache keep structures only, whatever chain parameters compiled them.
+func TestStructureCloneSolvesLikeCompiled(t *testing.T) {
+	const n, p, gamma = 300, 0.35, 0.5
+	want := compileRing(t, n, p)
+	st := compileRing(t, n, 0.1).Structure()
+	if st.probs != nil || st.h != nil || st.next != nil {
+		t.Fatal("Structure retains per-solve buffers")
+	}
+	got := st.Clone()
+	if err := got.SetChainParams(p, gamma); err != nil {
+		t.Fatal(err)
+	}
+	for _, solve := range []struct {
+		beta float64
+		opts Options
+	}{
+		{0.2, Options{Tol: 1e-9}},
+		{0.4, Options{Tol: 1e-9, SignOnly: true, KeepValues: true}},
+	} {
+		wr, err := want.MeanPayoffCtx(context.Background(), solve.beta, solve.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gr, err := got.MeanPayoffCtx(context.Background(), solve.beta, solve.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(gr.Lo) != math.Float64bits(wr.Lo) || math.Float64bits(gr.Hi) != math.Float64bits(wr.Hi) ||
+			math.Float64bits(gr.Gain) != math.Float64bits(wr.Gain) || gr.Iters != wr.Iters || gr.Converged != wr.Converged {
+			t.Fatalf("beta=%v: structure clone solved %+v, compiled %+v", solve.beta, *gr, *wr)
+		}
+		wv, gv := want.Values(), got.Values()
+		for s := range wv {
+			if math.Float64bits(gv[s]) != math.Float64bits(wv[s]) {
+				t.Fatalf("beta=%v: value[%d] = %v, compiled %v", solve.beta, s, gv[s], wv[s])
+			}
+		}
+	}
+}
+
 // badSource exercises the compile-time structural validation paths.
 type badSource struct {
 	coinSource

@@ -60,8 +60,8 @@
 // inner value-iteration sweep out over runtime.NumCPU() goroutines
 // (override with WithWorkers), and Sweep additionally distributes the
 // (configuration, p) grid points of a panel over a worker pool
-// (SweepOptions.Workers), compiling each attack structure once and giving
-// every worker its own solver buffers. Parallel execution is exactly
+// (SweepOptions.Workers), compiling each attack structure once and solving
+// every point on solver buffers of its own. Parallel execution is exactly
 // reproducible: results are bitwise identical at every worker count, a
 // property enforced by this package's determinism tests.
 //
@@ -74,9 +74,10 @@
 // identical requests, a concurrency limit, and warm-started value
 // iteration that seeds each bound-only solve from the nearest solved p.
 // Cached, coalesced and warm-started answers are bitwise identical to
-// cold serial solves. SweepContext and the analyze/sweep CLIs run through
-// a Service, so those paths share the same machinery; cmd/serve exposes it
-// over HTTP/JSON:
+// cold serial solves. Every analysis runs through a Service — the
+// package-level AnalyzeContext and SweepContext each on a fresh one — so
+// all paths share the same machinery; cmd/serve exposes it over
+// HTTP/JSON:
 //
 //	svc := selfishmining.NewService(selfishmining.ServiceConfig{})
 //	res, err := svc.AnalyzeContext(ctx, params)  // solved once...
@@ -203,8 +204,9 @@ type config struct {
 // Option customizes Analyze.
 type Option func(*config)
 
-// WithEpsilon sets the binary-search precision ε (default 1e-4): the
-// returned ERRev lies in [ERRev* − ε, ERRev*].
+// WithEpsilon sets the binary-search precision ε: the returned ERRev lies
+// in [ERRev* − ε, ERRev*]. ε must be finite and ≥ 0; 0 means the default,
+// 1e-4. A negative, infinite or NaN ε fails the request before it solves.
 func WithEpsilon(eps float64) Option { return func(c *config) { c.epsilon = eps } }
 
 // WithWorkers sets the number of goroutines each inner value-iteration
@@ -277,8 +279,10 @@ type Analysis struct {
 // AnalyzeContext runs the paper's Algorithm 1 on the given configuration of
 // any registered model family (AttackParams.Model): it compiles the
 // family's attack MDP onto the flat-CSR kernel and runs the binary search
-// over it — the same path a Service takes, so both entry points return
-// bitwise identical analyses.
+// over it. It is Service.AnalyzeContext on a fresh Service, so both entry
+// points check options alike and return bitwise identical analyses;
+// callers that analyze repeatedly should hold their own Service, which
+// also reuses results and compiled structures across calls.
 //
 // ctx cancels the analysis cooperatively at deterministic checkpoints
 // (value-iteration sweep and binary-search step boundaries); an interrupted
@@ -286,43 +290,9 @@ type Analysis struct {
 // the package's cancellation notes). A call that completes is bitwise
 // identical to one with no cancelable context attached.
 func AnalyzeContext(ctx context.Context, p AttackParams, opts ...Option) (*Analysis, error) {
-	cfg := config{epsilon: 1e-4}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	// A NaN epsilon makes every bracket comparison false, silently ending
-	// the binary search at ERRev = 0; reject it like any other bad input.
-	if math.IsNaN(cfg.epsilon) || math.IsInf(cfg.epsilon, 0) {
-		return nil, fmt.Errorf("selfishmining: epsilon = %v is not a finite precision", cfg.epsilon)
-	}
-	aOpts := analysis.Options{
-		Epsilon:          cfg.epsilon,
-		SkipStrategyEval: cfg.skipEval,
-		SkipStrategy:     cfg.boundOnly,
-		Workers:          cfg.workers,
-		Progress:         cfg.progress,
-	}
-	cfg.analysisCheckpointOpts(&aOpts)
-	cp := p.core()
-	comp, err := families.Compile(p.Model, cp)
-	if err != nil {
-		return nil, err
-	}
-	res, err := analysis.Analyze(ctx, comp, aOpts)
-	if err != nil {
-		return nil, analysisError(p, res, err)
-	}
-	return newAnalysis(p, cp, res, !cfg.boundOnly && p.isFork(), comp.NumStates())
-}
-
-// analysisError classifies an inner analysis failure: context
-// interruptions become the public *CancelError (with partial progress);
-// everything else keeps the parameter-tagged solver wrap.
-func analysisError(p AttackParams, res *analysis.Result, err error) error {
-	if isCtxErr(err) {
-		return cancelError(err, res)
-	}
-	return fmt.Errorf("selfishmining: analysis of %v failed: %w", p, err)
+	// A warm start could only serve a later request to this Service, and
+	// there is none, so it keeps no copy of the solved value vector.
+	return NewService(ServiceConfig{WarmCacheSize: -1}).AnalyzeContext(ctx, p, opts...)
 }
 
 // newAnalysis assembles the public result from an internal one. withModel
@@ -330,7 +300,7 @@ func analysisError(p AttackParams, res *analysis.Result, err error) error {
 // which carry no strategy to replay, and for non-fork families, which
 // have none); numStates is the solved state count, recorded to spare
 // result consumers a re-derivation.
-func newAnalysis(p AttackParams, cp core.Params, res *analysis.Result, withModel bool, numStates int) (*Analysis, error) {
+func newAnalysis(p AttackParams, res *analysis.Result, withModel bool, numStates int) (*Analysis, error) {
 	a := &Analysis{
 		Params:        p,
 		ERRev:         res.ERRev,
@@ -342,7 +312,7 @@ func newAnalysis(p AttackParams, cp core.Params, res *analysis.Result, withModel
 		NumStates:     numStates,
 	}
 	if withModel {
-		model, err := core.NewModel(cp)
+		model, err := core.NewModel(p.core())
 		if err != nil {
 			return nil, err
 		}

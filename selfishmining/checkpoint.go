@@ -57,8 +57,7 @@ func WithResume(ck *Checkpoint) Option {
 }
 
 // analysisCheckpointOpts maps the public checkpoint/resume configuration
-// onto analysis.Options (shared by the package-level entry point and the
-// service's solve path).
+// onto analysis.Options for the service's solve.
 func (c *config) analysisCheckpointOpts(aOpts *analysis.Options) {
 	if c.checkpoint != nil {
 		sink := c.checkpoint

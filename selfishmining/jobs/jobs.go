@@ -176,7 +176,7 @@ type SweepSpec struct {
 // adaptive sweeps, tolerance and depth; Model and Epsilon keep their
 // submitted form.
 func (s *SweepSpec) Normalize() error {
-	opts := s.options()
+	opts := s.Options()
 	if err := opts.Normalize(); err != nil {
 		return err
 	}
@@ -189,9 +189,10 @@ func (s *SweepSpec) Normalize() error {
 	return nil
 }
 
-// options assembles the sweep options the spec encodes (the manager
-// attaches its OnPoint hook).
-func (s SweepSpec) options() selfishmining.SweepOptions {
+// Options maps the spec onto the sweep options it encodes, field for
+// field: the one spec-to-options mapping of the jobs manager and the HTTP
+// sweep routes (the manager attaches its OnPoint hook).
+func (s SweepSpec) Options() selfishmining.SweepOptions {
 	opts := selfishmining.SweepOptions{
 		Model:      s.Model,
 		Gamma:      s.Gamma,

@@ -1048,7 +1048,7 @@ func (m *Manager) run(ctx context.Context, j *job) {
 			j.progress.BetaLow, j.progress.BetaUp = out.ERRev, out.ERRevUpper
 		})
 	case KindSweep:
-		opts := j.sweep.options()
+		opts := j.sweep.Options()
 		// Feed the per-point checkpoint back as a resume set, and index it
 		// so re-emitted (replayed) points are not re-appended below. The
 		// key matches selfishmining's resume lookup: attack configuration

@@ -229,7 +229,7 @@ func TestJobSweepLifecycle(t *testing.T) {
 	if done.SweepResult == nil {
 		t.Fatal("sweep job finished without a result")
 	}
-	want, err := selfishmining.SweepContext(context.Background(), spec.options())
+	want, err := selfishmining.SweepContext(context.Background(), spec.Options())
 	if err != nil {
 		t.Fatal(err)
 	}

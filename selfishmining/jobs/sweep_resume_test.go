@@ -51,7 +51,7 @@ func equalFigures(t *testing.T, label string, want, got *results.Figure) {
 func referenceSweep(t *testing.T, spec SweepSpec) *results.Figure {
 	t.Helper()
 	fig, err := selfishmining.NewService(selfishmining.ServiceConfig{}).
-		SweepContext(context.Background(), spec.options())
+		SweepContext(context.Background(), spec.Options())
 	if err != nil {
 		t.Fatalf("reference sweep: %v", err)
 	}

@@ -114,7 +114,10 @@ func TestSweepWorkersDeterminism(t *testing.T) {
 
 // TestAnalyzeConcurrent runs several multi-worker analyses at once; under
 // -race this checks that concurrent Analyze calls (each fanning out its own
-// sweep goroutines) share no state.
+// sweep goroutines) share no state — both across package-level calls and
+// on one fresh Service, where one request compiles the shape and solves on
+// the compiled instance while the others solve on clones of its cached
+// structure.
 func TestAnalyzeConcurrent(t *testing.T) {
 	grid := []float64{0.15, 0.2, 0.25, 0.3}
 	want := make([]float64, len(grid))
@@ -126,23 +129,27 @@ func TestAnalyzeConcurrent(t *testing.T) {
 		}
 		want[i] = res.ERRev
 	}
-	var wg sync.WaitGroup
-	for i := range grid {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := AnalyzeContext(context.Background(), AttackParams{Adversary: grid[i], Switching: 0.5, Depth: 2, Forks: 1, MaxForkLen: 4},
-				WithWorkers(2), WithoutStrategyEval())
-			if err != nil {
-				t.Errorf("p=%v: %v", grid[i], err)
-				return
-			}
-			if math.Float64bits(res.ERRev) != math.Float64bits(want[i]) {
-				t.Errorf("p=%v: concurrent ERRev %v != serial %v", grid[i], res.ERRev, want[i])
-			}
-		}(i)
+	for _, analyze := range []func(context.Context, AttackParams, ...Option) (*Analysis, error){
+		AnalyzeContext, NewService(ServiceConfig{}).AnalyzeContext,
+	} {
+		var wg sync.WaitGroup
+		for i := range grid {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				res, err := analyze(context.Background(), AttackParams{Adversary: grid[i], Switching: 0.5, Depth: 2, Forks: 1, MaxForkLen: 4},
+					WithWorkers(2), WithoutStrategyEval())
+				if err != nil {
+					t.Errorf("p=%v: %v", grid[i], err)
+					return
+				}
+				if math.Float64bits(res.ERRev) != math.Float64bits(want[i]) {
+					t.Errorf("p=%v: concurrent ERRev %v != serial %v", grid[i], res.ERRev, want[i])
+				}
+			}(i)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }
 
 // TestSweepEmptyGrid: a non-nil empty p-grid is rejected before the pool

@@ -1,6 +1,7 @@
 package selfishmining
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -17,16 +18,22 @@ import (
 )
 
 // Default sizing of a Service's caches. All are entry counts; memory per
-// entry depends on the model size (see ServiceConfig.MaxCachedStates).
+// entry depends on the model size (see maxCachedStates).
 const (
 	DefaultResultCacheSize    = 4096
 	DefaultStructureCacheSize = 8
 	DefaultWarmCacheSize      = 64
-	DefaultMaxCachedStates    = 4 << 20
 
 	// warmPointsPerStore bounds the value vectors retained per
 	// (structure, γ) neighborhood; nearest-p lookup scans them linearly.
 	warmPointsPerStore = 4
+
+	// maxCachedStates is the model size (in states) above which full
+	// results and warm-start vectors are not retained: the solve still
+	// runs, is coalesced, and benefits from the structure cache, but its
+	// O(states) payload is handed to the caller only. Bound-only results
+	// are always cacheable (they are O(1)).
+	maxCachedStates = 4 << 20
 )
 
 // ServiceConfig sizes and tunes a Service. The zero value gives sensible
@@ -34,24 +41,20 @@ const (
 type ServiceConfig struct {
 	// ResultCacheSize bounds the solved-analysis LRU (default 4096
 	// entries). Full results retain their strategy, so entries for an
-	// n-state model cost O(n) memory; see MaxCachedStates.
+	// n-state model cost O(n) memory; full results of models above 4Mi
+	// states are not retained.
 	ResultCacheSize int
 	// StructureCacheSize bounds the compiled-structure LRU keyed by
 	// (Model, Depth, Forks, MaxForkLen) — distinct (p, γ) points share one
 	// families.Compile and only re-derive probabilities (default 8
-	// entries).
+	// entries). Entries hold the transition structure only, no solver
+	// buffers.
 	StructureCacheSize int
 	// WarmCacheSize bounds the warm-start LRU of (structure, γ)
 	// neighborhoods, each holding up to a handful of converged value
 	// vectors used to seed bound-only solves at nearby p (default 64).
 	// Negative disables warm starts.
 	WarmCacheSize int
-	// MaxCachedStates is the model size (in states) above which full
-	// results and warm-start vectors are not retained — the solve still
-	// runs, is coalesced, and benefits from the structure cache, but its
-	// O(states) payload is handed to the caller only. Default 4Mi states.
-	// Bound-only results are always cacheable (they are O(1)).
-	MaxCachedStates int
 	// Workers is the default per-solve sweep parallelism (see
 	// WithWorkers); a per-call WithWorkers overrides it. Worker counts
 	// never change results, so they are not part of cache keys.
@@ -71,9 +74,6 @@ func (c *ServiceConfig) defaults() {
 	}
 	if c.WarmCacheSize == 0 {
 		c.WarmCacheSize = DefaultWarmCacheSize
-	}
-	if c.MaxCachedStates == 0 {
-		c.MaxCachedStates = DefaultMaxCachedStates
 	}
 }
 
@@ -239,8 +239,8 @@ type AnalyzeInfo struct {
 }
 
 // AnalyzeContext runs (or replays) the fully automated analysis for one
-// attack configuration. Options mirror the package-level AnalyzeContext,
-// and a fresh solve returns bitwise the package-level result.
+// attack configuration. The package-level AnalyzeContext is this method on
+// a fresh Service, so a fresh solve here returns bitwise its result.
 //
 // ctx governs the whole request: a cancellation or deadline unblocks it
 // promptly whether it is solving (checked at sweep boundaries), queued on
@@ -258,27 +258,46 @@ func (s *Service) AnalyzeContext(ctx context.Context, p AttackParams, opts ...Op
 // AnalyzeDetailedContext is AnalyzeContext plus serving metadata, for
 // callers (like cmd/serve) that surface cache behavior.
 func (s *Service) AnalyzeDetailedContext(ctx context.Context, p AttackParams, opts ...Option) (*Analysis, AnalyzeInfo, error) {
-	cfg := config{epsilon: 1e-4}
+	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
-	// A NaN epsilon would both disable the binary search (every comparison
-	// is false) and poison the map keys below: NaN never compares equal,
-	// so singleflight entries could never be deleted again.
-	if math.IsNaN(cfg.epsilon) || math.IsInf(cfg.epsilon, 0) {
-		return nil, AnalyzeInfo{}, fmt.Errorf("selfishmining: epsilon = %v is not a finite precision", cfg.epsilon)
+	// Algorithm 1 certifies an ε-tight bound for a finite ε ≥ 0 only (0
+	// means the default), as every sweep and HTTP surface demands too. A
+	// NaN would also end the binary search at once (every comparison is
+	// false) and poison the map keys: NaN never compares equal, so
+	// singleflight entries could never be deleted again.
+	if !(cfg.epsilon >= 0) || math.IsInf(cfg.epsilon, 0) {
+		return nil, AnalyzeInfo{}, fmt.Errorf("selfishmining: epsilon = %v: need a finite precision >= 0 (0 = default)", cfg.epsilon)
 	}
-	cp := p.core()
+	if cfg.epsilon == 0 {
+		cfg.epsilon = 1e-4
+	}
 	if err := p.Validate(); err != nil {
 		return nil, AnalyzeInfo{}, err
 	}
-	key := s.key(p, &cfg)
+	a, info, err := s.analyze(ctx, p, &cfg)
+	if err != nil {
+		return nil, info, s.countCancel(err)
+	}
+	return a.clone(), info, nil
+}
+
+// analyze answers one validated request — options checked, ε filled in —
+// from the result cache, coalesced behind an identical in-flight request,
+// or solved as the singleflight leader. It is the one path from options to
+// Algorithm 1: AnalyzeDetailedContext and the solo points of a sweep both
+// run through it. The returned Analysis may be the cached one, so callers
+// hand out clones. Interruptions come back as *CancelError, untallied:
+// the caller owns the cancel counters.
+func (s *Service) analyze(ctx context.Context, p AttackParams, cfg *config) (*Analysis, AnalyzeInfo, error) {
+	key := s.key(p, cfg)
 	for {
 		if a, ok := s.results.Get(key); ok {
-			return a.clone(), AnalyzeInfo{Cached: true}, nil
+			return a, AnalyzeInfo{Cached: true}, nil
 		}
 		a, err, shared := s.flight.DoContext(ctx, key, func() (*Analysis, error) {
-			return s.solve(ctx, key, p, cp, &cfg)
+			return s.solve(ctx, key, p, cfg)
 		})
 		if err != nil {
 			// A follower can inherit a cancellation that belongs to the
@@ -290,9 +309,9 @@ func (s *Service) AnalyzeDetailedContext(ctx context.Context, p AttackParams, op
 			if shared && isCtxErr(err) && ctx.Err() == nil {
 				continue
 			}
-			return nil, AnalyzeInfo{Coalesced: shared}, s.countCancel(cancelError(err, nil))
+			return nil, AnalyzeInfo{Coalesced: shared}, cancelError(err, nil)
 		}
-		return a.clone(), AnalyzeInfo{Coalesced: shared}, nil
+		return a, AnalyzeInfo{Coalesced: shared}, nil
 	}
 }
 
@@ -310,9 +329,8 @@ func (s *Service) countCancel(err error) error {
 }
 
 // key canonicalizes a request so that equivalent requests collide: the
-// empty model name maps to the default family, negative zeros are
-// normalized, and out-of-range option values are replaced by the defaults
-// the solver would substitute anyway.
+// empty model name maps to the default family and negative zeros are
+// normalized. cfg.epsilon must already be checked and defaulted.
 func (s *Service) key(p AttackParams, cfg *config) resultKey {
 	model := p.Model
 	if model == "" {
@@ -332,70 +350,60 @@ func (s *Service) key(p AttackParams, cfg *config) resultKey {
 	if k.gamma == 0 {
 		k.gamma = 0
 	}
-	if k.epsilon <= 0 {
-		k.epsilon = 1e-4 // the analysis default for non-positive ε
-	}
 	return k
 }
 
-// structure returns the shared compiled structure for sk, compiling it at
-// most once across all concurrent requests. The returned instance is a
-// clone source only and is never solved on directly.
-func (s *Service) structure(sk structKey) (*kernel.Compiled, error) {
-	if c, ok := s.structures.Get(sk); ok {
-		return c, nil
+// structure returns the structure-only form of sk (see
+// kernel.Compiled.Structure), compiling it at most once across all
+// concurrent requests. The compile runs at the caller's (p, γ), and the
+// caller that ran it also gets the compiled instance back, ready to solve
+// on; every other caller gets a nil instance.
+func (s *Service) structure(sk structKey, p, gamma float64) (st, own *kernel.Compiled, err error) {
+	if st, ok := s.structures.Get(sk); ok {
+		return st, nil, nil
 	}
-	c, err, _ := s.structFlight.Do(sk, func() (*kernel.Compiled, error) {
-		if c, ok := s.structures.Get(sk); ok {
-			return c, nil
+	st, err, _ = s.structFlight.Do(sk, func() (*kernel.Compiled, error) {
+		if st, ok := s.structures.Get(sk); ok {
+			return st, nil
 		}
 		s.compiles.Add(1)
-		// Chain parameters are placeholders: every solver clone installs
-		// its own (p, γ) via SetChainParams before solving.
 		comp, err := families.Compile(sk.model, core.Params{
-			P: 0.1, Gamma: 0.5,
+			P: p, Gamma: gamma,
 			Depth: sk.depth, Forks: sk.forks, MaxLen: sk.maxLen,
 		})
 		if err != nil {
 			return nil, err
 		}
-		s.structures.Add(sk, comp)
-		return comp, nil
+		own = comp
+		st := comp.Structure()
+		s.structures.Add(sk, st)
+		return st, nil
 	})
-	return c, err
+	return st, own, err
 }
 
-// solver clones the shared structure for sk and points it at (p, γ) with
-// the effective worker count.
-func (s *Service) solver(sk structKey, p, gamma float64, workers int) (*kernel.Compiled, error) {
-	base, err := s.structure(sk)
-	if err != nil {
-		return nil, err
-	}
-	comp := base.Clone()
-	if workers == 0 {
-		workers = s.cfg.Workers
-	}
-	comp.SetWorkers(workers)
-	if err := comp.SetChainParams(p, gamma); err != nil {
-		return nil, err
-	}
-	return comp, nil
-}
-
-// solve is the singleflight leader body for one AnalyzeContext request.
-// Nothing is cached on failure, so an interrupted solve cannot poison the
-// result or warm-start caches.
-func (s *Service) solve(ctx context.Context, key resultKey, p AttackParams, cp core.Params, cfg *config) (*Analysis, error) {
+// solve is the singleflight leader body of analyze. Nothing is cached on
+// failure, so an interrupted solve cannot poison the result or warm-start
+// caches.
+func (s *Service) solve(ctx context.Context, key resultKey, p AttackParams, cfg *config) (*Analysis, error) {
 	if err := s.acquire(ctx); err != nil {
 		return nil, cancelError(err, nil)
 	}
 	defer s.release()
+	// The request that compiles sk solves on the compiled instance; every
+	// other one on a clone of the cached structure.
 	sk := structKey{key.model, p.Depth, p.Forks, p.MaxForkLen}
-	comp, err := s.solver(sk, p.Adversary, p.Switching, cfg.workers)
+	st, comp, err := s.structure(sk, p.Adversary, p.Switching)
 	if err != nil {
 		return nil, err
 	}
+	if comp == nil {
+		comp = st.Clone()
+		if err := comp.SetChainParams(p.Adversary, p.Switching); err != nil {
+			return nil, err
+		}
+	}
+	comp.SetWorkers(cmp.Or(cfg.workers, s.cfg.Workers))
 	aOpts := analysis.Options{
 		Epsilon:          cfg.epsilon,
 		SkipStrategyEval: cfg.skipEval,
@@ -415,15 +423,18 @@ func (s *Service) solve(ctx context.Context, key resultKey, p AttackParams, cp c
 	}
 	s.solves.Add(1)
 	res, err := analysis.Analyze(ctx, comp, aOpts)
+	if isCtxErr(err) {
+		return nil, cancelError(err, res) // with the partial progress
+	}
 	if err != nil {
-		return nil, analysisError(p, res, err)
+		return nil, fmt.Errorf("selfishmining: analysis of %v failed: %w", p, err)
 	}
 	s.warmPut(sk, p.Switching, p.Adversary, comp)
-	a, err := newAnalysis(p, cp, res, !cfg.boundOnly && p.isFork(), comp.NumStates())
+	a, err := newAnalysis(p, res, !cfg.boundOnly && p.isFork(), comp.NumStates())
 	if err != nil {
 		return nil, err
 	}
-	if cfg.boundOnly || comp.NumStates() <= s.cfg.MaxCachedStates {
+	if cfg.boundOnly || comp.NumStates() <= maxCachedStates {
 		s.results.Add(key, a)
 	}
 	return a, nil
@@ -448,7 +459,7 @@ func (s *Service) warmSeed(sk structKey, gamma, p float64, n int) ([]float64, bo
 // warmPut retains comp's converged value vector as a future seed, unless
 // the model is too large or warm starts are disabled.
 func (s *Service) warmPut(sk structKey, gamma, p float64, comp *kernel.Compiled) {
-	if s.cfg.WarmCacheSize < 0 || comp.NumStates() > s.cfg.MaxCachedStates {
+	if s.cfg.WarmCacheSize < 0 || comp.NumStates() > maxCachedStates {
 		return
 	}
 	s.warmPutVec(sk, gamma, p, comp.NumStates(), comp.Values())
@@ -459,7 +470,7 @@ func (s *Service) warmPut(sk structKey, gamma, p float64, comp *kernel.Compiled)
 // on the kernel batch rather than on a Compiled. The vector must not be
 // mutated after the call (warmStore vectors are immutable once stored).
 func (s *Service) warmPutVec(sk structKey, gamma, p float64, n int, values []float64) {
-	if s.cfg.WarmCacheSize < 0 || n > s.cfg.MaxCachedStates || len(values) != n {
+	if s.cfg.WarmCacheSize < 0 || n > maxCachedStates || len(values) != n {
 		return
 	}
 	// GetOrAdd keeps two racing solves of the same neighborhood from each

@@ -392,10 +392,11 @@ func TestServiceMaxConcurrent(t *testing.T) {
 // TestNonFiniteEpsilonRejected: a NaN ε would end the binary search
 // immediately (every comparison false) and poison the service's map keys
 // (NaN never compares equal, so singleflight entries could never be
-// removed); both entry points must reject it.
+// removed), and a negative ε certifies nothing; both entry points must
+// reject them before solving, as every sweep surface does.
 func TestNonFiniteEpsilonRejected(t *testing.T) {
 	svc := newTestService(ServiceConfig{})
-	for _, eps := range []float64{math.NaN(), math.Inf(1)} {
+	for _, eps := range []float64{math.NaN(), math.Inf(1), -1e-4} {
 		if _, err := svc.AnalyzeContext(context.Background(), smallParams(), WithEpsilon(eps)); err == nil {
 			t.Errorf("service accepted epsilon %v", eps)
 		}
@@ -403,8 +404,8 @@ func TestNonFiniteEpsilonRejected(t *testing.T) {
 			t.Errorf("package Analyze accepted epsilon %v", eps)
 		}
 	}
-	if st := svc.Stats(); st.InFlight != 0 {
-		t.Errorf("InFlight = %d after rejected requests, want 0", st.InFlight)
+	if st := svc.Stats(); st.InFlight != 0 || st.Solves != 0 {
+		t.Errorf("InFlight = %d, Solves = %d after rejected requests, want 0 and 0", st.InFlight, st.Solves)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/baseline"
@@ -228,13 +227,12 @@ func resumePoints(ck *SweepCheckpoint) map[sweepResumeKey]SweepPoint {
 // unknown Model, a Gamma outside [0, 1], negative or non-finite numbers,
 // an empty PGrid, Tolerance, MaxDepth, MaxPoints or Exhaustive without
 // Adaptive, an adaptive PGrid that is not strictly increasing with at
-// least two points, and every (config, p) point the family rejects.
+// least two points, a config listed twice, and every (config, p) point
+// the family rejects.
 //
-// Normalize is idempotent. SweepContext calls it before anything else —
-// after dropping the refinement fields of a uniform sweep, which it
-// ignores — so the job, HTTP and CLI layers that call Normalize up front
-// reject every sweep SweepContext would, and misplaced refinement fields
-// too.
+// Normalize is idempotent. SweepContext calls it before anything else, so
+// the job, HTTP and CLI layers that call Normalize up front reject exactly
+// the sweeps SweepContext would.
 func (o *SweepOptions) Normalize() error {
 	fam, err := families.Get(o.Model)
 	if err != nil {
@@ -306,6 +304,15 @@ func (o *SweepOptions) Normalize() error {
 					i, o.PGrid[i], o.PGrid[i-1])
 			}
 		}
+	}
+	// A config listed twice would make two series of one name, which
+	// neither the figure nor a resume checkpoint can tell apart.
+	seen := make(map[AttackConfig]bool, len(o.Configs))
+	for _, cfg := range o.Configs {
+		if seen[cfg] {
+			return fmt.Errorf("selfishmining: sweep lists config d=%d f=%d more than once", cfg.Depth, cfg.Forks)
+		}
+		seen[cfg] = true
 	}
 	// Validate every (config, p) grid point up front, so one bad point
 	// cannot waste a partially solved panel. Adaptive midpoints lie
@@ -386,11 +393,6 @@ func (s *Service) SweepContext(ctx context.Context, opts SweepOptions) (*results
 // configurations as a parameter; tests run width 1 (every point solo) as
 // the reference the default width must match bit for bit.
 func (s *Service) sweepContext(ctx context.Context, opts SweepOptions, width int) (*results.Figure, error) {
-	if !opts.Adaptive {
-		// A uniform sweep ignores the refinement fields; Normalize, which
-		// request layers call up front, rejects them instead.
-		opts.Tolerance, opts.MaxDepth, opts.MaxPoints, opts.Exhaustive = 0, 0, 0, false
-	}
 	if err := opts.Normalize(); err != nil {
 		return nil, err
 	}
@@ -498,17 +500,18 @@ func (s *Service) addBaselines(fig *results.Figure, xs []float64, opts SweepOpti
 }
 
 // sweepBases resolves each config's (d, f, l) structure once, in parallel
-// across configs (cache hits return immediately; misses compile). The
-// bases' own mutable buffers stay idle while workers solve on clones,
-// because a worker adopting a base would race its parameter mutation
-// against other workers cloning from it.
+// across configs (cache hits return immediately; misses compile, at the
+// grid's first point). The bases are structure-only: they decide which
+// configs batch and serve as the donors of batched units, while solo
+// points solve through analyze on instances of their own.
 func (s *Service) sweepBases(opts SweepOptions, workers int) ([]*kernel.Compiled, error) {
 	bases := make([]*kernel.Compiled, len(opts.Configs))
 	structErrs := make([]error, len(opts.Configs))
 	par.For(len(opts.Configs), workers, func(_, from, to int) {
 		for ci := from; ci < to; ci++ {
 			cfg := opts.Configs[ci]
-			bases[ci], structErrs[ci] = s.structure(structKey{opts.Model, cfg.Depth, cfg.Forks, opts.MaxForkLen})
+			sk := structKey{opts.Model, cfg.Depth, cfg.Forks, opts.MaxForkLen}
+			bases[ci], _, structErrs[ci] = s.structure(sk, opts.PGrid[0], opts.Gamma)
 		}
 	})
 	for ci, err := range structErrs {
@@ -535,7 +538,7 @@ type gridTask struct {
 // configuration's remaining points are then cut, in task order (ascending
 // p), into units: `width` points when the configuration batches, one point
 // otherwise. All units run on one worker pool: a one-point unit is a solo
-// sweepPoint solve, which looks up the result cache itself and coalesces
+// sweepPoint request, which looks up the result cache itself and coalesces
 // with identical in-flight points; a longer one is a single multi-lane
 // sweepBatch solve. onDone runs exactly once per task, serialized under
 // one mutex, in completion order; ctx stops workers from drawing new units
@@ -572,7 +575,8 @@ func (s *Service) solveTasks(ctx context.Context, opts SweepOptions, bases []*ke
 			continue
 		}
 		if unitLen[tk.ci] > 1 {
-			if a, ok := s.results.Get(s.sweepPointKey(opts, cfg, tk.p)); ok {
+			params, pointCfg := pointRequest(opts, cfg, tk.p)
+			if a, ok := s.results.Get(s.key(params, &pointCfg)); ok {
 				s.sweepPoints.Add(1)
 				done(ti, a.ERRev, a.Sweeps)
 				continue
@@ -605,14 +609,6 @@ func (s *Service) solveTasks(ctx context.Context, opts SweepOptions, bases []*ke
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// A solo unit solves on a clone of its config's base: shared
-			// immutable structure, private buffers. Only the current
-			// config's clone is retained — units are drawn in config-major
-			// order, so a worker re-clones at most once per config while
-			// peak memory stays at one clone per worker. Batched units read
-			// only the base's immutable structure and need no clone.
-			cloneOf := -1
-			var comp *kernel.Compiled
 			for !failed.Load() {
 				ui := int(cursor.Add(1)) - 1
 				if ui >= len(units) {
@@ -642,19 +638,14 @@ func (s *Service) solveTasks(ctx context.Context, opts SweepOptions, bases []*ke
 					}
 					continue
 				}
-				if cloneOf != ci {
-					comp = bases[ci].Clone()
-					comp.SetWorkers(innerWorkers)
-					cloneOf = ci
-				}
 				p := tasks[unit[0]].p
-				res, err := s.sweepPoint(ctx, comp, cfg, p, opts)
+				a, err := s.sweepPoint(ctx, opts, cfg, p, innerWorkers)
 				if err != nil {
 					errs[ui] = fmt.Errorf("selfishmining: sweeping d=%d f=%d: p=%g: %w", cfg.Depth, cfg.Forks, p, err)
 					failed.Store(true)
 					return
 				}
-				done(unit[0], res.ERRev, res.Sweeps)
+				done(unit[0], a.ERRev, a.Sweeps)
 			}
 		}()
 	}
@@ -705,17 +696,17 @@ func batches(base *kernel.Compiled) bool {
 	return kernel.DenseBatchAsm() && laneBytes(base) <= batchLaneBudget
 }
 
-// sweepPointKey is the result-cache key of one (configuration, p) sweep
-// point, shared by solo and batched solves (they are bitwise identical, so
-// sharing entries is sound).
-func (s *Service) sweepPointKey(opts SweepOptions, cfg AttackConfig, p float64) resultKey {
+// pointRequest is the analysis request of one (configuration, p) sweep
+// point: a bound-only analysis at the sweep's ε. Solo and batched solves
+// of a point share its result-cache entry (they are bitwise identical, so
+// sharing is sound). opts must be normalized.
+func pointRequest(opts SweepOptions, cfg AttackConfig, p float64) (AttackParams, config) {
 	params := AttackParams{
 		Model:     opts.Model,
 		Adversary: p, Switching: opts.Gamma,
 		Depth: cfg.Depth, Forks: cfg.Forks, MaxForkLen: opts.MaxForkLen,
 	}
-	pointCfg := config{epsilon: opts.Epsilon, boundOnly: true, skipEval: true}
-	return s.key(params, &pointCfg)
+	return params, config{epsilon: opts.Epsilon, boundOnly: true, skipEval: true}
 }
 
 // sweepConfigs computes the attack curves of a uniform-grid panel with a
@@ -840,67 +831,21 @@ func (s *Service) sweepAdaptive(ctx context.Context, opts SweepOptions, workers,
 	return res, nil
 }
 
-// sweepPoint answers one grid point: from the result cache when available,
-// coalesced with an identical in-flight point otherwise, and solved on the
-// calling worker's clone as the singleflight leader — seeded from the
-// nearest solved p — when the point is genuinely new. A cancellation
-// interrupts the solve at its next sweep boundary and stores nothing.
-func (s *Service) sweepPoint(ctx context.Context, comp *kernel.Compiled, cfg AttackConfig, p float64, opts SweepOptions) (*Analysis, error) {
+// sweepPoint answers one grid point solo, through the same analyze path
+// as AnalyzeContext: from the result cache, coalesced with an identical
+// in-flight point, or solved fresh on `workers` sweep goroutines under the
+// service's MaxConcurrent limit, seeded from the nearest solved p. A
+// cancellation interrupts the solve at its next sweep boundary and stores
+// nothing.
+func (s *Service) sweepPoint(ctx context.Context, opts SweepOptions, cfg AttackConfig, p float64, workers int) (*Analysis, error) {
 	s.sweepPoints.Add(1)
-	params := AttackParams{
-		Model:     opts.Model,
-		Adversary: p, Switching: opts.Gamma,
-		Depth: cfg.Depth, Forks: cfg.Forks, MaxForkLen: opts.MaxForkLen,
+	params, pointCfg := pointRequest(opts, cfg, p)
+	pointCfg.workers = workers
+	a, info, err := s.analyze(ctx, params, &pointCfg)
+	if err == nil && info == (AnalyzeInfo{}) {
+		batchSoloPoints.Inc()
 	}
-	key := s.sweepPointKey(opts, cfg, p)
-	for {
-		if a, ok := s.results.Get(key); ok {
-			return a, nil
-		}
-		a, err, shared := s.flight.DoContext(ctx, key, func() (*Analysis, error) {
-			// The global solve limit covers sweep points too: a single sweep's
-			// pool is already capped, but concurrent sweeps and analyzes share
-			// this semaphore.
-			if err := s.acquire(ctx); err != nil {
-				return nil, cancelError(err, nil)
-			}
-			defer s.release()
-			start := time.Now()
-			if err := comp.SetChainParams(p, opts.Gamma); err != nil {
-				return nil, err
-			}
-			sk := structKey{opts.Model, cfg.Depth, cfg.Forks, opts.MaxForkLen}
-			aOpts := analysis.Options{Epsilon: opts.Epsilon, SkipStrategyEval: true, SkipStrategy: true}
-			if seed, ok := s.warmSeed(sk, opts.Gamma, p, comp.NumStates()); ok {
-				aOpts.InitialValues = seed
-			}
-			s.solves.Add(1)
-			batchSoloPoints.Inc()
-			res, err := analysis.Analyze(ctx, comp, aOpts)
-			if err != nil {
-				return nil, cancelError(err, res)
-			}
-			res.Duration = time.Since(start)
-			s.warmPut(sk, opts.Gamma, p, comp)
-			a, err := newAnalysis(params, params.core(), res, false, comp.NumStates())
-			if err != nil {
-				return nil, err
-			}
-			s.results.Add(key, a)
-			return a, nil
-		})
-		if err != nil {
-			// A point coalesced across CONCURRENT sweeps can inherit the
-			// other sweep's cancellation; while this sweep's own context
-			// is live, retry as a fresh leader (see the matching branch in
-			// AnalyzeDetailedContext).
-			if shared && isCtxErr(err) && ctx.Err() == nil {
-				continue
-			}
-			return nil, cancelError(err, nil)
-		}
-		return a, nil
-	}
+	return a, err
 }
 
 // sweepBatch answers one multi-point unit: len(ps) same-configuration
@@ -941,16 +886,12 @@ func (s *Service) sweepBatch(ctx context.Context, base *kernel.Compiled, cfg Att
 	out := make([]*Analysis, len(ps))
 	for i, lr := range lrs {
 		s.warmPutVec(sk, opts.Gamma, ps[i], n, lr.Values)
-		params := AttackParams{
-			Model:     opts.Model,
-			Adversary: ps[i], Switching: opts.Gamma,
-			Depth: cfg.Depth, Forks: cfg.Forks, MaxForkLen: opts.MaxForkLen,
-		}
-		a, err := newAnalysis(params, params.core(), &lr.Result, false, n)
+		params, pointCfg := pointRequest(opts, cfg, ps[i])
+		a, err := newAnalysis(params, &lr.Result, false, n)
 		if err != nil {
 			return nil, err
 		}
-		s.results.Add(s.sweepPointKey(opts, cfg, ps[i]), a)
+		s.results.Add(s.key(params, &pointCfg), a)
 		out[i] = a
 	}
 	return out, nil

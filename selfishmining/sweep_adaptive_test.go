@@ -60,7 +60,7 @@ func TestAdaptiveSupersetAndBitwiseVsUniform(t *testing.T) {
 	}
 
 	uniOpts := adaptiveTestOptions()
-	uniOpts.Adaptive = false
+	uniOpts.Adaptive, uniOpts.Tolerance, uniOpts.MaxDepth = false, 0, 0
 	uniform, err := NewService(ServiceConfig{}).SweepContext(context.Background(), uniOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -242,14 +242,14 @@ func TestAdaptiveResumeSkipsSolvesBitwise(t *testing.T) {
 // too (jobs resume them through the same field).
 func TestUniformResumeSkipsSolves(t *testing.T) {
 	opts := adaptiveTestOptions()
-	opts.Adaptive = false
+	opts.Adaptive, opts.Tolerance, opts.MaxDepth = false, 0, 0
 	pts := collectPoints(&opts)
 	want, err := NewService(ServiceConfig{}).SweepContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resumed := adaptiveTestOptions()
-	resumed.Adaptive = false
+	resumed.Adaptive, resumed.Tolerance, resumed.MaxDepth = false, 0, 0
 	resumed.Resume = &SweepCheckpoint{Points: *pts}
 	svc := NewService(ServiceConfig{})
 	got, err := svc.SweepContext(context.Background(), resumed)
@@ -291,6 +291,8 @@ func TestAdaptiveValidation(t *testing.T) {
 		{"unsorted grid", func(o *SweepOptions) { o.PGrid = []float64{0, 0.2, 0.1} }},
 		{"duplicate grid", func(o *SweepOptions) { o.PGrid = []float64{0, 0.1, 0.1} }},
 		{"nan tolerance", func(o *SweepOptions) { o.Tolerance = math.NaN() }},
+		{"tolerance without adaptive", func(o *SweepOptions) { o.Adaptive, o.MaxDepth = false, 0 }},
+		{"duplicate config", func(o *SweepOptions) { o.Configs = []AttackConfig{{Depth: 1, Forks: 1}, {Depth: 1, Forks: 1}} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := base

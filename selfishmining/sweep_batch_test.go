@@ -137,8 +137,10 @@ func TestBatchedSweepMatchesSoloFigure(t *testing.T) {
 	grid := []float64{0, 0.03, 0.06, 0.09, 0.12, 0.15, 0.18, 0.21, 0.24, 0.27}
 	for _, name := range families.Names() {
 		for _, adaptive := range []bool{false, true} {
-			opts := SweepOptions{Model: name, Gamma: 0.5, PGrid: grid, Epsilon: 1e-3,
-				Adaptive: adaptive, Tolerance: 1e-3, MaxDepth: 2}
+			opts := SweepOptions{Model: name, Gamma: 0.5, PGrid: grid, Epsilon: 1e-3, Adaptive: adaptive}
+			if adaptive {
+				opts.Tolerance, opts.MaxDepth = 1e-3, 2
+			}
 			if name == families.DefaultName {
 				opts.Configs = []AttackConfig{{Depth: 1, Forks: 1}, {Depth: 2, Forks: 1}, {Depth: 2, Forks: 2}}
 			}
