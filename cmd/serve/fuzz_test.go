@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/selfishmining"
 )
 
@@ -23,7 +24,8 @@ func fuzzServer(f *testing.F) *server {
 // streams. Property: a body is either rejected (the handlers answer 400) or
 // every attack point it implies passes AttackParams.Validate, its worst
 // case fits maxSweepXValues x-values and -max-states, its epsilon is
-// finite and >= 0, and SweepOptions.Normalize accepts the options.
+// finite and >= 0, SweepOptions.Normalize accepts the options, and a fork
+// sweep's single-tree baseline shape passes the baseline's own check.
 func FuzzSweepRequest(f *testing.F) {
 	s := fuzzServer(f)
 	for _, body := range []string{
@@ -38,6 +40,8 @@ func FuzzSweepRequest(f *testing.F) {
 		`{"gamma":0.5,"pstep":1e-300}`,
 		`{"gamma":0.5,"tolerance":1e-3}`,
 		`{"gamma":0.5,"configs":[{"d":4,"f":2}],"l":4}`,
+		`{"gamma":0.5,"pmin":0.1,"pmax":0.1,"configs":[{"d":1,"f":1}],"l":2,"tree_width":31}`,
+		`{"gamma":0.5,"pmin":0.1,"pmax":0.1,"configs":[{"d":1,"f":1}],"l":4,"tree_width":31,"timeout_ms":1}`,
 		`{"gamma":0.5,"timeout_ms":-5}`,
 		`{"gamma":1.5}`,
 		`{"gama":0.5}`,
@@ -87,6 +91,11 @@ func FuzzSweepRequest(f *testing.F) {
 		}
 		if err := opts.Normalize(); err != nil {
 			t.Fatalf("the library refuses accepted options %+v: %v", opts, err)
+		}
+		if selfishmining.IsDefaultModel(opts.Model) {
+			if err := baseline.ValidateSingleTreeShape(opts.MaxForkLen, opts.TreeWidth); err != nil {
+				t.Fatalf("accepted a fork sweep whose single-tree baseline the baseline refuses: %v", err)
+			}
 		}
 	})
 }

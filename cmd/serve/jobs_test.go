@@ -164,6 +164,10 @@ func TestJobEndpointValidation(t *testing.T) {
 		// Sweep jobs share /v1/sweep's worst-case x-axis bound: depth 20
 		// could refine two points to ~2^21.
 		{`{"kind":"sweep","sweep":{"gamma":0.5,"p_grid":[0.1,0.2],"configs":[{"d":1,"f":1}],"l":3,"adaptive":true,"max_depth":20,"tolerance":1e-12}}`, http.StatusBadRequest},
+		// The fork panel's single-tree baseline shape (depth l, width
+		// tree_width) is checked at submission, not when the job runs.
+		{`{"kind":"sweep","sweep":{"gamma":0.5,"configs":[{"d":1,"f":1}],"l":9}}`, http.StatusBadRequest},
+		{`{"kind":"sweep","sweep":{"gamma":0.5,"p_grid":[0.1],"configs":[{"d":1,"f":1}],"l":4,"tree_width":31}}`, http.StatusBadRequest},
 		// Unknown fields are typos, not silently dropped options.
 		{`{"kind":"analyze","analyze":{"p":0.3,"gama":0.5,"d":1,"f":1,"l":2}}`, http.StatusBadRequest},
 	}

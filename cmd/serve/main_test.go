@@ -302,6 +302,10 @@ func TestSweepEndpointRejects(t *testing.T) {
 		"negative eps":     `{"gamma":0.5,"configs":[{"d":1,"f":1}],"l":2,"epsilon":-1}`,
 		"negative l":       `{"gamma":0.5,"configs":[{"d":1,"f":1}],"l":-1}`,
 		"duplicate config": `{"gamma":0.5,"configs":[{"d":1,"f":1},{"d":1,"f":1}],"l":2}`,
+		// The fork panel's single-tree baseline shape: depth l, width
+		// tree_width.
+		"baseline depth": `{"gamma":0.5,"configs":[{"d":1,"f":1}],"l":9}`,
+		"baseline width": `{"gamma":0.5,"pmin":0.1,"pmax":0.1,"configs":[{"d":1,"f":1}],"l":4,"tree_width":31,"timeout_ms":1}`,
 	} {
 		resp, data := postJSON(t, ts.URL+"/v1/sweep", body)
 		if resp.StatusCode != http.StatusBadRequest {

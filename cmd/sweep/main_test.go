@@ -111,6 +111,9 @@ func TestRunRejectsBadFlagCombos(t *testing.T) {
 		{"-eps", "0"},
 		{"-l", "0"},
 		{"-width", "0"},
+		{"-width", "32"},
+		{"-configs", "1x1", "-l", "9"},
+		{"-configs", "1x1", "-pmin", "0.1", "-pmax", "0.1", "-width", "31"},
 		{"-workers", "-2"},
 	} {
 		if err := run(context.Background(), args, &bytes.Buffer{}); err == nil {

@@ -8,12 +8,15 @@
 //     adversary grows one private tree (of bounded depth l and width f)
 //     rooted at the fork point and publishes its longest path when the
 //     public chain catches up with the tree depth, triggering a γ-race.
-//     Because the strategy is fixed, the system is a Markov chain and is
-//     evaluated exactly by stationary analysis.
-//  3. Classic Eyal–Sirer SM1 on proof of work, together with the closed
-//     form revenue formula published in "Majority is not Enough"; the
-//     agreement between our chain analysis and the published formula
-//     validates the stationary-analysis machinery end to end.
+//     Because the strategy is fixed, the system is a Markov chain. It is
+//     explored once per shape with symbolic transition laws and evaluated
+//     exactly at each (p, γ) by the renewal-reward theorem: the chain
+//     regenerates at the empty tree, and every other transition adds a
+//     block, so one backward pass over the explored order gives the
+//     expected rewards of a cycle.
+//  3. Classic Eyal–Sirer SM1 on proof of work, as the closed-form revenue
+//     formula published in "Majority is not Enough"; the tests hold an
+//     explicit stationary analysis of the SM1 chain to it.
 package baseline
 
 import (

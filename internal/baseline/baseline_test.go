@@ -1,9 +1,12 @@
 package baseline
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/linalg"
 )
 
 func TestHonestERRev(t *testing.T) {
@@ -42,7 +45,7 @@ func TestEyalSirerChainMatchesClosedForm(t *testing.T) {
 			}
 			// maxLead=400 keeps the birth-death truncation error (p/(1-p))^maxLead
 			// far below the comparison tolerance even at p=0.45.
-			got, err := EyalSirerChainERRev(p, gamma, 400)
+			got, err := eyalSirerChainERRev(p, gamma, 400)
 			if err != nil {
 				t.Fatalf("chain(%v, %v): %v", p, gamma, err)
 			}
@@ -68,7 +71,7 @@ func TestEyalSirerKnownThresholds(t *testing.T) {
 		{0.05, 1, true}, // at γ=1 SM1 is profitable for any p > 0
 	}
 	for _, tt := range tests {
-		rev, err := EyalSirerChainERRev(tt.p, tt.gamma, 0)
+		rev, err := eyalSirerChainERRev(tt.p, tt.gamma, 0)
 		if err != nil {
 			t.Fatalf("chain(%v, %v): %v", tt.p, tt.gamma, err)
 		}
@@ -82,13 +85,13 @@ func TestEyalSirerValidation(t *testing.T) {
 	if _, err := EyalSirerClosedForm(0.6, 0.5); err == nil {
 		t.Error("closed form should reject p >= 0.5")
 	}
-	if _, err := EyalSirerChainERRev(0.3, 2, 0); err == nil {
+	if _, err := eyalSirerChainERRev(0.3, 2, 0); err == nil {
 		t.Error("chain should reject gamma > 1")
 	}
-	if _, err := EyalSirerChainERRev(0.3, 0.5, 2); err == nil {
+	if _, err := eyalSirerChainERRev(0.3, 0.5, 2); err == nil {
 		t.Error("chain should reject tiny maxLead")
 	}
-	if got, err := EyalSirerChainERRev(0, 0.5, 0); err != nil || got != 0 {
+	if got, err := eyalSirerChainERRev(0, 0.5, 0); err != nil || got != 0 {
 		t.Errorf("p=0: got %v, %v; want 0, nil", got, err)
 	}
 }
@@ -100,10 +103,15 @@ func TestSingleTreeValidation(t *testing.T) {
 		{P: 0.3, Gamma: 0.5, MaxDepth: 0, MaxWidth: 5},
 		{P: 0.3, Gamma: 0.5, MaxDepth: 4, MaxWidth: 0},
 		{P: 0.3, Gamma: 0.5, MaxDepth: 99, MaxWidth: 5},
+		{P: 0.3, Gamma: 0.5, MaxDepth: 9, MaxWidth: 5},
+		{P: 0.3, Gamma: 0.5, MaxDepth: 2, MaxWidth: 32},
+		{P: 0.3, Gamma: 0.5, MaxDepth: 2, MaxWidth: 256},
+		{P: 0.3, Gamma: 0.5, MaxDepth: 4, MaxWidth: 31}, // 32^4·5 states
+		{P: 0.3, Gamma: 0.5, MaxDepth: 6, MaxWidth: 10}, // 11^6·7 states
 	}
 	for _, p := range bad {
-		if _, err := NewSingleTree(p); err == nil {
-			t.Errorf("NewSingleTree(%+v) accepted invalid params", p)
+		if _, err := SingleTreeERRev(p); err == nil {
+			t.Errorf("SingleTreeERRev(%+v) accepted invalid params", p)
 		}
 	}
 }
@@ -187,19 +195,127 @@ func TestSingleTreeWiderTreeHelps(t *testing.T) {
 // TestSingleTreeStateInvariant: occupancy of level v+1 requires occupancy
 // of level v in every reachable state (children need parents).
 func TestSingleTreeStateInvariant(t *testing.T) {
-	st, err := NewSingleTree(SingleTreeParams{P: 0.3, Gamma: 0.5, MaxDepth: 4, MaxWidth: 3})
+	st, err := NewSingleTree(4, 3, PublishThreatened)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range st.states {
-		for v := 1; v < st.params.MaxDepth; v++ {
+		for v := 1; v < st.depth; v++ {
 			if s.w[v] > 0 && s.w[v-1] == 0 {
 				t.Fatalf("reachable state with orphan level: %+v", s)
 			}
 		}
-		d := depth(s, st.params.MaxDepth)
+		d := depth(s, st.depth)
 		if d > 0 && int(s.h) >= d {
 			t.Fatalf("reachable state where public chain caught the tree without racing: %+v", s)
+		}
+	}
+}
+
+// TestSingleTreeShapeBounds: the largest shapes within the bounds explore,
+// and ValidateSingleTreeShape agrees with NewSingleTree.
+func TestSingleTreeShapeBounds(t *testing.T) {
+	for _, shape := range [][2]int{{1, 31}, {8, 2}, {4, 14}, {2, 31}} {
+		if err := ValidateSingleTreeShape(shape[0], shape[1]); err != nil {
+			t.Errorf("depth %d width %d rejected: %v", shape[0], shape[1], err)
+			continue
+		}
+		if testing.Short() && shape[1] == 14 {
+			continue // 120 947 states
+		}
+		if _, err := NewSingleTree(shape[0], shape[1], PublishThreatened); err != nil {
+			t.Errorf("depth %d width %d: %v", shape[0], shape[1], err)
+		}
+	}
+	for _, shape := range [][2]int{{0, 3}, {9, 2}, {3, 0}, {2, 32}, {4, 15}, {8, 3}} {
+		if ValidateSingleTreeShape(shape[0], shape[1]) == nil {
+			t.Errorf("depth %d width %d accepted", shape[0], shape[1])
+		}
+		if _, err := NewSingleTree(shape[0], shape[1], PublishThreatened); err == nil {
+			t.Errorf("NewSingleTree(%d, %d) explored", shape[0], shape[1])
+		}
+	}
+	if _, err := NewSingleTree(3, 3, PublishTie+1); err == nil {
+		t.Error("unknown publish rule accepted")
+	}
+}
+
+// TestSingleTreeEdgesLeadForward: every transition either returns to the
+// empty tree or leads to a later state, the order ERRev's backward pass
+// relies on, and the chain's reachable set is the same at every (p, γ).
+func TestSingleTreeEdgesLeadForward(t *testing.T) {
+	for _, rule := range []PublishRule{PublishThreatened, PublishTie} {
+		st, err := NewSingleTree(4, 3, rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range st.states {
+			for _, e := range st.edges[st.first[i]:st.first[i+1]] {
+				if e.dst != 0 && int(e.dst) <= i {
+					t.Fatalf("rule %d: edge %d -> %d leads backward", rule, i, e.dst)
+				}
+			}
+		}
+	}
+}
+
+// materializeTree resolves st at (p, γ) into a sparse transition matrix
+// and the per-state expected one-step rewards r_A and r_H.
+func materializeTree(st *SingleTree, p, gamma float64) (*linalg.CSR, []float64, []float64, error) {
+	n := st.NumStates()
+	var entries []linalg.Entry
+	ra, rh := make([]float64, n), make([]float64, n)
+	for i := 0; i < n; i++ {
+		den := 1 - p + p*float64(st.sigma[i])
+		for _, e := range st.edges[st.first[i]:st.first[i+1]] {
+			pr := e.prob(p, gamma, den)
+			entries = append(entries, linalg.Entry{Row: i, Col: int(e.dst), Val: pr})
+			ra[i] += pr * float64(e.ra)
+			rh[i] += pr * float64(e.rh)
+		}
+	}
+	chain, err := linalg.NewCSR(n, n, entries)
+	return chain, ra, rh, err
+}
+
+// TestSingleTreeMatchesGainBias holds the renewal-reward pass to the
+// average-reward evaluation equations of the same chain, solved densely by
+// linalg.GainBias, within 1e-14 under both publish rules (PublishTie is no
+// model family, so the families' exact oracle does not reach it).
+func TestSingleTreeMatchesGainBias(t *testing.T) {
+	for _, rule := range []PublishRule{PublishThreatened, PublishTie} {
+		for _, shape := range [][2]int{{1, 4}, {3, 3}, {4, 2}, {2, 5}} {
+			st, err := NewSingleTree(shape[0], shape[1], rule)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, gamma := range []float64{0, 0.25, 0.5, 1} {
+				for _, p := range []float64{0.05, 0.2, 0.3, 0.45, 0.7, 0.9} {
+					chain, ra, rh, err := materializeTree(st, p, gamma)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !chain.IsStochastic(1e-9) {
+						t.Fatalf("rule %d shape %v p=%v gamma=%v: chain not stochastic", rule, shape, p, gamma)
+					}
+					gA, _, err := linalg.GainBias(chain, ra, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gH, _, err := linalg.GainBias(chain, rh, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := st.ERRev(p, gamma)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := gA / (gA + gH); math.Abs(got-want) > 1e-14 {
+						t.Errorf("rule %d depth %d width %d p=%v gamma=%v: renewal pass %.17g, gain ratio %.17g",
+							rule, shape[0], shape[1], p, gamma, got, want)
+					}
+				}
+			}
 		}
 	}
 }
@@ -228,4 +344,93 @@ func TestSingleTreePublishRules(t *testing.T) {
 	if thr <= 0.3 {
 		t.Errorf("ES-style single-tree at p=0.3 gamma=0.5 = %v, want above honest 0.3", thr)
 	}
+}
+
+// eyalSirerChainERRev evaluates the SM1 strategy of EyalSirerClosedForm by
+// building its Markov chain explicitly (lead states 0, 0', 1, 2, ..., maxLead) and
+// computing the stationary reward ratio. maxLead truncates the birth-death
+// chain; the truncation error is O(p^maxLead) (use >= 50 for 1e-9 accuracy
+// at p <= 0.45). Pass maxLead <= 0 for the default of 64.
+//
+// Chain structure (lead = private − public):
+//
+//	lead 0:  adversary finds (p) → lead 1; honest finds (1−p) → honest
+//	         block commits (rh=1), stay at 0.
+//	lead 1:  honest finds → publish the withheld block: tie race state 0'.
+//	lead 2:  honest finds → publish everything, adversary commits both
+//	         blocks (ra=2) → 0.
+//	lead n≥3: honest finds → reveal one block; the deepest private block
+//	         effectively commits (ra=1) → n−1.
+//	state 0' (tie): adversary finds on its branch (p): ra=2 → 0; honest
+//	         finds on the adversary branch (γ(1−p)): ra=1, rh=1 → 0;
+//	         honest finds on its own branch ((1−γ)(1−p)): rh=2 → 0.
+func eyalSirerChainERRev(p, gamma float64, maxLead int) (float64, error) {
+	if p < 0 || p >= 1 || math.IsNaN(p) {
+		return 0, fmt.Errorf("baseline: p = %v outside [0, 1)", p)
+	}
+	if gamma < 0 || gamma > 1 || math.IsNaN(gamma) {
+		return 0, fmt.Errorf("baseline: gamma = %v outside [0, 1]", gamma)
+	}
+	if p == 0 {
+		return 0, nil
+	}
+	if maxLead <= 0 {
+		maxLead = 64
+	}
+	if maxLead < 3 {
+		return 0, fmt.Errorf("baseline: maxLead = %d too small, need >= 3", maxLead)
+	}
+	// State layout: 0 → lead 0, 1 → tie state 0', k+1 → lead k (k = 1..maxLead).
+	n := maxLead + 2
+	idxLead := func(k int) int { return k + 1 }
+	var entries []linalg.Entry
+	ra := make([]float64, n)
+	rh := make([]float64, n)
+	add := func(from, to int, prob, a, h float64) {
+		entries = append(entries, linalg.Entry{Row: from, Col: to, Val: prob})
+		ra[from] += prob * a
+		rh[from] += prob * h
+	}
+	q := 1 - p
+	// lead 0.
+	add(0, idxLead(1), p, 0, 0)
+	add(0, 0, q, 0, 1)
+	// tie state 0'.
+	add(1, 0, p, 2, 0)
+	add(1, 0, gamma*q, 1, 1)
+	add(1, 0, (1-gamma)*q, 0, 2)
+	// lead 1.
+	add(idxLead(1), idxLead(2), p, 0, 0)
+	add(idxLead(1), 1, q, 0, 0)
+	// lead 2.
+	add(idxLead(2), idxLead(3), p, 0, 0)
+	add(idxLead(2), 0, q, 2, 0)
+	// lead k >= 3.
+	for k := 3; k <= maxLead; k++ {
+		if k < maxLead {
+			add(idxLead(k), idxLead(k+1), p, 0, 0)
+		} else {
+			// Truncation: a further adversary block is treated as an
+			// immediate commit at the same lead (negligible for large caps).
+			add(idxLead(k), idxLead(k), p, 1, 0)
+		}
+		add(idxLead(k), idxLead(k-1), q, 1, 0)
+	}
+	chain, err := linalg.NewCSR(n, n, entries)
+	if err != nil {
+		return 0, fmt.Errorf("baseline: building SM1 chain: %w", err)
+	}
+	pi, err := linalg.Stationary(chain, linalg.StationaryOptions{})
+	if err != nil {
+		return 0, fmt.Errorf("baseline: SM1 stationary distribution: %w", err)
+	}
+	var gA, gH float64
+	for i := range pi {
+		gA += pi[i] * ra[i]
+		gH += pi[i] * rh[i]
+	}
+	if gA+gH <= 0 {
+		return 0, fmt.Errorf("baseline: degenerate SM1 chain: block rate %v", gA+gH)
+	}
+	return gA / (gA + gH), nil
 }

@@ -3,8 +3,6 @@ package baseline
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/linalg"
 )
 
 // EyalSirerClosedForm returns the relative revenue of the classic SM1
@@ -14,8 +12,8 @@ import (
 //
 //	R = ( p(1−p)²(4p + γ(1−2p)) − p³ ) / ( 1 − p(1 + (2−p)p) )
 //
-// It serves as an independent published anchor for our stationary-analysis
-// machinery (see EyalSirerChainERRev).
+// It serves as an independent published anchor: the tests hold an explicit
+// stationary analysis of the SM1 chain to it.
 func EyalSirerClosedForm(p, gamma float64) (float64, error) {
 	if p < 0 || p >= 0.5 || math.IsNaN(p) {
 		return 0, fmt.Errorf("baseline: SM1 closed form needs p in [0, 0.5), got %v", p)
@@ -26,93 +24,4 @@ func EyalSirerClosedForm(p, gamma float64) (float64, error) {
 	num := p*(1-p)*(1-p)*(4*p+gamma*(1-2*p)) - p*p*p
 	den := 1 - p*(1+(2-p)*p)
 	return num / den, nil
-}
-
-// EyalSirerChainERRev evaluates the same SM1 strategy by building its
-// Markov chain explicitly (lead states 0, 0', 1, 2, ..., maxLead) and
-// computing the stationary reward ratio. maxLead truncates the birth-death
-// chain; the truncation error is O(p^maxLead) (use >= 50 for 1e-9 accuracy
-// at p <= 0.45). Pass maxLead <= 0 for the default of 64.
-//
-// Chain structure (lead = private − public):
-//
-//	lead 0:  adversary finds (p) → lead 1; honest finds (1−p) → honest
-//	         block commits (rh=1), stay at 0.
-//	lead 1:  honest finds → publish the withheld block: tie race state 0'.
-//	lead 2:  honest finds → publish everything, adversary commits both
-//	         blocks (ra=2) → 0.
-//	lead n≥3: honest finds → reveal one block; the deepest private block
-//	         effectively commits (ra=1) → n−1.
-//	state 0' (tie): adversary finds on its branch (p): ra=2 → 0; honest
-//	         finds on the adversary branch (γ(1−p)): ra=1, rh=1 → 0;
-//	         honest finds on its own branch ((1−γ)(1−p)): rh=2 → 0.
-func EyalSirerChainERRev(p, gamma float64, maxLead int) (float64, error) {
-	if p < 0 || p >= 1 || math.IsNaN(p) {
-		return 0, fmt.Errorf("baseline: p = %v outside [0, 1)", p)
-	}
-	if gamma < 0 || gamma > 1 || math.IsNaN(gamma) {
-		return 0, fmt.Errorf("baseline: gamma = %v outside [0, 1]", gamma)
-	}
-	if p == 0 {
-		return 0, nil
-	}
-	if maxLead <= 0 {
-		maxLead = 64
-	}
-	if maxLead < 3 {
-		return 0, fmt.Errorf("baseline: maxLead = %d too small, need >= 3", maxLead)
-	}
-	// State layout: 0 → lead 0, 1 → tie state 0', k+1 → lead k (k = 1..maxLead).
-	n := maxLead + 2
-	idxLead := func(k int) int { return k + 1 }
-	var entries []linalg.Entry
-	ra := make([]float64, n)
-	rh := make([]float64, n)
-	add := func(from, to int, prob, a, h float64) {
-		entries = append(entries, linalg.Entry{Row: from, Col: to, Val: prob})
-		ra[from] += prob * a
-		rh[from] += prob * h
-	}
-	q := 1 - p
-	// lead 0.
-	add(0, idxLead(1), p, 0, 0)
-	add(0, 0, q, 0, 1)
-	// tie state 0'.
-	add(1, 0, p, 2, 0)
-	add(1, 0, gamma*q, 1, 1)
-	add(1, 0, (1-gamma)*q, 0, 2)
-	// lead 1.
-	add(idxLead(1), idxLead(2), p, 0, 0)
-	add(idxLead(1), 1, q, 0, 0)
-	// lead 2.
-	add(idxLead(2), idxLead(3), p, 0, 0)
-	add(idxLead(2), 0, q, 2, 0)
-	// lead k >= 3.
-	for k := 3; k <= maxLead; k++ {
-		if k < maxLead {
-			add(idxLead(k), idxLead(k+1), p, 0, 0)
-		} else {
-			// Truncation: a further adversary block is treated as an
-			// immediate commit at the same lead (negligible for large caps).
-			add(idxLead(k), idxLead(k), p, 1, 0)
-		}
-		add(idxLead(k), idxLead(k-1), q, 1, 0)
-	}
-	chain, err := linalg.NewCSR(n, n, entries)
-	if err != nil {
-		return 0, fmt.Errorf("baseline: building SM1 chain: %w", err)
-	}
-	pi, err := linalg.Stationary(chain, linalg.StationaryOptions{})
-	if err != nil {
-		return 0, fmt.Errorf("baseline: SM1 stationary distribution: %w", err)
-	}
-	var gA, gH float64
-	for i := range pi {
-		gA += pi[i] * ra[i]
-		gH += pi[i] * rh[i]
-	}
-	if gA+gH <= 0 {
-		return 0, fmt.Errorf("baseline: degenerate SM1 chain: block rate %v", gA+gH)
-	}
-	return gA / (gA + gH), nil
 }

@@ -3,8 +3,6 @@ package baseline
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/linalg"
 )
 
 // PublishRule selects when the single-tree baseline reveals its tree.
@@ -40,19 +38,52 @@ type SingleTreeParams struct {
 	Rule PublishRule
 }
 
-// Validate checks parameter ranges.
+// Validate checks parameter ranges and the tree shape
+// (ValidateSingleTreeShape).
 func (p SingleTreeParams) Validate() error {
-	if p.P < 0 || p.P > 1 || math.IsNaN(p.P) {
-		return fmt.Errorf("baseline: resource fraction P = %v outside [0, 1]", p.P)
+	if err := checkPoint(p.P, p.Gamma); err != nil {
+		return err
 	}
-	if p.Gamma < 0 || p.Gamma > 1 || math.IsNaN(p.Gamma) {
-		return fmt.Errorf("baseline: switching probability Gamma = %v outside [0, 1]", p.Gamma)
+	return ValidateSingleTreeShape(p.MaxDepth, p.MaxWidth)
+}
+
+func checkPoint(p, gamma float64) error {
+	if p < 0 || p > 1 || math.IsNaN(p) {
+		return fmt.Errorf("baseline: resource fraction P = %v outside [0, 1]", p)
 	}
-	if p.MaxDepth < 1 {
-		return fmt.Errorf("baseline: MaxDepth = %d, need >= 1", p.MaxDepth)
+	if gamma < 0 || gamma > 1 || math.IsNaN(gamma) {
+		return fmt.Errorf("baseline: switching probability Gamma = %v outside [0, 1]", gamma)
 	}
-	if p.MaxWidth < 1 {
-		return fmt.Errorf("baseline: MaxWidth = %d, need >= 1", p.MaxWidth)
+	return nil
+}
+
+// Shape bounds of the single-tree chain. Occupancies are array-keyed
+// bytes, and the reachable chain grows combinatorially in (width, depth),
+// so the joint shape is bounded by its dense state count
+// (width+1)^depth·(depth+1): every level holds 0..width nodes and the
+// public chain stays below the tree depth.
+const (
+	maxTreeDepth  = 8
+	maxTreeWidth  = 31
+	maxTreeStates = 1 << 18
+)
+
+// ValidateSingleTreeShape reports whether the baseline explores trees of
+// depth bound maxDepth and width bound maxWidth: depth 1..8, width 1..31,
+// and (width+1)^depth·(depth+1) ≤ 2^18.
+func ValidateSingleTreeShape(maxDepth, maxWidth int) error {
+	if maxDepth < 1 || maxDepth > maxTreeDepth {
+		return fmt.Errorf("baseline: single-tree depth %d, need 1..%d", maxDepth, maxTreeDepth)
+	}
+	if maxWidth < 1 || maxWidth > maxTreeWidth {
+		return fmt.Errorf("baseline: single-tree width %d, need 1..%d", maxWidth, maxTreeWidth)
+	}
+	bound := maxDepth + 1
+	for i := 0; i < maxDepth; i++ {
+		if bound *= maxWidth + 1; bound > maxTreeStates {
+			return fmt.Errorf("baseline: single-tree width %d depth %d allows more than %d states ((width+1)^depth·(depth+1)); shrink the width or depth",
+				maxWidth, maxDepth, maxTreeStates)
+		}
 	}
 	return nil
 }
@@ -66,38 +97,102 @@ type treeState struct {
 	h uint8
 }
 
-// maxTreeDepth bounds the supported MaxDepth so states can be array-keyed.
-const maxTreeDepth = 8
+// edgeKind is the symbolic probability law of one transition; with the
+// state's σ (the adversary's mining targets) it resolves at (p, γ) to
+//
+//	advMine   mult·p/(1−p+p·σ)
+//	honest    (1−p)/(1−p+p·σ)
+//	raceWin   γ·(1−p)/(1−p+p·σ)
+//	raceLose  (1−γ)·(1−p)/(1−p+p·σ)
+//
+// the same (p, k)-mining race as the attack MDP: every tree node (and the
+// fork-point root) that can still take a child is a target.
+type edgeKind uint8
 
-// SingleTree is the exact Markov-chain evaluation of the baseline.
-type SingleTree struct {
-	params SingleTreeParams
+const (
+	advMine edgeKind = iota
+	honest
+	raceWin
+	raceLose
+)
 
-	// Explored chain.
-	states  []treeState
-	index   map[treeState]int
-	chain   *linalg.CSR
-	rewardA []float64
-	rewardH []float64
+// treeEdge is one transition of the chain. dst 0 is the empty tree, which
+// only publications and final honest blocks return to; every other edge
+// grows the tree or the public chain by one block.
+type treeEdge struct {
+	dst    int32
+	kind   edgeKind
+	mult   uint8 // adversary targets on the grown level (advMine only)
+	ra, rh uint8 // blocks the transition makes permanent
 }
 
-// NewSingleTree explores the reachable chain for the given parameters.
-func NewSingleTree(params SingleTreeParams) (*SingleTree, error) {
-	if err := params.Validate(); err != nil {
+// prob resolves the edge's law; den is 1−p+p·σ of its source state.
+func (e treeEdge) prob(p, gamma, den float64) float64 {
+	switch e.kind {
+	case advMine:
+		return float64(e.mult) * p / den
+	case honest:
+		return (1 - p) / den
+	case raceWin:
+		return gamma * (1 - p) / den
+	default:
+		return (1 - gamma) * (1 - p) / den
+	}
+}
+
+// SingleTree is the baseline's Markov chain for one shape (depth, width,
+// publication rule), explored once with every transition's law kept
+// symbolic, so one exploration serves every (p, γ). The reachable set
+// depends on neither: for p in (0, 1) every law but the race pair is
+// positive, and both race edges return to the empty tree. A SingleTree is
+// immutable and safe for concurrent use.
+type SingleTree struct {
+	depth, width int
+	rule         PublishRule
+	states       []treeState // exploration order; states[0] is the empty tree
+	sigma        []uint8     // per state: the adversary's mining targets
+	first        []int32     // state i's edges are edges[first[i]:first[i+1]]
+	edges        []treeEdge
+}
+
+// NewSingleTree explores the chain of the given shape breadth-first from
+// the empty tree. Every edge that does not return to the empty tree adds
+// one block to the tree or the public chain, so breadth-first order ranks
+// states by Σw + h and such an edge always leads to a later index; the
+// exploration checks this for every edge, because ERRev's single backward
+// pass relies on it.
+func NewSingleTree(maxDepth, maxWidth int, rule PublishRule) (*SingleTree, error) {
+	if err := ValidateSingleTreeShape(maxDepth, maxWidth); err != nil {
 		return nil, err
 	}
-	if params.MaxDepth > maxTreeDepth {
-		return nil, fmt.Errorf("baseline: MaxDepth %d exceeds supported maximum %d", params.MaxDepth, maxTreeDepth)
+	if rule > PublishTie {
+		return nil, fmt.Errorf("baseline: unknown publish rule %d", rule)
 	}
-	st := &SingleTree{params: params, index: make(map[treeState]int)}
-	if params.P == 1 {
-		// Degenerate: honest miners never mine, the tree never races; the
-		// chain is not ergodic and ERRev is 1 by fiat. Skip materialization.
-		return st, nil
+	st := &SingleTree{depth: maxDepth, width: maxWidth, rule: rule, states: []treeState{{}}}
+	index := map[treeState]int32{{}: 0}
+	var succs []treeSucc
+	for i := 0; i < len(st.states); i++ {
+		var sigma int
+		sigma, succs = st.successors(st.states[i], succs[:0])
+		st.sigma = append(st.sigma, uint8(sigma))
+		st.first = append(st.first, int32(len(st.edges)))
+		for _, sc := range succs {
+			if sc.state != (treeState{}) {
+				j, ok := index[sc.state]
+				if !ok {
+					j = int32(len(st.states))
+					index[sc.state] = j
+					st.states = append(st.states, sc.state)
+				}
+				if int(j) <= i {
+					return nil, fmt.Errorf("baseline: single-tree edge %d -> %d does not lead to a later state", i, j)
+				}
+				sc.edge.dst = j
+			}
+			st.edges = append(st.edges, sc.edge)
+		}
 	}
-	if err := st.build(); err != nil {
-		return nil, err
-	}
+	st.first = append(st.first, int32(len(st.edges)))
 	return st, nil
 }
 
@@ -111,27 +206,19 @@ func depth(s treeState, l int) int {
 	return 0
 }
 
-// succ describes one probabilistic successor during exploration.
-type succ struct {
+// treeSucc is one successor during exploration; edge.dst is set once the
+// successor state has an index (the empty tree's is 0).
+type treeSucc struct {
 	state treeState
-	prob  float64
-	ra    float64
-	rh    float64
+	edge  treeEdge
 }
 
-// successors enumerates the transitions out of s. The mining race follows
-// the same (p, k)-model as the attack MDP: the adversary mines on every
-// tree node (and the fork-point root) that can still accept a child; each
-// target wins with probability p/(1−p+p·σ), honest with (1−p)/(1−p+p·σ).
-func (st *SingleTree) successors(s treeState) []succ {
-	p := st.params.P
-	gamma := st.params.Gamma
-	l := st.params.MaxDepth
-	f := st.params.MaxWidth
-
-	// Targets per level v (0 = fork point root, occupancy 1): each node at
-	// level v is a target iff level v+1 has spare width.
-	var targets [maxTreeDepth]int // targets[v] = parents at level v that can spawn
+// successors appends the transitions out of s to out and returns them
+// with the adversary's target count σ. The adversary mines on every tree
+// node (and the fork-point root) that can still accept a child: level v+1
+// grows with the multiplicity of its parents at level v.
+func (st *SingleTree) successors(s treeState, out []treeSucc) (int, []treeSucc) {
+	l, f := st.depth, st.width
 	sigma := 0
 	for v := 0; v < l; v++ {
 		occ := 1
@@ -139,125 +226,97 @@ func (st *SingleTree) successors(s treeState) []succ {
 			occ = int(s.w[v-1])
 		}
 		if int(s.w[v]) < f && occ > 0 {
-			targets[v] = occ
+			ns := s
+			ns.w[v]++
+			out = append(out, treeSucc{state: ns, edge: treeEdge{kind: advMine, mult: uint8(occ)}})
 			sigma += occ
 		}
 	}
-	den := 1 - p + p*float64(sigma)
-	var out []succ
-
-	// Adversary grows the tree at level v+1.
-	for v := 0; v < l; v++ {
-		if targets[v] == 0 {
-			continue
-		}
-		ns := s
-		ns.w[v]++
-		out = append(out, succ{state: ns, prob: float64(targets[v]) * p / den})
-	}
 
 	// Honest miners extend the public chain.
-	hp := (1 - p) / den
 	d := depth(s, l)
-	newH := int(s.h) + 1
-	publishAll := false
+	newH := uint8(s.h) + 1
 	switch {
 	case d == 0:
 		// Nothing withheld: the honest block is final; re-fork at the new tip.
-		out = append(out, succ{state: treeState{}, prob: hp, rh: float64(newH)})
-		return out
-	case st.params.Rule == PublishThreatened && d >= 2 && newH == d-1:
+		return sigma, append(out, treeSucc{edge: treeEdge{kind: honest, rh: newH}})
+	case st.rule == PublishThreatened && d >= 2 && int(newH) == d-1:
 		// Eyal–Sirer: the lead shrank to one; publish everything and win
 		// outright (the tree's longest path exceeds the public chain).
-		publishAll = true
-	case newH == d:
+		return sigma, append(out, treeSucc{edge: treeEdge{kind: honest, ra: uint8(d)}})
+	case int(newH) == d:
 		// The public chain fully caught up: publish and race.
-		if gamma > 0 {
-			out = append(out, succ{state: treeState{}, prob: hp * gamma, ra: float64(d)})
-		}
-		if gamma < 1 {
-			out = append(out, succ{state: treeState{}, prob: hp * (1 - gamma), rh: float64(newH)})
-		}
-		return out
-	}
-	if publishAll {
-		out = append(out, succ{state: treeState{}, prob: hp, ra: float64(d)})
-		return out
+		return sigma, append(out,
+			treeSucc{edge: treeEdge{kind: raceWin, ra: uint8(d)}},
+			treeSucc{edge: treeEdge{kind: raceLose, rh: newH}})
 	}
 	// Public chain still behind: keep withholding.
 	ns := s
-	ns.h++
-	out = append(out, succ{state: ns, prob: hp})
-	return out
-}
-
-// build explores the reachable state space and materializes the chain.
-func (st *SingleTree) build() error {
-	start := treeState{}
-	st.index[start] = 0
-	st.states = append(st.states, start)
-	var entries []linalg.Entry
-	for i := 0; i < len(st.states); i++ {
-		s := st.states[i]
-		var ra, rh float64
-		for _, sc := range st.successors(s) {
-			j, ok := st.index[sc.state]
-			if !ok {
-				j = len(st.states)
-				st.index[sc.state] = j
-				st.states = append(st.states, sc.state)
-			}
-			entries = append(entries, linalg.Entry{Row: i, Col: j, Val: sc.prob})
-			ra += sc.prob * sc.ra
-			rh += sc.prob * sc.rh
-		}
-		st.rewardA = append(st.rewardA, ra)
-		st.rewardH = append(st.rewardH, rh)
-	}
-	chain, err := linalg.NewCSR(len(st.states), len(st.states), entries)
-	if err != nil {
-		return fmt.Errorf("baseline: building single-tree chain: %w", err)
-	}
-	if !chain.IsStochastic(1e-9) {
-		return fmt.Errorf("baseline: single-tree chain is not stochastic")
-	}
-	st.chain = chain
-	return nil
+	ns.h = newH
+	return sigma, append(out, treeSucc{state: ns, edge: treeEdge{kind: honest}})
 }
 
 // NumStates returns the size of the explored chain.
 func (st *SingleTree) NumStates() int { return len(st.states) }
 
-// ERRev computes the exact expected relative revenue of the baseline by
-// stationary analysis: gain(r_A) / (gain(r_A) + gain(r_H)).
-func (st *SingleTree) ERRev() (float64, error) {
-	if st.params.P == 0 {
+// ERRev returns the exact expected relative revenue of the baseline at
+// (p, γ). The chain regenerates at every return to the empty tree, so by
+// the renewal-reward theorem ERRev = E[R_A] / (E[R_A] + E[R_H]) over one
+// cycle from the empty tree back to it. Both expectations come from one
+// backward pass in reverse exploration order,
+//
+//	V(s) = Σ P(s,s')·(r(s,s') + [s' ≠ ∅]·V(s')),
+//
+// which is O(transitions) and needs no tolerance. Each state's
+// probabilities must sum to 1 within 1e-9. p = 0 gives 0 and p = 1 gives 1
+// (honest miners never win a race) without a pass.
+func (st *SingleTree) ERRev(p, gamma float64) (float64, error) {
+	if err := checkPoint(p, gamma); err != nil {
+		return 0, err
+	}
+	if p == 0 {
 		return 0, nil
 	}
-	if st.params.P == 1 {
-		// Honest miners never win a race; the adversary owns the chain.
+	if p == 1 {
 		return 1, nil
 	}
-	pi, err := linalg.Stationary(st.chain, linalg.StationaryOptions{})
-	if err != nil {
-		return 0, fmt.Errorf("baseline: single-tree stationary distribution: %w", err)
+	v := make([][2]float64, len(st.states)) // per state: V_A, V_H
+	for i := len(st.states) - 1; i >= 0; i-- {
+		den := 1 - p + p*float64(st.sigma[i])
+		var sum, va, vh float64
+		for _, e := range st.edges[st.first[i]:st.first[i+1]] {
+			pr := e.prob(p, gamma, den)
+			sum += pr
+			ra, rh := float64(e.ra), float64(e.rh)
+			if e.dst != 0 {
+				ra += v[e.dst][0]
+				rh += v[e.dst][1]
+			}
+			va += pr * ra
+			vh += pr * rh
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			return 0, fmt.Errorf("baseline: single-tree state %d: probabilities sum to %v at p=%v gamma=%v", i, sum, p, gamma)
+		}
+		v[i] = [2]float64{va, vh}
 	}
-	var gA, gH float64
-	for i := range pi {
-		gA += pi[i] * st.rewardA[i]
-		gH += pi[i] * st.rewardH[i]
+	total := v[0][0] + v[0][1]
+	if !(total > 0) {
+		return 0, fmt.Errorf("baseline: degenerate single-tree chain: %v blocks per cycle", total)
 	}
-	if gA+gH <= 0 {
-		return 0, fmt.Errorf("baseline: degenerate single-tree chain: total block rate %v", gA+gH)
-	}
-	return gA / (gA + gH), nil
+	return v[0][0] / total, nil
 }
 
-// SingleTreeERRev is a convenience wrapper: build and evaluate in one call.
+// SingleTreeERRev explores the chain of params' shape and evaluates it at
+// params' (p, γ) in one call. Callers that evaluate one shape at many
+// points should hold a NewSingleTree instead.
 func SingleTreeERRev(params SingleTreeParams) (float64, error) {
-	st, err := NewSingleTree(params)
+	if err := params.Validate(); err != nil {
+		return 0, err
+	}
+	st, err := NewSingleTree(params.MaxDepth, params.MaxWidth, params.Rule)
 	if err != nil {
 		return 0, err
 	}
-	return st.ERRev()
+	return st.ERRev(params.P, params.Gamma)
 }

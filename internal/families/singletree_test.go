@@ -2,12 +2,14 @@ package families
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/kernel"
+	"repro/internal/solve"
 )
 
 // TestSingletreeMatchesBaselineGrid is the family's validation story: the
@@ -59,14 +61,91 @@ func TestSingletreeStateSpaceMatchesBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := baseline.NewSingleTree(baseline.SingleTreeParams{
-		P: 0.3, Gamma: 0.5, MaxDepth: 4, MaxWidth: 4,
-	})
+	st, err := baseline.NewSingleTree(4, 4, baseline.PublishThreatened)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != st.NumStates() {
 		t.Errorf("family explored %d states, baseline %d", n, st.NumStates())
+	}
+}
+
+// TestSingletreeBaselineExact holds the baseline's renewal-reward pass to
+// the exact oracle within 1e-14: the family's independently explored
+// source, materialized at (p, γ), with gain(r_A) and gain(r_H) of its one
+// policy from dense linear solves. The points cover p up to 0.9 at every
+// γ corner, and the l=3 width-3 γ=0.5 rows include every p of the sweep
+// goldens' single-tree series.
+func TestSingletreeBaselineExact(t *testing.T) {
+	fam, err := Get("singletree")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := []float64{0.05, 0.1, 0.2, 0.3, 0.45, 0.7, 0.9}
+	goldenGrid := []float64{
+		0, 0.025000000000000001, 0.050000000000000003, 0.075000000000000011,
+		0.10000000000000001, 0.125, 0.15000000000000002, 0.17500000000000002,
+		0.20000000000000001, 0.22500000000000001, 0.25, 0.27500000000000002,
+		0.29999999999999999,
+	}
+	worst := 0.0
+	for _, shape := range []struct{ depth, width int }{{3, 3}, {4, 3}, {2, 5}, {3, 5}} {
+		for _, gamma := range []float64{0, 0.25, 0.5, 1} {
+			ps := grid
+			if shape.depth == 3 && shape.width == 3 && gamma == 0.5 {
+				ps = append(slices.Clone(grid), goldenGrid...)
+			}
+			for _, p := range ps {
+				src, err := fam.Source(core.Params{P: p, Gamma: gamma, Depth: 1, Forks: shape.width, MaxLen: shape.depth})
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := solve.Materialize(src, p, gamma)
+				if err != nil {
+					t.Fatal(err)
+				}
+				policy := make([]int, len(m))
+				gA, _, err := m.EvalPolicy(func(ra, _ float64) float64 { return ra }, policy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gH, _, err := m.EvalPolicy(func(_, rh float64) float64 { return rh }, policy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := baseline.SingleTreeERRev(baseline.SingleTreeParams{
+					P: p, Gamma: gamma, MaxDepth: shape.depth, MaxWidth: shape.width,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				diff := math.Abs(got - gA/(gA+gH))
+				worst = max(worst, diff)
+				if diff > 1e-14 {
+					t.Errorf("l=%d width=%d p=%v gamma=%v: baseline %.17g, exact %.17g (diff %.2g)",
+						shape.depth, shape.width, p, gamma, got, gA/(gA+gH), diff)
+				}
+			}
+		}
+	}
+	t.Logf("largest distance from the exact oracle: %.2g", worst)
+}
+
+// TestSingletreeShapesMatchBaseline: the family and the baseline accept
+// exactly the same (depth, width) shapes, from independent constants.
+func TestSingletreeShapesMatchBaseline(t *testing.T) {
+	fam, err := Get("singletree")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l := 0; l <= 9; l++ {
+		for w := 0; w <= 40; w++ {
+			famErr := fam.Validate(core.Params{P: 0.3, Gamma: 0.5, Depth: 1, Forks: w, MaxLen: l})
+			baseErr := baseline.ValidateSingleTreeShape(l, w)
+			if (famErr == nil) != (baseErr == nil) {
+				t.Errorf("l=%d width=%d: family %v, baseline %v", l, w, famErr, baseErr)
+			}
+		}
 	}
 }
 

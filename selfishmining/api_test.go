@@ -202,6 +202,35 @@ func TestSweepRejectsBadGamma(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsBaselineShape: a fork panel carries the single-tree
+// baseline of depth MaxForkLen and width TreeWidth, so Normalize refuses a
+// shape the baseline does not explore, and nothing solves. Other families
+// carry no such series and ignore TreeWidth.
+func TestSweepRejectsBaselineShape(t *testing.T) {
+	d1f1 := []AttackConfig{{Depth: 1, Forks: 1}}
+	for name, opts := range map[string]SweepOptions{
+		"depth 9":             {Gamma: 0.5, Configs: d1f1, MaxForkLen: 9},
+		"width 31 at depth 4": {Gamma: 0.5, PGrid: []float64{0.1}, Configs: d1f1, MaxForkLen: 4, TreeWidth: 31},
+		"width 256":           {Gamma: 0.5, PGrid: []float64{0.1}, Configs: d1f1, MaxForkLen: 2, TreeWidth: 256},
+	} {
+		normalized := opts
+		if err := normalized.Normalize(); err == nil {
+			t.Errorf("%s: Normalize accepted the options", name)
+		}
+		svc := NewService(ServiceConfig{})
+		if _, err := svc.SweepContext(context.Background(), opts); err == nil {
+			t.Errorf("%s: sweep accepted", name)
+		}
+		if st := svc.Stats(); st.Solves != 0 || st.SweepPoints != 0 {
+			t.Errorf("%s: %d solves, %d sweep points before the error", name, st.Solves, st.SweepPoints)
+		}
+	}
+	opts := SweepOptions{Model: "nakamoto", PGrid: []float64{0.2}, TreeWidth: 31}
+	if err := opts.Normalize(); err != nil {
+		t.Errorf("nakamoto sweep with tree width 31: %v", err)
+	}
+}
+
 // TestAnalyzeTwoSidedBound: within the MDP, the optimum is bracketed by
 // [ERRev, ERRevUpper] with width below epsilon, and the independently
 // evaluated strategy revenue falls inside the bracket (up to solver

@@ -505,3 +505,32 @@ func TestFollowerSurvivesLeaderCancel(t *testing.T) {
 		t.Errorf("Solves = %d, want 2 (canceled leader + follower's retry)", st.Solves)
 	}
 }
+
+// TestSweepBaselineHonoursDeadline: the single-tree series checks ctx
+// between x values. On the largest baseline shape (l 4, width 14: 120 947
+// states, several ms per x) a 10 000-point fork sweep must stop at its
+// 50 ms deadline with the sweep's usual cancel error, counted in Stats,
+// instead of evaluating every x first.
+func TestSweepBaselineHonoursDeadline(t *testing.T) {
+	grid := make([]float64, 10000)
+	for i := range grid {
+		grid[i] = 0.01 + 0.4*float64(i)/float64(len(grid))
+	}
+	svc := NewService(ServiceConfig{})
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := svc.SweepContext(ctx, SweepOptions{
+		Gamma: 0.5, PGrid: grid, Configs: []AttackConfig{{Depth: 1, Forks: 1}},
+		MaxForkLen: 4, TreeWidth: 14,
+	})
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("sweep returned %v after its 50ms deadline", elapsed)
+	}
+	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("error %v, want ErrCanceled and context.DeadlineExceeded", err)
+	}
+	if st := svc.Stats(); st.DeadlineExceeded != 1 || st.Canceled != 0 {
+		t.Errorf("counters (canceled=%d, deadline=%d), want (0, 1)", st.Canceled, st.DeadlineExceeded)
+	}
+}

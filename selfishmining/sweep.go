@@ -84,7 +84,9 @@ type SweepOptions struct {
 	// in the paper; the family default shape's bound otherwise).
 	MaxForkLen int
 	// TreeWidth is the single-tree baseline width (default 5, as in the
-	// paper; its depth equals MaxForkLen).
+	// paper; its depth equals MaxForkLen). A fork sweep needs a width of
+	// 1..31 and a depth of 1..8 with (TreeWidth+1)^MaxForkLen ·
+	// (MaxForkLen+1) ≤ 2^18, the shapes the baseline explores.
 	TreeWidth int
 	// Epsilon is the per-point analysis precision (default 1e-4).
 	Epsilon float64
@@ -227,8 +229,9 @@ func resumePoints(ck *SweepCheckpoint) map[sweepResumeKey]SweepPoint {
 // unknown Model, a Gamma outside [0, 1], negative or non-finite numbers,
 // an empty PGrid, Tolerance, MaxDepth, MaxPoints or Exhaustive without
 // Adaptive, an adaptive PGrid that is not strictly increasing with at
-// least two points, a config listed twice, and every (config, p) point
-// the family rejects.
+// least two points, a fork sweep whose single-tree baseline shape
+// (depth MaxForkLen, width TreeWidth) the baseline does not explore, a
+// config listed twice, and every (config, p) point the family rejects.
 //
 // Normalize is idempotent. SweepContext calls it before anything else, so
 // the job, HTTP and CLI layers that call Normalize up front reject exactly
@@ -303,6 +306,14 @@ func (o *SweepOptions) Normalize() error {
 				return fmt.Errorf("selfishmining: adaptive sweep grid must be strictly increasing, got p[%d] = %v after %v",
 					i, o.PGrid[i], o.PGrid[i-1])
 			}
+		}
+	}
+	// Every fork panel carries the single-tree baseline of depth
+	// MaxForkLen and width TreeWidth, so its shape must be one the
+	// baseline explores.
+	if isFork {
+		if err := baseline.ValidateSingleTreeShape(o.MaxForkLen, o.TreeWidth); err != nil {
+			return fmt.Errorf("selfishmining: sweep baseline: %w", err)
 		}
 	}
 	// A config listed twice would make two series of one name, which
@@ -431,8 +442,8 @@ func (s *Service) sweepContext(ctx context.Context, opts SweepOptions, width int
 			return nil, s.countCancel(err)
 		}
 		fig.X = res.X
-		if err := s.addBaselines(fig, res.X, opts, workers, isFork); err != nil {
-			return nil, err
+		if err := s.addBaselines(ctx, fig, res.X, opts, isFork); err != nil {
+			return nil, s.countCancel(err)
 		}
 		progress("baselines done (gamma=%g, %d points)", opts.Gamma, len(res.X))
 		for ci, cfg := range opts.Configs {
@@ -444,8 +455,8 @@ func (s *Service) sweepContext(ctx context.Context, opts SweepOptions, width int
 	}
 
 	fig.X = opts.PGrid
-	if err := s.addBaselines(fig, opts.PGrid, opts, workers, isFork); err != nil {
-		return nil, err
+	if err := s.addBaselines(ctx, fig, opts.PGrid, opts, isFork); err != nil {
+		return nil, s.countCancel(err)
 	}
 	progress("baselines done (gamma=%g, %d points)", opts.Gamma, len(opts.PGrid))
 
@@ -462,10 +473,10 @@ func (s *Service) sweepContext(ctx context.Context, opts SweepOptions, width int
 }
 
 // addBaselines appends the honest series — and, for the fork family, the
-// single-tree baseline — to fig, evaluated over xs. Baseline points are
-// independent exact chain analyses; the single-tree points spread over a
-// pool (the honest closed form is too cheap to bother).
-func (s *Service) addBaselines(fig *results.Figure, xs []float64, opts SweepOptions, workers int, isFork bool) error {
+// single-tree baseline — to fig, evaluated over xs. The single-tree chain
+// of the sweep's shape is explored once and solved exactly at every x by
+// one renewal-reward pass; ctx is checked between x values.
+func (s *Service) addBaselines(ctx context.Context, fig *results.Figure, xs []float64, opts SweepOptions, isFork bool) error {
 	honest := make([]float64, len(xs))
 	for i, p := range xs {
 		v, err := baseline.HonestERRev(p)
@@ -482,17 +493,16 @@ func (s *Service) addBaselines(fig *results.Figure, xs []float64, opts SweepOpti
 		// the singletree family it IS the curve.
 		return nil
 	}
+	st, err := baseline.NewSingleTree(opts.MaxForkLen, opts.TreeWidth, baseline.PublishThreatened)
+	if err != nil {
+		return err
+	}
 	tree := make([]float64, len(xs))
-	treeErrs := make([]error, len(xs))
-	par.For(len(xs), workers, func(_, from, to int) {
-		for i := from; i < to; i++ {
-			tree[i], treeErrs[i] = baseline.SingleTreeERRev(baseline.SingleTreeParams{
-				P: xs[i], Gamma: opts.Gamma, MaxDepth: opts.MaxForkLen, MaxWidth: opts.TreeWidth,
-			})
+	for i, p := range xs {
+		if err := ctx.Err(); err != nil {
+			return cancelError(err, nil)
 		}
-	})
-	for _, err := range treeErrs {
-		if err != nil {
+		if tree[i], err = st.ERRev(p, opts.Gamma); err != nil {
 			return err
 		}
 	}
