@@ -1,10 +1,12 @@
 package jobs
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -222,14 +224,19 @@ func TestDirStoreAcquireMutualExclusion(t *testing.T) {
 }
 
 // TestDirStoreConcurrentLeaseChurn hammers one store from many
-// goroutines under -race: tokens stay strictly monotonic per job, and
-// fenced writes only ever succeed or fail with ErrStaleToken.
+// goroutines under -race: fenced writes only ever succeed or fail with
+// ErrStaleToken, and per job every granted token is unique, the store's
+// replayed high-water mark is the largest of them, and every lower token
+// is fenced. Tokens are recorded as granted and checked after the churn:
+// a goroutine descheduled past the 5 ms TTL returns from Acquire after the
+// replica that stole from it, so the order in which goroutines observe
+// their tokens is not the order the store issued them in.
 func TestDirStoreConcurrentLeaseChurn(t *testing.T) {
 	s := newTestDirStore(t)
 	s.maxLog = 16 // keep compaction in the loop
 	jobs := []string{"a", "b"}
-	var tokenMu sync.Mutex
-	lastToken := map[string]uint64{}
+	var grantedMu sync.Mutex
+	granted := map[string][]Lease{}
 	var wg sync.WaitGroup
 	for r := 0; r < 6; r++ {
 		owner := fmt.Sprintf("r%d", r)
@@ -246,12 +253,9 @@ func TestDirStoreConcurrentLeaseChurn(t *testing.T) {
 					time.Sleep(time.Millisecond)
 					continue
 				}
-				tokenMu.Lock()
-				if l.Token <= lastToken[id] {
-					t.Errorf("job %s: token %d not above %d", id, l.Token, lastToken[id])
-				}
-				lastToken[id] = l.Token
-				tokenMu.Unlock()
+				grantedMu.Lock()
+				granted[id] = append(granted[id], l)
+				grantedMu.Unlock()
 				if err := s.PutLeased(leaseTestRecord(id), l); err != nil && !errors.Is(err, ErrStaleToken) {
 					t.Errorf("fenced write: %v", err)
 				}
@@ -262,6 +266,35 @@ func TestDirStoreConcurrentLeaseChurn(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	states, _, err := s.loadLocked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range jobs {
+		leases := granted[id]
+		if len(leases) == 0 {
+			t.Errorf("job %s: no lease granted", id)
+			continue
+		}
+		slices.SortFunc(leases, func(a, b Lease) int { return cmp.Compare(a.Token, b.Token) })
+		for k := 1; k < len(leases); k++ {
+			if leases[k].Token == leases[k-1].Token {
+				t.Errorf("job %s: token %d issued twice (%s and %s)", id, leases[k].Token, leases[k-1].Owner, leases[k].Owner)
+			}
+		}
+		top := leases[len(leases)-1].Token
+		if st := states[id]; st == nil || st.token != top {
+			t.Errorf("job %s: replayed high-water mark %+v, want the largest granted token %d", id, st, top)
+		}
+		for _, l := range leases {
+			if l.Token == top {
+				continue
+			}
+			if err := s.PutLeased(leaseTestRecord(id), l); !errors.Is(err, ErrStaleToken) {
+				t.Errorf("job %s: write with stale token %d: %v, want ErrStaleToken", id, l.Token, err)
+			}
+		}
+	}
 }
 
 // TestDirStoreLockRecovery: a crashed holder's lock file (expired
