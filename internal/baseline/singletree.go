@@ -80,7 +80,8 @@ func ValidateSingleTreeShape(maxDepth, maxWidth int) error {
 	}
 	bound := maxDepth + 1
 	for i := 0; i < maxDepth; i++ {
-		if bound *= maxWidth + 1; bound > maxTreeStates {
+		bound *= maxWidth + 1
+		if bound > maxTreeStates {
 			return fmt.Errorf("baseline: single-tree width %d depth %d allows more than %d states ((width+1)^depth·(depth+1)); shrink the width or depth",
 				maxWidth, maxDepth, maxTreeStates)
 		}
@@ -235,7 +236,7 @@ func (st *SingleTree) successors(s treeState, out []treeSucc) (int, []treeSucc) 
 
 	// Honest miners extend the public chain.
 	d := depth(s, l)
-	newH := uint8(s.h) + 1
+	newH := s.h + 1
 	switch {
 	case d == 0:
 		// Nothing withheld: the honest block is final; re-fork at the new tip.

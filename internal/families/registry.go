@@ -13,7 +13,7 @@
 //     contribution and the default.
 //   - singletree: the Eyal–Sirer single-tree baseline expressed as a
 //     (decision-free) MDP family, cross-validated against the exact
-//     stationary chain analysis in package baseline.
+//     renewal-reward chain analysis in package baseline.
 //   - nakamoto: the classic d=1 selfish-mining state space (à la
 //     Sapirshtein et al.), a cheap smoke-test family with known anchors
 //     (honest revenue below the profitability threshold, the SM1 closed

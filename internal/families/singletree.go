@@ -14,8 +14,9 @@ import (
 // fixed Eyal–Sirer rule, so every state has exactly one action and the MDP
 // is a Markov chain. Running Algorithm 1 on it binary-searches β to the
 // chain's exact expected relative revenue — which package baseline also
-// computes by stationary analysis, giving an end-to-end cross-validation
-// anchor for the whole kernel/analysis stack (see the families tests).
+// computes, by a renewal-reward pass over its own exploration of the
+// chain, giving an end-to-end cross-validation anchor for the whole
+// kernel/analysis stack (see the families tests).
 //
 // Shape mapping: Depth must be 1 (unused), Forks is the tree width bound
 // per level, MaxLen the tree depth bound.
@@ -53,7 +54,7 @@ func singletreeStateBound(l, f int) int {
 func (singletreeFamily) Name() string { return "singletree" }
 
 func (singletreeFamily) Description() string {
-	return "the Eyal-Sirer single-tree baseline as a decision-free MDP family, cross-validated against exact stationary chain analysis"
+	return "the Eyal-Sirer single-tree baseline as a decision-free MDP family, cross-validated against an exact renewal-reward chain analysis"
 }
 
 func (singletreeFamily) ShapeDoc() ShapeDoc {

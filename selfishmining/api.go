@@ -48,7 +48,7 @@
 // onto one protocol-agnostic kernel. AttackParams.Model selects the
 // family: "fork" (the paper's model, the default), "singletree" (the
 // Eyal–Sirer baseline as a decision-free MDP, cross-validated against the
-// exact stationary chain analysis), and "nakamoto" (the classic d=1
+// exact renewal-reward chain analysis), and "nakamoto" (the classic d=1
 // selfish-mining state space). Models lists the registered families with
 // their parameter semantics; unknown names fail with the valid list. Only
 // the fork family carries the physical simulation substrate — Simulate,

@@ -84,9 +84,9 @@ type SweepOptions struct {
 	// in the paper; the family default shape's bound otherwise).
 	MaxForkLen int
 	// TreeWidth is the single-tree baseline width (default 5, as in the
-	// paper; its depth equals MaxForkLen). A fork sweep needs a width of
-	// 1..31 and a depth of 1..8 with (TreeWidth+1)^MaxForkLen ·
-	// (MaxForkLen+1) ≤ 2^18, the shapes the baseline explores.
+	// paper; its depth equals MaxForkLen). A fork sweep needs a tree the
+	// baseline explores: depth 1..8, width 1..31, and
+	// (TreeWidth+1)^MaxForkLen·(MaxForkLen+1) ≤ 2^18.
 	TreeWidth int
 	// Epsilon is the per-point analysis precision (default 1e-4).
 	Epsilon float64
@@ -313,7 +313,7 @@ func (o *SweepOptions) Normalize() error {
 	// baseline explores.
 	if isFork {
 		if err := baseline.ValidateSingleTreeShape(o.MaxForkLen, o.TreeWidth); err != nil {
-			return fmt.Errorf("selfishmining: sweep baseline: %w", err)
+			return fmt.Errorf("selfishmining: sweep: %w", err)
 		}
 	}
 	// A config listed twice would make two series of one name, which
