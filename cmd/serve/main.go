@@ -48,9 +48,11 @@
 // replica that crashes mid-sweep loses its lease after -jobs-lease-ttl;
 // a peer (polling the shared store every -jobs-poll) steals the job and
 // resumes it from the persisted checkpoint, bitwise identical to an
-// uninterrupted run. Job snapshots carry the owning replica and token;
-// GET /v1/stats adds the fleet's presence records under "replicas", and
-// DELETE on a job leased elsewhere answers 409 with code "remote_job".
+// uninterrupted run. DELETE on a job leased elsewhere answers 409 with
+// code "remote_job". Without -replica-id the server is a fleet of one,
+// named "local", that runs the same leases in process: running job
+// snapshots carry the owning replica and token on every server, and GET
+// /v1/stats lists the presence records under "replicas".
 //
 // Every request is governed by its context end to end: a client that
 // disconnects cancels its in-flight solve at the next value-iteration
@@ -222,7 +224,7 @@ func parseFlags(args []string) (*serverConfig, error) {
 		return nil, fmt.Errorf("-jobs-ttl 0: need a retention duration (negative = keep forever)")
 	}
 	if cfg.replicaID != "" && cfg.jobsDir == "" {
-		return nil, fmt.Errorf("-replica-id %q: multi-replica mode needs -jobs-dir (the shared store)", cfg.replicaID)
+		return nil, fmt.Errorf("-replica-id %q: a fleet needs -jobs-dir (the shared store)", cfg.replicaID)
 	}
 	if cfg.jobsLeaseTTL <= 0 {
 		return nil, fmt.Errorf("-jobs-lease-ttl %v: need > 0", cfg.jobsLeaseTTL)
@@ -360,14 +362,18 @@ func servePprof(addr string, logger *slog.Logger) (*http.Server, error) {
 }
 
 // newManager assembles the async-job manager from the flag set: a disk
-// store when -jobs-dir is given, and on top of that a lease-coordinated
-// shared directory store when -replica-id joins this process to a fleet.
+// store when -jobs-dir is given, and instead a lease-coordinated shared
+// directory store when -replica-id joins this process to a fleet.
 func newManager(svc *selfishmining.Service, cfg *serverConfig, logger *slog.Logger) (*jobs.Manager, error) {
 	jcfg := jobs.Config{
-		Workers:    cfg.jobsWorkers,
-		QueueLimit: cfg.jobsQueue,
-		TTL:        cfg.jobsTTL,
-		Logger:     logger,
+		Workers:      cfg.jobsWorkers,
+		QueueLimit:   cfg.jobsQueue,
+		TTL:          cfg.jobsTTL,
+		Logger:       logger,
+		ReplicaID:    cfg.replicaID,
+		LeaseTTL:     cfg.jobsLeaseTTL,
+		Heartbeat:    cfg.jobsHeartbeat,
+		PollInterval: cfg.jobsPoll,
 	}
 	switch {
 	case cfg.replicaID != "":
@@ -376,10 +382,6 @@ func newManager(svc *selfishmining.Service, cfg *serverConfig, logger *slog.Logg
 			return nil, err
 		}
 		jcfg.Store = store
-		jcfg.ReplicaID = cfg.replicaID
-		jcfg.LeaseTTL = cfg.jobsLeaseTTL
-		jcfg.Heartbeat = cfg.jobsHeartbeat
-		jcfg.PollInterval = cfg.jobsPoll
 	case cfg.jobsDir != "":
 		store, err := jobs.NewDiskStore(cfg.jobsDir)
 		if err != nil {
@@ -926,8 +928,9 @@ func (s *server) handleModels(w http.ResponseWriter, r *http.Request) {
 type statsResponse struct {
 	selfishmining.ServiceStats
 	Jobs jobs.Stats `json:"jobs"`
-	// Replicas lists the fleet's presence records in multi-replica mode
-	// (absent otherwise). Each carries the peer's lease counters and load.
+	// Replicas lists the fleet's presence records (this server's own
+	// alone without -replica-id). Each carries the replica's lease
+	// counters and load.
 	Replicas []jobs.ReplicaInfo `json:"replicas,omitempty"`
 }
 

@@ -76,9 +76,9 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // readyzResponse is the GET /readyz body. Dependency names the failing
 // check on a 503 — "store" (the job store's health probe), "manager" (the
-// job layer is shut down), or "lease_heartbeat" (multi-replica renewal
-// stalled) — so orchestration and alerts can branch without parsing the
-// error text.
+// job layer is shut down), or "lease_heartbeat" (lease renewal stalled)
+// — so orchestration and alerts can branch without parsing the error
+// text.
 type readyzResponse struct {
 	OK         bool   `json:"ok"`
 	Dependency string `json:"dependency,omitempty"`
@@ -87,9 +87,9 @@ type readyzResponse struct {
 
 // handleReadyz reports whether this process can do useful work right now:
 // the job manager is live with its workers started, its store passes the
-// health probe, and — in multi-replica mode — the lease heartbeat has
-// completed a pass recently. Liveness stays on /healthz; readiness is the
-// gate load balancers should route on.
+// health probe, and the lease heartbeat has completed a pass recently.
+// Liveness stays on /healthz; readiness is the gate load balancers should
+// route on.
 func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if err := s.mgr.Ready(); err != nil {
 		dep := "manager"

@@ -34,8 +34,8 @@ func TestHonestERRev(t *testing.T) {
 	}
 }
 
-// TestEyalSirerChainMatchesClosedForm anchors the stationary machinery to
-// the published SM1 revenue formula across a grid of (p, γ).
+// TestEyalSirerChainMatchesClosedForm anchors the exact gain ratio of the
+// SM1 chain to the published SM1 revenue formula across a grid of (p, γ).
 func TestEyalSirerChainMatchesClosedForm(t *testing.T) {
 	for _, p := range []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.45} {
 		for _, gamma := range []float64{0, 0.25, 0.5, 0.75, 1} {
@@ -262,8 +262,10 @@ func TestSingleTreeMatchesGainBias(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !chain.IsStochastic(1e-9) {
-						t.Fatalf("rule %d shape %v p=%v gamma=%v: chain not stochastic", rule, shape, p, gamma)
+					for s, sum := range chain.RowSums() {
+						if math.Abs(sum-1) > 1e-9 {
+							t.Fatalf("rule %d shape %v p=%v gamma=%v: row %d sums to %v", rule, shape, p, gamma, s, sum)
+						}
 					}
 					gA, _, err := linalg.GainBias(chain, ra, 0)
 					if err != nil {
@@ -315,7 +317,8 @@ func TestSingleTreePublishRules(t *testing.T) {
 
 // eyalSirerChainERRev evaluates the SM1 strategy of EyalSirerClosedForm by
 // building its Markov chain explicitly (lead states 0, 0', 1, 2, ..., maxLead) and
-// computing the stationary reward ratio. maxLead truncates the birth-death
+// dividing the adversary's gain by the total block gain, each from one
+// dense linalg.GainBias solve. maxLead truncates the birth-death
 // chain; the truncation error is O(p^maxLead) (use >= 50 for 1e-9 accuracy
 // at p <= 0.45). Pass maxLead <= 0 for the default of 64.
 //
@@ -387,14 +390,13 @@ func eyalSirerChainERRev(p, gamma float64, maxLead int) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("baseline: building SM1 chain: %w", err)
 	}
-	pi, err := linalg.Stationary(chain, linalg.StationaryOptions{})
+	gA, _, err := linalg.GainBias(chain, ra, 0)
 	if err != nil {
-		return 0, fmt.Errorf("baseline: SM1 stationary distribution: %w", err)
+		return 0, fmt.Errorf("baseline: SM1 adversary gain: %w", err)
 	}
-	var gA, gH float64
-	for i := range pi {
-		gA += pi[i] * ra[i]
-		gH += pi[i] * rh[i]
+	gH, _, err := linalg.GainBias(chain, rh, 0)
+	if err != nil {
+		return 0, fmt.Errorf("baseline: SM1 honest gain: %w", err)
 	}
 	if gA+gH <= 0 {
 		return 0, fmt.Errorf("baseline: degenerate SM1 chain: block rate %v", gA+gH)

@@ -1,7 +1,6 @@
 // Package linalg provides the small dense and sparse linear-algebra
 // routines needed by the Markov chain analyses and the exact MDP oracle:
-// LU factorization with partial pivoting, CSR sparse matrices, stationary
-// distributions of stochastic matrices by damped power iteration, and the
+// LU factorization with partial pivoting, CSR sparse matrices, and the
 // gain/bias evaluation equations of a unichain chain.
 //
 // The package is intentionally minimal and dependency-free; it is not a

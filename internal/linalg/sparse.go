@@ -2,7 +2,6 @@ package linalg
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -77,27 +76,6 @@ func (m *CSR) MulVec(x, y []float64) error {
 	return nil
 }
 
-// MulVecT computes y = Mᵀ x, i.e. y[c] = Σ_r M[r,c] x[r].
-// y must have length Cols, x length Rows.
-func (m *CSR) MulVecT(x, y []float64) error {
-	if len(x) != m.Rows || len(y) != m.Cols {
-		return fmt.Errorf("linalg: MulVecT dimension mismatch: matrix %dx%d, x %d, y %d", m.Rows, m.Cols, len(x), len(y))
-	}
-	for i := range y {
-		y[i] = 0
-	}
-	for r := 0; r < m.Rows; r++ {
-		xr := x[r]
-		if xr == 0 {
-			continue
-		}
-		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			y[m.ColIdx[k]] += m.Val[k] * xr
-		}
-	}
-	return nil
-}
-
 // RowSums returns the vector of row sums; useful to validate stochasticity.
 func (m *CSR) RowSums() []float64 {
 	sums := make([]float64, m.Rows)
@@ -109,20 +87,4 @@ func (m *CSR) RowSums() []float64 {
 		sums[r] = s
 	}
 	return sums
-}
-
-// IsStochastic reports whether every row sums to 1 within tol and all
-// entries are non-negative.
-func (m *CSR) IsStochastic(tol float64) bool {
-	for _, v := range m.Val {
-		if v < -tol {
-			return false
-		}
-	}
-	for _, s := range m.RowSums() {
-		if math.Abs(s-1) > tol {
-			return false
-		}
-	}
-	return true
 }

@@ -52,91 +52,6 @@ func TestNewCSROutOfBounds(t *testing.T) {
 	}
 }
 
-func TestMulVecT(t *testing.T) {
-	// [0.5 0.5; 1 0]ᵀ x for x = [1, 2] => [0.5+2, 0.5]
-	m, err := NewCSR(2, 2, []Entry{
-		{Row: 0, Col: 0, Val: 0.5},
-		{Row: 0, Col: 1, Val: 0.5},
-		{Row: 1, Col: 0, Val: 1},
-	})
-	if err != nil {
-		t.Fatalf("NewCSR: %v", err)
-	}
-	y := make([]float64, 2)
-	if err := m.MulVecT([]float64{1, 2}, y); err != nil {
-		t.Fatalf("MulVecT: %v", err)
-	}
-	if y[0] != 2.5 || y[1] != 0.5 {
-		t.Errorf("MulVecT = %v, want [2.5 0.5]", y)
-	}
-}
-
-func TestIsStochastic(t *testing.T) {
-	ok, err := NewCSR(2, 2, []Entry{
-		{Row: 0, Col: 0, Val: 0.3}, {Row: 0, Col: 1, Val: 0.7},
-		{Row: 1, Col: 1, Val: 1},
-	})
-	if err != nil {
-		t.Fatalf("NewCSR: %v", err)
-	}
-	if !ok.IsStochastic(1e-12) {
-		t.Error("expected stochastic matrix to be recognized")
-	}
-	bad, err := NewCSR(1, 2, []Entry{{Row: 0, Col: 0, Val: 0.3}})
-	if err != nil {
-		t.Fatalf("NewCSR: %v", err)
-	}
-	if bad.IsStochastic(1e-12) {
-		t.Error("substochastic row accepted as stochastic")
-	}
-}
-
-func TestStationaryTwoState(t *testing.T) {
-	// P = [0.9 0.1; 0.5 0.5]; stationary pi = (5/6, 1/6).
-	p, err := NewCSR(2, 2, []Entry{
-		{Row: 0, Col: 0, Val: 0.9}, {Row: 0, Col: 1, Val: 0.1},
-		{Row: 1, Col: 0, Val: 0.5}, {Row: 1, Col: 1, Val: 0.5},
-	})
-	if err != nil {
-		t.Fatalf("NewCSR: %v", err)
-	}
-	pi, err := Stationary(p, StationaryOptions{})
-	if err != nil {
-		t.Fatalf("Stationary: %v", err)
-	}
-	if !almostEq(pi[0], 5.0/6, 1e-9) || !almostEq(pi[1], 1.0/6, 1e-9) {
-		t.Errorf("pi = %v, want [5/6 1/6]", pi)
-	}
-}
-
-func TestStationaryPeriodicChain(t *testing.T) {
-	// Two-state flip-flop is periodic; damping must still find pi = (1/2, 1/2).
-	p, err := NewCSR(2, 2, []Entry{
-		{Row: 0, Col: 1, Val: 1},
-		{Row: 1, Col: 0, Val: 1},
-	})
-	if err != nil {
-		t.Fatalf("NewCSR: %v", err)
-	}
-	pi, err := Stationary(p, StationaryOptions{})
-	if err != nil {
-		t.Fatalf("Stationary: %v", err)
-	}
-	if !almostEq(pi[0], 0.5, 1e-9) || !almostEq(pi[1], 0.5, 1e-9) {
-		t.Errorf("pi = %v, want [0.5 0.5]", pi)
-	}
-}
-
-func TestStationaryRejectsNonStochastic(t *testing.T) {
-	p, err := NewCSR(1, 1, []Entry{{Row: 0, Col: 0, Val: 0.5}})
-	if err != nil {
-		t.Fatalf("NewCSR: %v", err)
-	}
-	if _, err := Stationary(p, StationaryOptions{}); err == nil {
-		t.Fatal("expected error for non-stochastic matrix, got nil")
-	}
-}
-
 func TestGainBiasTwoState(t *testing.T) {
 	// P = [0 1; 1 0], r = [1, 0]: gain = 0.5.
 	p, err := NewCSR(2, 2, []Entry{

@@ -22,7 +22,7 @@ func (m Model) EvalPolicy(r Reward, policy []int) (gain float64, bias []float64,
 //
 //	ERRev(σ) = gain(r_A) / gain(r_A + r_H),
 //
-// from the stationary distribution of the unichain Markov chain the policy
+// from two dense gain solves on the unichain Markov chain the policy
 // induces (the ratio form used in the proof of Theorem 3.1).
 func (m Model) ERRev(policy []int) (float64, error) {
 	chain, rewards, err := m.induced(policy,
@@ -31,19 +31,16 @@ func (m Model) ERRev(policy []int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	pi, err := linalg.Stationary(chain, linalg.StationaryOptions{})
-	if err != nil {
-		return 0, err
+	var gain [2]float64
+	for i, r := range rewards {
+		if gain[i], _, err = linalg.GainBias(chain, r, 0); err != nil {
+			return 0, err
+		}
 	}
-	var gNum, gDen float64
-	for s := range pi {
-		gNum += pi[s] * rewards[0][s]
-		gDen += pi[s] * rewards[1][s]
+	if gain[1] <= 0 {
+		return 0, fmt.Errorf("solve: total block rate %v is not positive (degenerate chain)", gain[1])
 	}
-	if gDen <= 0 {
-		return 0, fmt.Errorf("solve: total block rate %v is not positive (degenerate chain)", gDen)
-	}
-	return gNum / gDen, nil
+	return gain[0] / gain[1], nil
 }
 
 // induced returns the Markov chain policy induces on m and, for each

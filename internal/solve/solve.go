@@ -1,7 +1,8 @@
 // Package solve is the exact mean-payoff oracle the tests hold the
 // compiled kernel to: Howard policy iteration with gain/bias evaluation by
 // a dense linear solve, the exact evaluation of a fixed positional policy,
-// and the stationary expected relative revenue of a policy. It reads the
+// and the exact expected relative revenue of a policy (a ratio of two
+// gains, each from a dense solve). It reads the
 // kernel.Source every model family hands to kernel.Compile, materialized
 // at concrete chain parameters, so every family gets the same exact check.
 // The dense solves are O(n³) and meant for small models; no shipped binary

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -128,18 +129,12 @@ func (s *DirStore) lock() (func(), error) {
 	}
 	deadline := time.Now().Add(s.lockWait)
 	for {
-		tmp, err := os.CreateTemp(s.dir, ".lock-tmp-")
+		tmp, err := writeTemp(s.lockPath, content)
 		if err != nil {
-			return nil, fmt.Errorf("jobs: dir store: %w", err)
+			return nil, fmt.Errorf("jobs: dir store: lock: %w", err)
 		}
-		_, werr := tmp.Write(content)
-		cerr := tmp.Close()
-		if werr != nil || cerr != nil {
-			_ = os.Remove(tmp.Name())
-			return nil, fmt.Errorf("jobs: dir store: lock: %w", errors.Join(werr, cerr))
-		}
-		linkErr := os.Link(tmp.Name(), s.lockPath)
-		_ = os.Remove(tmp.Name())
+		linkErr := os.Link(tmp, s.lockPath)
+		_ = os.Remove(tmp)
 		if linkErr == nil {
 			return s.unlock, nil
 		}
@@ -219,6 +214,12 @@ type leaseState struct {
 	expires time.Time
 }
 
+// holds reports whether owner's lease at token is the job's live lease
+// (false for a job with no lease state).
+func (st *leaseState) holds(owner string, token uint64) bool {
+	return st != nil && st.live && st.owner == owner && st.token == token
+}
+
 // loadLocked replays leases.log. Unparseable lines (a torn final append
 // after a crash) are skipped — every complete line before them already
 // replayed. Callers hold the directory lock.
@@ -255,11 +256,11 @@ func (s *DirStore) loadLocked() (map[string]*leaseState, int, error) {
 			st.owner = e.Owner
 			st.expires = time.Unix(0, e.Expires)
 		case "renew":
-			if st.live && st.owner == e.Owner && st.token == e.Token {
+			if st.holds(e.Owner, e.Token) {
 				st.expires = time.Unix(0, e.Expires)
 			}
 		case "release":
-			if st.live && st.owner == e.Owner && st.token == e.Token {
+			if st.holds(e.Owner, e.Token) {
 				st.live = false
 			}
 		case "token":
@@ -312,7 +313,7 @@ func (s *DirStore) compactLocked(states map[string]*leaseState) error {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	var buf strings.Builder
+	var buf bytes.Buffer
 	for _, id := range ids {
 		st := states[id]
 		var e leaseLogEntry
@@ -331,18 +332,7 @@ func (s *DirStore) compactLocked(states map[string]*leaseState) error {
 		buf.Write(data)
 		buf.WriteByte('\n')
 	}
-	tmp, err := os.CreateTemp(s.dir, ".leases-tmp-")
-	if err != nil {
-		return fmt.Errorf("jobs: dir store: %w", err)
-	}
-	_, werr := tmp.WriteString(buf.String())
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("jobs: dir store: compact: %w", errors.Join(werr, cerr))
-	}
-	if err := os.Rename(tmp.Name(), s.logPath); err != nil {
-		_ = os.Remove(tmp.Name())
+	if err := writeAtomic(s.logPath, buf.Bytes()); err != nil {
 		return fmt.Errorf("jobs: dir store: compact: %w", err)
 	}
 	return nil
@@ -350,131 +340,113 @@ func (s *DirStore) compactLocked(states map[string]*leaseState) error {
 
 // --- LeaseStore ----------------------------------------------------------
 
-func (s *DirStore) Acquire(id, owner string, ttl time.Duration) (Lease, error) {
-	if id == "" || owner == "" || ttl <= 0 {
-		return Lease{}, fmt.Errorf("jobs: dir store: acquire needs id, owner and ttl > 0 (got %q, %q, %v)", id, owner, ttl)
-	}
+// logged is every lease-log operation: with this process's mutex and the
+// directory lock held, it replays the log, runs op on the replayed
+// states, and appends the entry op returns (none when it returns nil).
+// An error from op aborts before anything is appended.
+func (s *DirStore) logged(op func(states map[string]*leaseState) (*leaseLogEntry, error)) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	unlock, err := s.lock()
 	if err != nil {
-		return Lease{}, err
+		return err
 	}
 	defer unlock()
 	states, lines, err := s.loadLocked()
 	if err != nil {
-		return Lease{}, err
+		return err
 	}
-	now := time.Now()
-	st := states[id]
-	if st != nil && st.live && st.owner != owner && now.Before(st.expires) {
-		return Lease{}, fmt.Errorf("%w: job %s leased by %s until %s",
-			ErrLeaseHeld, id, st.owner, st.expires.Format(time.RFC3339Nano))
+	e, err := op(states)
+	if e == nil || err != nil {
+		return err
 	}
-	var token uint64 = 1
-	if st != nil {
-		token = st.token + 1
+	return s.appendLocked(states, lines, *e)
+}
+
+func (s *DirStore) Acquire(id, owner string, ttl time.Duration) (Lease, error) {
+	if id == "" || owner == "" || ttl <= 0 {
+		return Lease{}, fmt.Errorf("jobs: dir store: acquire needs id, owner and ttl > 0 (got %q, %q, %v)", id, owner, ttl)
 	}
-	l := Lease{JobID: id, Owner: owner, Token: token, Expires: now.Add(ttl)}
-	e := leaseLogEntry{Op: "acquire", Job: id, Owner: owner, Token: token, Expires: l.Expires.UnixNano()}
-	if err := s.appendLocked(states, lines, e); err != nil {
+	var l Lease
+	err := s.logged(func(states map[string]*leaseState) (*leaseLogEntry, error) {
+		now := time.Now()
+		st := states[id]
+		if st != nil && st.live && st.owner != owner && now.Before(st.expires) {
+			return nil, fmt.Errorf("%w: job %s leased by %s until %s",
+				ErrLeaseHeld, id, st.owner, st.expires.Format(time.RFC3339Nano))
+		}
+		l = Lease{JobID: id, Owner: owner, Token: 1, Expires: now.Add(ttl)}
+		if st != nil {
+			l.Token = st.token + 1
+		}
+		return &leaseLogEntry{Op: "acquire", Job: id, Owner: owner, Token: l.Token, Expires: l.Expires.UnixNano()}, nil
+	})
+	if err != nil {
 		return Lease{}, err
 	}
 	return l, nil
+}
+
+// errLeaseLost reports a Renew or Release of a lease that is no longer live.
+func errLeaseLost(l Lease) error {
+	return fmt.Errorf("%w: job %s token %d (owner %s)", ErrLeaseLost, l.JobID, l.Token, l.Owner)
 }
 
 func (s *DirStore) Renew(l Lease, ttl time.Duration) (Lease, error) {
 	if ttl <= 0 {
 		return Lease{}, fmt.Errorf("jobs: dir store: renew needs ttl > 0, got %v", ttl)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	unlock, err := s.lock()
+	err := s.logged(func(states map[string]*leaseState) (*leaseLogEntry, error) {
+		if !states[l.JobID].holds(l.Owner, l.Token) {
+			return nil, errLeaseLost(l)
+		}
+		l.Expires = time.Now().Add(ttl)
+		return &leaseLogEntry{Op: "renew", Job: l.JobID, Owner: l.Owner, Token: l.Token, Expires: l.Expires.UnixNano()}, nil
+	})
 	if err != nil {
 		return Lease{}, err
 	}
-	defer unlock()
-	states, lines, err := s.loadLocked()
-	if err != nil {
-		return Lease{}, err
-	}
-	st := states[l.JobID]
-	if st == nil || !st.live || st.owner != l.Owner || st.token != l.Token {
-		return Lease{}, fmt.Errorf("%w: job %s token %d (owner %s)", ErrLeaseLost, l.JobID, l.Token, l.Owner)
-	}
-	nl := l
-	nl.Expires = time.Now().Add(ttl)
-	e := leaseLogEntry{Op: "renew", Job: l.JobID, Owner: l.Owner, Token: l.Token, Expires: nl.Expires.UnixNano()}
-	if err := s.appendLocked(states, lines, e); err != nil {
-		return Lease{}, err
-	}
-	return nl, nil
+	return l, nil
 }
 
 func (s *DirStore) Release(l Lease) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	unlock, err := s.lock()
-	if err != nil {
-		return err
-	}
-	defer unlock()
-	states, lines, err := s.loadLocked()
-	if err != nil {
-		return err
-	}
-	st := states[l.JobID]
-	if st == nil || !st.live || st.owner != l.Owner || st.token != l.Token {
-		return fmt.Errorf("%w: job %s token %d (owner %s)", ErrLeaseLost, l.JobID, l.Token, l.Owner)
-	}
-	e := leaseLogEntry{Op: "release", Job: l.JobID, Owner: l.Owner, Token: l.Token}
-	return s.appendLocked(states, lines, e)
+	return s.logged(func(states map[string]*leaseState) (*leaseLogEntry, error) {
+		if !states[l.JobID].holds(l.Owner, l.Token) {
+			return nil, errLeaseLost(l)
+		}
+		return &leaseLogEntry{Op: "release", Job: l.JobID, Owner: l.Owner, Token: l.Token}, nil
+	})
 }
 
 func (s *DirStore) PutLeased(rec *Record, l Lease) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	unlock, err := s.lock()
-	if err != nil {
-		return err
-	}
-	defer unlock()
-	states, _, err := s.loadLocked()
-	if err != nil {
-		return err
-	}
-	st := states[rec.ID]
-	if st == nil || !st.live || st.owner != l.Owner || st.token != l.Token {
-		have := uint64(0)
-		if st != nil {
-			have = st.token
+	return s.logged(func(states map[string]*leaseState) (*leaseLogEntry, error) {
+		if st := states[rec.ID]; !st.holds(l.Owner, l.Token) {
+			have := uint64(0)
+			if st != nil {
+				have = st.token
+			}
+			return nil, fmt.Errorf("%w: job %s write fenced (presented token %d, store high water %d)",
+				ErrStaleToken, rec.ID, l.Token, have)
 		}
-		return fmt.Errorf("%w: job %s write fenced (presented token %d, store high water %d)",
-			ErrStaleToken, rec.ID, l.Token, have)
-	}
-	// The record write happens under the directory lock: once a steal
-	// bumps the token, no straggler PutLeased can land afterwards, so a
-	// post-acquire Get always reads the final fenced snapshot.
-	return s.recs.Put(rec)
+		// The record write happens under the directory lock: once a steal
+		// bumps the token, no straggler PutLeased can land afterwards, so a
+		// post-acquire Get always reads the final fenced snapshot.
+		return nil, s.recs.Put(rec)
+	})
 }
 
 func (s *DirStore) Leases() (map[string]Lease, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	unlock, err := s.lock()
-	if err != nil {
-		return nil, err
-	}
-	defer unlock()
-	states, _, err := s.loadLocked()
-	if err != nil {
-		return nil, err
-	}
 	out := make(map[string]Lease)
-	for id, st := range states {
-		if st.live {
-			out[id] = Lease{JobID: id, Owner: st.owner, Token: st.token, Expires: st.expires}
+	err := s.logged(func(states map[string]*leaseState) (*leaseLogEntry, error) {
+		for id, st := range states {
+			if st.live {
+				out[id] = Lease{JobID: id, Owner: st.owner, Token: st.token, Expires: st.expires}
+			}
 		}
+		return nil, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -483,24 +455,15 @@ func (s *DirStore) Leases() (map[string]Lease, error) {
 
 // Put is the unleased conditional write: rejected while another
 // replica's unexpired lease is live (its fenced writes must not be
-// clobbered by a stale snapshot). Submitting replicas and recovery
-// re-persists write through here.
+// clobbered by a stale snapshot). Submit, Resume and the cancel of a
+// queued job write through here.
 func (s *DirStore) Put(rec *Record) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	unlock, err := s.lock()
-	if err != nil {
-		return err
-	}
-	defer unlock()
-	states, _, err := s.loadLocked()
-	if err != nil {
-		return err
-	}
-	if st := states[rec.ID]; st != nil && st.live && time.Now().Before(st.expires) {
-		return fmt.Errorf("%w: job %s leased by %s", ErrLeaseHeld, rec.ID, st.owner)
-	}
-	return s.recs.Put(rec)
+	return s.logged(func(states map[string]*leaseState) (*leaseLogEntry, error) {
+		if st := states[rec.ID]; st != nil && st.live && time.Now().Before(st.expires) {
+			return nil, fmt.Errorf("%w: job %s leased by %s", ErrLeaseHeld, rec.ID, st.owner)
+		}
+		return nil, s.recs.Put(rec)
+	})
 }
 
 func (s *DirStore) Get(id string) (*Record, bool, error) { return s.recs.Get(id) }
@@ -508,25 +471,19 @@ func (s *DirStore) Get(id string) (*Record, bool, error) { return s.recs.Get(id)
 func (s *DirStore) List() ([]*Record, error) { return s.recs.List() }
 
 // Delete removes the record and forgets the job's lease state (the
-// token fence is only needed while the job exists).
+// token fence is only needed while the job exists). The record goes
+// first: should the drop entry fail to append, the fence outlives the
+// record rather than the other way round.
 func (s *DirStore) Delete(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	unlock, err := s.lock()
-	if err != nil {
-		return err
-	}
-	defer unlock()
-	states, lines, err := s.loadLocked()
-	if err != nil {
-		return err
-	}
-	if _, ok := states[id]; ok {
-		if err := s.appendLocked(states, lines, leaseLogEntry{Op: "drop", Job: id}); err != nil {
-			return err
+	return s.logged(func(states map[string]*leaseState) (*leaseLogEntry, error) {
+		if err := s.recs.Delete(id); err != nil {
+			return nil, err
 		}
-	}
-	return s.recs.Delete(id)
+		if _, ok := states[id]; !ok {
+			return nil, nil
+		}
+		return &leaseLogEntry{Op: "drop", Job: id}, nil
+	})
 }
 
 // --- replica registry ----------------------------------------------------
@@ -539,19 +496,8 @@ func (s *DirStore) PublishReplica(info ReplicaInfo) error {
 	if err != nil {
 		return fmt.Errorf("jobs: dir store: %w", err)
 	}
-	tmp, err := os.CreateTemp(s.repDir, "."+info.Replica+".tmp-")
-	if err != nil {
-		return fmt.Errorf("jobs: dir store: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("jobs: dir store: replica %s: %w", info.Replica, errors.Join(werr, cerr))
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.repDir, info.Replica+".json")); err != nil {
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("jobs: dir store: %w", err)
+	if err := writeAtomic(filepath.Join(s.repDir, info.Replica+".json"), data); err != nil {
+		return fmt.Errorf("jobs: dir store: replica %s: %w", info.Replica, err)
 	}
 	return nil
 }

@@ -78,19 +78,39 @@ func (s *DiskStore) Put(rec *Record) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tmp, err := os.CreateTemp(s.dir, "."+rec.ID+".tmp-")
+	if err := writeAtomic(path, data); err != nil {
+		return fmt.Errorf("jobs: disk store: writing %s: %w", rec.ID, err)
+	}
+	return nil
+}
+
+// writeTemp writes data to a new dot-named temp file beside path (every
+// directory scan skips dot files) and returns the temp file's name. On
+// error it leaves no file behind.
+func writeTemp(path string, data []byte) (string, error) {
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-")
 	if err != nil {
-		return fmt.Errorf("jobs: disk store: %w", err)
+		return "", err
 	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("jobs: disk store: writing %s: %w", rec.ID, errors.Join(werr, cerr))
+	_, werr := f.Write(data)
+	if err := errors.Join(werr, f.Close()); err != nil {
+		_ = os.Remove(f.Name())
+		return "", err
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("jobs: disk store: %w", err)
+	return f.Name(), nil
+}
+
+// writeAtomic replaces path with data through a temp file and a rename,
+// so a reader or a crash sees the old file or the new one, never a torn
+// one.
+func writeAtomic(path string, data []byte) error {
+	tmp, err := writeTemp(path, data)
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		_ = os.Remove(tmp)
+		return err
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package jobs
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -352,4 +353,119 @@ func TestReplicaCrashHelper(t *testing.T) {
 	}
 	fmt.Printf("JOB %s\n", st.ID)
 	<-hold
+}
+
+// finalWriteGate is a LeaseStore over a DirStore that parks the first
+// fenced write of a terminal record until open is called: the job is
+// finished in memory while its final snapshot and lease release are
+// still on their way to the store.
+type finalWriteGate struct {
+	*DirStore
+	reached, release chan struct{}
+	park, unpark     sync.Once
+}
+
+func (s *finalWriteGate) PutLeased(rec *Record, l Lease) error {
+	if rec.State.Terminal() {
+		s.park.Do(func() { close(s.reached); <-s.release })
+	}
+	return s.DirStore.PutLeased(rec, l)
+}
+
+func (s *finalWriteGate) open() { s.unpark.Do(func() { close(s.release) }) }
+
+// TestPollDuringFinalWriteKeepsJobDone: a poll pass that reads the store
+// while the replica's own final write is in flight sees the job's
+// previous running record under this replica's live lease. It must leave
+// the finished job alone, not revert it to running without its result
+// (and answer Cancel with ErrRemote on its own replica).
+func TestPollDuringFinalWriteKeepsJobDone(t *testing.T) {
+	ds, err := NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &finalWriteGate{DirStore: ds, reached: make(chan struct{}), release: make(chan struct{})}
+	cfg := fastReplicaConfig(store, "a")
+	cfg.PollInterval = time.Hour // the test runs the poll pass itself
+	m := newTestManager(t, cfg)
+	t.Cleanup(store.open) // runs before the manager's Close
+	st, err := m.Submit(Request{Kind: KindAnalyze, Analyze: &smallSpec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-store.reached:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the job never wrote its final snapshot")
+	}
+	m.pollOnce()
+	got, err := m.Get(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != StateDone || got.Result == nil {
+		t.Errorf("after a poll during the final write: state %s, result present %v; want done with its result",
+			got.State, got.Result != nil)
+	}
+	if _, err := m.Cancel(st.ID); !errors.Is(err, ErrFinished) {
+		t.Errorf("Cancel during the final write = %v, want ErrFinished", err)
+	}
+	if n := m.Stats().RemoteRunning; n != 0 {
+		t.Errorf("RemoteRunning = %d during the final write, want 0", n)
+	}
+	store.open()
+	deadline := time.Now().Add(10 * time.Second)
+	for m.Stats().Leases.Released != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("lease never released: %+v", m.Stats().Leases)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	m.pollOnce()
+	done := waitState(t, m, st.ID, StateDone)
+	equalJobResults(t, "finished under a poll", reference(t, smallSpec), done.Result)
+}
+
+// slowPutStore is a LeaseStore over a DirStore whose unleased writes land
+// 50 ms late, so a worker claims a resumed job before Resume's own write
+// reaches the store.
+type slowPutStore struct{ *DirStore }
+
+func (s slowPutStore) Put(rec *Record) error {
+	time.Sleep(50 * time.Millisecond)
+	return s.DirStore.Put(rec)
+}
+
+// TestResumeSurvivesClaimBeforeItsWrite: the worker that picks up a
+// resumed job reads the store before Resume's write lands and finds the
+// job's canceled record from before the Resume. That record is older
+// than the local job, so the claim must run the job, not adopt the stale
+// cancellation as another replica's outcome.
+func TestResumeSurvivesClaimBeforeItsWrite(t *testing.T) {
+	ds, err := NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastReplicaConfig(slowPutStore{ds}, "a")
+	cfg.PollInterval = time.Hour // no poll pass may mend the job behind the claim
+	m := newTestManager(t, cfg)
+	var once sync.Once
+	m.progressGate = func(id string, iter int) {
+		if iter == 2 {
+			once.Do(func() { m.Cancel(id) })
+		}
+	}
+	st, err := m.Submit(Request{Kind: KindAnalyze, Analyze: &smallSpec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, st.ID, StateCanceled)
+	if _, err := m.Resume(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	done := waitState(t, m, st.ID, StateDone)
+	if done.Resumes != 1 {
+		t.Errorf("Resumes = %d, want 1", done.Resumes)
+	}
+	equalJobResults(t, "resumed past a stale record", reference(t, smallSpec), done.Result)
 }

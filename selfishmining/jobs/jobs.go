@@ -355,10 +355,10 @@ type Status struct {
 	Resumes int `json:"resumes,omitempty"`
 	// RequestID echoes the submitting request's id (see Request.RequestID).
 	RequestID string `json:"request_id,omitempty"`
-	// Owner, LeaseToken and LeaseExpires describe the lease on a job
-	// running against a shared LeaseStore: which replica holds it, its
-	// monotonic fencing token, and when the lease lapses absent a
-	// heartbeat renewal. Empty outside multi-replica mode.
+	// Owner, LeaseToken and LeaseExpires describe the lease on a running
+	// job: which replica holds it ("local" for a fleet of one by
+	// default), its monotonic fencing token, and when the lease lapses
+	// absent a heartbeat renewal.
 	Owner        string     `json:"owner,omitempty"`
 	LeaseToken   uint64     `json:"lease_token,omitempty"`
 	LeaseExpires *time.Time `json:"lease_expires,omitempty"`

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"errors"
+	"sync/atomic"
 	"time"
 )
 
@@ -105,3 +106,33 @@ type ReplicaInfo struct {
 	QueueDepth int        `json:"queue_depth"`
 	Leases     LeaseStats `json:"leases"`
 }
+
+// localLeases is the LeaseStore of a fleet of one. New wraps every Store
+// that is not a LeaseStore in it, so a single replica claims, fences,
+// renews and releases through the same Manager code as a fleet. With no
+// peer to contend with it keeps no lease table: Acquire grants the next
+// token, Renew extends, Release and fenced writes never refuse, and
+// Leases is empty, because a restarted process holds no leases. Records
+// go straight to the wrapped Store.
+type localLeases struct {
+	Store
+	tokens atomic.Uint64
+	self   atomic.Pointer[ReplicaInfo] // the one presence record
+}
+
+func (s *localLeases) Acquire(id, owner string, ttl time.Duration) (Lease, error) {
+	return Lease{JobID: id, Owner: owner, Token: s.tokens.Add(1), Expires: time.Now().Add(ttl)}, nil
+}
+
+func (s *localLeases) Renew(l Lease, ttl time.Duration) (Lease, error) {
+	l.Expires = time.Now().Add(ttl)
+	return l, nil
+}
+
+func (s *localLeases) Release(Lease) error                   { return nil }
+func (s *localLeases) PutLeased(rec *Record, _ Lease) error  { return s.Put(rec) }
+func (s *localLeases) Leases() (map[string]Lease, error)     { return nil, nil }
+func (s *localLeases) PublishReplica(info ReplicaInfo) error { s.self.Store(&info); return nil }
+
+// Replicas needs one PublishReplica first; New makes it.
+func (s *localLeases) Replicas() ([]ReplicaInfo, error) { return []ReplicaInfo{*s.self.Load()}, nil }

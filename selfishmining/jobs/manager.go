@@ -29,9 +29,9 @@ const (
 	DefaultTTL         = time.Hour
 	DefaultMaxFinished = 4096
 	DefaultEventBuffer = 256
-	// DefaultLeaseTTL and DefaultPollInterval tune multi-replica mode
-	// (Config.ReplicaID over a LeaseStore); the heartbeat defaults to a
-	// third of the lease TTL.
+	// DefaultLeaseTTL and DefaultPollInterval tune the job leases (and,
+	// over a shared LeaseStore, the mirror of the store); the heartbeat
+	// defaults to a third of the lease TTL.
 	DefaultLeaseTTL     = 15 * time.Second
 	DefaultPollInterval = 2 * time.Second
 )
@@ -40,7 +40,9 @@ const (
 // field for the negative-value escape hatches.
 type Config struct {
 	// Store persists job records (nil = a fresh in-memory MemStore). A
-	// DiskStore makes jobs survive process restarts.
+	// DiskStore makes jobs survive process restarts; a LeaseStore shared
+	// by several Managers makes them a fleet. Any other Store serves a
+	// fleet of one: New gives it in-process leases that never refuse.
 	Store Store
 	// Workers bounds the jobs executing at once (default 2). The
 	// underlying Service's MaxConcurrent additionally bounds total solves
@@ -67,11 +69,12 @@ type Config struct {
 	Logger *slog.Logger
 
 	// ReplicaID names this manager among the replicas sharing a
-	// LeaseStore, enabling multi-replica mode: workers lease jobs
-	// before running them (fenced writes, heartbeat renewal), a poller
-	// mirrors the shared store and steals expired leases, and the
-	// replica publishes presence records for /v1/stats. Required when
-	// Store implements LeaseStore; ignored otherwise.
+	// LeaseStore. Every replica, a fleet of one included, leases jobs
+	// before running them (fenced writes, heartbeat renewal) and
+	// publishes a presence record for /v1/stats; over a shared
+	// LeaseStore a poller also mirrors the store and steals expired
+	// leases. Required when Store implements LeaseStore; "local"
+	// otherwise.
 	ReplicaID string
 	// LeaseTTL is how long a job lease lives without renewal before
 	// other replicas may steal it (default 15s). Safety never depends
@@ -80,7 +83,7 @@ type Config struct {
 	// Heartbeat is the lease-renewal (and presence-publish) period
 	// (default LeaseTTL/3). It must be shorter than LeaseTTL.
 	Heartbeat time.Duration
-	// PollInterval is how often the replica re-reads the shared store
+	// PollInterval is how often a replica re-reads a shared LeaseStore
 	// for jobs submitted, advanced, or abandoned elsewhere (default 2s).
 	PollInterval time.Duration
 }
@@ -146,8 +149,8 @@ var (
 	ErrNotResumable = errors.New("jobs: job is not resumable")
 	// ErrFinished: Cancel on a job that already reached a terminal state.
 	ErrFinished = errors.New("jobs: job already finished")
-	// ErrRemote: Cancel on a job currently leased by another replica
-	// (multi-replica mode); cancel it on its owning replica.
+	// ErrRemote: Cancel on a job currently leased by another replica of
+	// a fleet; cancel it on its owning replica.
 	ErrRemote = errors.New("jobs: job is running on another replica")
 )
 
@@ -179,14 +182,15 @@ type job struct {
 	cancel          context.CancelFunc // non-nil while running
 	cancelRequested bool
 
-	// Multi-replica state (all zero outside shared-LeaseStore mode).
-	// lease is held from a worker's successful Acquire until finish;
-	// while it is non-nil (or claiming is set) the poller leaves the
-	// job alone — this replica's view is authoritative. leaseLost marks
-	// a lease stolen or renewal-failed mid-run: the job body is being
-	// canceled and nothing more may be persisted under the old token.
+	// Lease state. lease is held from a worker's successful Acquire
+	// until finish; inFlight counts this replica's claims and releases
+	// of the job still waiting on the store. While either is set the
+	// poller leaves the job alone — this replica's view is
+	// authoritative. leaseLost marks a lease stolen or renewal-failed
+	// mid-run: the job body is being canceled and nothing more may be
+	// persisted under the old token.
 	lease     *Lease
-	claiming  bool
+	inFlight  int
 	leaseLost bool
 	// remoteOwner/remoteToken/remoteExpires mirror another replica's
 	// lease for status display while the job runs elsewhere.
@@ -271,10 +275,11 @@ type Manager struct {
 	wg        sync.WaitGroup
 	seq       int64 // submit-order tiebreak, spans recovered and new jobs
 
-	// ls is non-nil in multi-replica mode (Config.Store implements
-	// LeaseStore); replicaStart timestamps this replica's presence;
-	// lastBeat is the unix-nano timestamp of the last completed heartbeat
-	// pass, read lock-free by Ready.
+	// ls holds every record and lease: Config.Store itself when it is a
+	// LeaseStore, else Config.Store wrapped in in-process leases.
+	// replicaStart timestamps this replica's presence; lastBeat is the
+	// unix-nano timestamp of the last completed heartbeat pass, read
+	// lock-free by Ready.
 	ls           LeaseStore
 	replicaStart time.Time
 	lastBeat     atomic.Int64
@@ -283,7 +288,7 @@ type Manager struct {
 	submitted, started, completed, failed uint64
 	canceled, resumed, evicted            uint64
 	interruptedCount                      uint64
-	// Lease-protocol counters (multi-replica mode).
+	// Lease-protocol counters.
 	leasesAcquired, leasesRenewed, leasesReleased uint64
 	leasesStolen, leasesLost, staleWrites         uint64
 
@@ -305,19 +310,28 @@ type Manager struct {
 // if one was written (graceful shutdowns write one; crashes may not).
 // Event logs are process-local, so recovered jobs start a fresh event
 // sequence (SSE reconnects receive a status snapshot first).
+//
+// New is where a fleet of one and a fleet part ways: a Store that is not
+// a LeaseStore gets in-process leases, ReplicaID "local" by default and
+// no poller, since no peer writes the store. Everything after runs the
+// same code either way.
 func New(svc *selfishmining.Service, cfg Config) (*Manager, error) {
 	if svc == nil {
 		return nil, fmt.Errorf("jobs: New needs a selfishmining.Service")
 	}
 	cfg.defaults()
-	ls, _ := cfg.Store.(LeaseStore)
-	if ls != nil {
+	ls, shared := cfg.Store.(LeaseStore)
+	if !shared {
+		ls = &localLeases{Store: cfg.Store}
 		if cfg.ReplicaID == "" {
-			return nil, fmt.Errorf("jobs: a shared LeaseStore needs Config.ReplicaID")
+			cfg.ReplicaID = "local"
 		}
-		if cfg.Heartbeat >= cfg.LeaseTTL {
-			return nil, fmt.Errorf("jobs: heartbeat %v must be shorter than the lease TTL %v", cfg.Heartbeat, cfg.LeaseTTL)
-		}
+	}
+	if cfg.ReplicaID == "" {
+		return nil, fmt.Errorf("jobs: a shared LeaseStore needs Config.ReplicaID")
+	}
+	if cfg.Heartbeat >= cfg.LeaseTTL {
+		return nil, fmt.Errorf("jobs: heartbeat %v must be shorter than the lease TTL %v", cfg.Heartbeat, cfg.LeaseTTL)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
@@ -342,13 +356,13 @@ func New(svc *selfishmining.Service, cfg Config) (*Manager, error) {
 		m.wg.Add(1)
 		go m.worker()
 	}
-	m.wg.Add(1)
+	m.lastBeat.Store(time.Now().UnixNano())
+	m.publishReplica()
+	m.wg.Add(2)
 	go m.janitor()
-	if m.ls != nil {
-		m.lastBeat.Store(time.Now().UnixNano())
-		m.publishReplica()
-		m.wg.Add(2)
-		go m.heartbeat()
+	go m.heartbeat()
+	if shared {
+		m.wg.Add(1)
 		go m.poll()
 	}
 	return m, nil
@@ -360,16 +374,16 @@ var (
 	// ErrStoreUnhealthy: the job store failed its health check.
 	ErrStoreUnhealthy = errors.New("jobs: store unhealthy")
 	// ErrHeartbeatStale: the lease heartbeat has not completed a pass
-	// recently (multi-replica mode); leases held here may be stolen.
+	// recently; leases held here may be stolen.
 	ErrHeartbeatStale = errors.New("jobs: lease heartbeat stale")
 )
 
 // Ready reports whether the manager can accept and run jobs right now:
-// not closed, the store passes its health check (when it has one), and —
-// in multi-replica mode — the lease heartbeat has completed a pass within
-// three periods. A nil error means ready; the error otherwise wraps
-// ErrClosed, ErrStoreUnhealthy, or ErrHeartbeatStale so readiness
-// endpoints can name the failing dependency.
+// not closed, the store passes its health check (when it has one), and
+// the lease heartbeat has completed a pass within three periods. A nil
+// error means ready; the error otherwise wraps ErrClosed,
+// ErrStoreUnhealthy, or ErrHeartbeatStale so readiness endpoints can
+// name the failing dependency.
 func (m *Manager) Ready() error {
 	m.mu.Lock()
 	closed := m.closed
@@ -382,80 +396,48 @@ func (m *Manager) Ready() error {
 			return fmt.Errorf("%w: %v", ErrStoreUnhealthy, err)
 		}
 	}
-	if m.ls != nil {
-		stale := time.Since(time.Unix(0, m.lastBeat.Load()))
-		if stale > 3*m.cfg.Heartbeat {
-			return fmt.Errorf("%w: last pass %v ago (period %v)",
-				ErrHeartbeatStale, stale.Round(time.Millisecond), m.cfg.Heartbeat)
-		}
+	if stale := time.Since(time.Unix(0, m.lastBeat.Load())); stale > 3*m.cfg.Heartbeat {
+		return fmt.Errorf("%w: last pass %v ago (period %v)",
+			ErrHeartbeatStale, stale.Round(time.Millisecond), m.cfg.Heartbeat)
 	}
 	return nil
 }
 
-// recover loads every stored record into the live index. In
-// multi-replica mode, records running under another replica's live
-// lease stay remote (the poller watches them); records whose lease
-// lapsed — or that our own previous process held before crashing — are
-// re-queued as interrupted steal candidates.
+// recover loads every stored record into the live index (see
+// indexRecordLocked). Nothing is written back: the store learns of a
+// re-queue when a worker claims the job and persists it running.
 func (m *Manager) recover() error {
-	recs, err := m.cfg.Store.List()
+	recs, err := m.ls.List()
 	if err != nil {
 		return fmt.Errorf("jobs: recovering store: %w", err)
 	}
-	var leases map[string]Lease
-	if m.ls != nil {
-		if leases, err = m.ls.Leases(); err != nil {
-			return fmt.Errorf("jobs: recovering leases: %w", err)
-		}
+	leases, err := m.ls.Leases()
+	if err != nil {
+		return fmt.Errorf("jobs: recovering leases: %w", err)
 	}
 	sort.Slice(recs, func(i, k int) bool { return recs[i].SubmittedAt.Before(recs[k].SubmittedAt) })
 	now := time.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, rec := range recs {
-		j := m.indexRecordLocked(rec)
-		if j.state == StateRunning {
-			if l, ok := leases[j.id]; ok && l.Owner != m.cfg.ReplicaID && !l.Expired(now) {
-				// Running on a live replica right now: index read-only.
-				j.remoteOwner, j.remoteToken, j.remoteExpires = l.Owner, l.Token, l.Expires
-			} else {
-				// The owning process died mid-run (single-replica mode, our
-				// own pre-crash lease, or an expired foreign lease); whatever
-				// checkpoint made it to the store is the resume point.
-				if l, ok := leases[j.id]; ok && l.Owner != m.cfg.ReplicaID {
-					m.leasesStolen++
-				}
-				j.state = StateQueued
-				j.interrupted = true
-				j.started = nil
-			}
-		}
-		if j.state == StateQueued && j.interrupted {
-			// Re-queued across a restart — by the crash path above or by a
-			// previous graceful shutdown — lands in this process's counter.
+		if rec.State == StateQueued && rec.Interrupted {
+			// Re-queued by a previous graceful shutdown: the re-queue lands
+			// in this process's counter, as a crash's does in stealLocked.
 			m.interruptedCount++
 		}
-		if j.state == StateQueued {
-			heap.Push(&m.queue, j)
-		}
-		// Every live job carries at least one event (the event ring is
-		// process-local), so event streams have a well-defined replay start.
-		m.emitStatusLocked(j)
-		if m.ls == nil {
-			// Startup runs single-threaded; writing inline under the lock is
-			// harmless here. Replicas sharing a store skip the re-persist:
-			// their copy is not authoritative (the crash-conversion above is
-			// a local decision until a worker's Acquire makes it real).
-			m.persistFnLocked(j)()
-		}
+		m.indexRecordLocked(rec, leases, now)
 	}
 	return nil
 }
 
-// indexRecordLocked builds the in-memory job for a stored record and
-// adds it to the live index; queue membership and lease display are the
-// caller's decisions.
-func (m *Manager) indexRecordLocked(rec *Record) *job {
+// indexRecordLocked adds the in-memory job for a stored record this
+// process has not indexed yet and reports whether it joined the local
+// queue. A running record stays remote while another replica's live
+// lease holds it; otherwise its owner died mid-run (our own pre-crash
+// lease, or an expired foreign one), so it is re-queued as an
+// interrupted steal candidate and resumes from whatever checkpoint made
+// it to the store.
+func (m *Manager) indexRecordLocked(rec *Record, leases map[string]Lease, now time.Time) (queued bool) {
 	ck, err := rec.Checkpoint.decode()
 	if err != nil {
 		// A checkpoint that fails to decode costs the warm resume, not
@@ -487,7 +469,20 @@ func (m *Manager) indexRecordLocked(rec *Record) *job {
 		nextSeq:  rec.EventSeq,
 	}
 	m.jobs[j.id] = j
-	return j
+	if j.state == StateRunning {
+		if l, ok := leases[j.id]; ok && l.Owner != m.cfg.ReplicaID && !l.Expired(now) {
+			j.remoteOwner, j.remoteToken, j.remoteExpires = l.Owner, l.Token, l.Expires
+		} else {
+			m.stealLocked(j, leases[j.id])
+		}
+	}
+	if queued = j.state == StateQueued; queued {
+		heap.Push(&m.queue, j)
+	}
+	// Every live job carries at least one event (the event ring is
+	// process-local), so event streams have a well-defined replay start.
+	m.emitStatusLocked(j)
+	return queued
 }
 
 // newID generates a collision-resistant job id.
@@ -553,7 +548,7 @@ func (m *Manager) Submit(req Request) (*Status, error) {
 	m.cond.Signal()
 	m.mu.Unlock()
 	for _, id := range evicted {
-		_ = m.cfg.Store.Delete(id)
+		_ = m.ls.Delete(id)
 	}
 	m.log.Info("job submitted", j.logAttrs("priority", j.priority)...)
 	persist()
@@ -714,7 +709,7 @@ func (m *Manager) Cancel(id string) (*Status, error) {
 		persist = m.persistFnLocked(j)
 		m.log.Info("job canceled while queued", j.logAttrs()...)
 	case StateRunning:
-		if m.ls != nil && j.lease == nil && !j.claiming {
+		if j.lease == nil {
 			// Leased by another replica: its context is out of our reach.
 			owner := j.remoteOwner
 			m.mu.Unlock()
@@ -879,7 +874,7 @@ func (m *Manager) worker() {
 			return
 		}
 		j := heap.Pop(&m.queue).(*job)
-		if m.ls != nil && !m.claimLocked(j) {
+		if !m.claimLocked(j) {
 			continue
 		}
 		now := time.Now()
@@ -909,17 +904,17 @@ func (m *Manager) worker() {
 	}
 }
 
-// claimLocked acquires the shared-store lease for a just-popped job,
-// releasing m.mu around the store I/O (claiming keeps the poller away
-// meanwhile). It returns false when the job must not run here — the
-// lease is held elsewhere, the store failed, or the job was canceled
-// while we acquired — leaving the job off the local queue; the poller
+// claimLocked acquires the lease for a just-popped job, releasing m.mu
+// around the store I/O (inFlight keeps the poller away meanwhile). It
+// returns false when the job must not run here — the lease is held
+// elsewhere, the store failed, or the job was canceled while we
+// acquired — leaving the job off the local queue; the poller
 // re-evaluates it on its next pass. On success the freshest stored
 // snapshot is adopted before running: a stolen job resumes from the
 // previous owner's last fenced write, which the store's locking
 // guarantees is final once our Acquire bumped the token.
 func (m *Manager) claimLocked(j *job) bool {
-	j.claiming = true
+	j.inFlight++
 	m.mu.Unlock()
 	lease, err := m.ls.Acquire(j.id, m.cfg.ReplicaID, m.cfg.LeaseTTL)
 	var fresh *Record
@@ -929,9 +924,15 @@ func (m *Manager) claimLocked(j *job) bool {
 		}
 	}
 	m.mu.Lock()
-	j.claiming = false
+	j.inFlight--
 	if err != nil {
 		return false
+	}
+	if fresh != nil && fresh.Resumes < j.resumes {
+		// The record predates a Resume made here whose own write has not
+		// landed yet: the local copy is newer, so the record tells
+		// nothing — least of all that the job finished elsewhere.
+		fresh = nil
 	}
 	release := func() {
 		m.mu.Unlock()
@@ -1164,16 +1165,16 @@ func (m *Manager) finish(j *job, err error, onDone func()) {
 	}
 	state, errMsg := j.state, j.errMsg
 	m.emitStatusLocked(j)
+	// The final snapshot still writes under the lease's fence; only then
+	// is the lease released, so another replica's claim (Resume, or the
+	// post-shutdown re-queue) reads that snapshot. Until Release returns
+	// the job stays in flight here, so a poll pass cannot adopt the
+	// store's older running record over it; the lease itself leaves the
+	// job now, so a Resume landing meanwhile writes unfenced.
 	persist := m.persistFnLocked(j)
-	var release *Lease
-	if j.lease != nil {
-		// The final snapshot above still writes under the lease's fence;
-		// only then is the lease released so another replica can claim
-		// (Resume, or the post-shutdown re-queue) and read that snapshot.
-		l := *j.lease
-		release = &l
-		j.lease = nil
-	}
+	lease := *j.lease
+	j.lease = nil
+	j.inFlight++
 	m.mu.Unlock()
 	if state.Terminal() {
 		attrs := j.logAttrs("state", string(state))
@@ -1185,13 +1186,13 @@ func (m *Manager) finish(j *job, err error, onDone func()) {
 		m.log.Info("job interrupted by shutdown, re-queued", j.logAttrs()...)
 	}
 	persist()
-	if release != nil {
-		if m.ls.Release(*release) == nil {
-			m.mu.Lock()
-			m.leasesReleased++
-			m.mu.Unlock()
-		}
+	released := m.ls.Release(lease) == nil
+	m.mu.Lock()
+	j.inFlight--
+	if released {
+		m.leasesReleased++
 	}
+	m.mu.Unlock()
 }
 
 // janitor evicts expired jobs periodically.
@@ -1216,7 +1217,7 @@ func (m *Manager) janitor() {
 			evicted := m.evictLocked(time.Now())
 			m.mu.Unlock()
 			for _, id := range evicted {
-				_ = m.cfg.Store.Delete(id)
+				_ = m.ls.Delete(id)
 			}
 		case <-m.baseCtx.Done():
 			return
@@ -1225,7 +1226,7 @@ func (m *Manager) janitor() {
 }
 
 // heartbeat renews this replica's held leases and republishes its
-// presence record every Config.Heartbeat (multi-replica mode only).
+// presence record every Config.Heartbeat.
 func (m *Manager) heartbeat() {
 	defer m.wg.Done()
 	tick := time.NewTicker(m.cfg.Heartbeat)
@@ -1292,6 +1293,15 @@ func (m *Manager) noteLeaseLostLocked(j *job) {
 	}
 }
 
+// leaseStatsLocked snapshots the lease-protocol counters.
+func (m *Manager) leaseStatsLocked() *LeaseStats {
+	return &LeaseStats{
+		Acquired: m.leasesAcquired, Renewed: m.leasesRenewed,
+		Released: m.leasesReleased, Stolen: m.leasesStolen,
+		Lost: m.leasesLost, StaleWrites: m.staleWrites,
+	}
+}
+
 // publishReplica upserts this replica's presence record (best effort).
 func (m *Manager) publishReplica() {
 	m.mu.Lock()
@@ -1301,11 +1311,7 @@ func (m *Manager) publishReplica() {
 		StartedAt:  m.replicaStart,
 		UpdatedAt:  time.Now(),
 		QueueDepth: len(m.queue),
-		Leases: LeaseStats{
-			Acquired: m.leasesAcquired, Renewed: m.leasesRenewed,
-			Released: m.leasesReleased, Stolen: m.leasesStolen,
-			Lost: m.leasesLost, StaleWrites: m.staleWrites,
-		},
+		Leases:     *m.leaseStatsLocked(),
 	}
 	for _, j := range m.jobs {
 		if j.state == StateRunning && j.lease != nil {
@@ -1316,11 +1322,11 @@ func (m *Manager) publishReplica() {
 	_ = m.ls.PublishReplica(info)
 }
 
-// poll mirrors the shared store every Config.PollInterval: jobs
+// poll mirrors a shared LeaseStore every Config.PollInterval: jobs
 // submitted on other replicas join the local index and queue, remote
 // progress and terminal transitions are adopted (feeding local event
 // streams), expired leases are stolen, and records evicted elsewhere
-// are dropped (multi-replica mode only).
+// are dropped.
 func (m *Manager) poll() {
 	defer m.wg.Done()
 	tick := time.NewTicker(m.cfg.PollInterval)
@@ -1358,28 +1364,18 @@ func (m *Manager) pollOnce() {
 		j, ok := m.jobs[rec.ID]
 		if !ok {
 			// A job first seen through the store (submitted elsewhere).
-			j = m.indexRecordLocked(rec)
-			if j.state == StateRunning {
-				if l, lok := leases[j.id]; lok && l.Owner != m.cfg.ReplicaID && !l.Expired(now) {
-					j.remoteOwner, j.remoteToken, j.remoteExpires = l.Owner, l.Token, l.Expires
-				} else {
-					m.stealLocked(j, leases[j.id])
-				}
-			}
-			if j.state == StateQueued && j.heapIdx < 0 {
-				heap.Push(&m.queue, j)
+			if m.indexRecordLocked(rec, leases, now) {
 				wake++
 			}
-			m.emitStatusLocked(j)
 			continue
 		}
-		if j.lease != nil || j.claiming {
+		if j.lease != nil || j.inFlight > 0 {
 			continue // ours right now: our fenced writes are authoritative
 		}
 		m.refreshLocked(j, rec, leases, now, &wake)
 	}
 	for id, j := range m.jobs {
-		if _, ok := seen[id]; ok || j.lease != nil || j.claiming {
+		if _, ok := seen[id]; ok || j.lease != nil || j.inFlight > 0 {
 			continue
 		}
 		// Gone from the store. Terminal jobs were evicted by another
@@ -1607,12 +1603,9 @@ func (m *Manager) persistFnLocked(j *job) func() {
 		if lease != nil {
 			err = m.ls.PutLeased(rec, *lease)
 		} else {
-			err = m.cfg.Store.Put(rec)
+			err = m.ls.Put(rec)
 		}
 		j.persisted = seq
-		if err == nil || m.ls == nil {
-			return
-		}
 		if errors.Is(err, ErrStaleToken) {
 			// Fenced out: the job was stolen. Stop the body; persist
 			// nothing further under this token.
@@ -1642,15 +1635,15 @@ type Stats struct {
 	Evicted     uint64 `json:"evicted"`
 	Interrupted uint64 `json:"interrupted"`
 	// QueueDepth and Running are current gauges; Retained counts every
-	// job still indexed (any state). In multi-replica mode QueueDepth
-	// counts this replica's local queue (replicas race to claim, so
-	// shared queued jobs appear in several replicas' depths).
+	// job still indexed (any state). QueueDepth counts this replica's
+	// local queue (in a fleet replicas race to claim, so shared queued
+	// jobs appear in several replicas' depths).
 	QueueDepth int `json:"queue_depth"`
 	Running    int `json:"running"`
 	Retained   int `json:"retained"`
-	// Replica identifies this manager in multi-replica mode (empty
-	// otherwise); RemoteRunning gauges jobs running on other replicas;
-	// Leases counts this replica's lease-protocol events.
+	// Replica identifies this manager (Config.ReplicaID, "local" for a
+	// fleet of one); RemoteRunning gauges jobs running on other
+	// replicas; Leases counts this replica's lease-protocol events.
 	Replica       string      `json:"replica,omitempty"`
 	RemoteRunning int         `json:"remote_running,omitempty"`
 	Leases        *LeaseStats `json:"leases,omitempty"`
@@ -1665,33 +1658,23 @@ func (m *Manager) Stats() Stats {
 		Failed: m.failed, Canceled: m.canceled, Resumed: m.resumed,
 		Evicted: m.evicted, Interrupted: m.interruptedCount,
 		QueueDepth: len(m.queue), Retained: len(m.jobs),
+		Replica: m.cfg.ReplicaID, Leases: m.leaseStatsLocked(),
 	}
 	for _, j := range m.jobs {
 		if j.state != StateRunning {
 			continue
 		}
-		if m.ls != nil && j.lease == nil {
+		if j.lease == nil {
 			st.RemoteRunning++
 		} else {
 			st.Running++
-		}
-	}
-	if m.ls != nil {
-		st.Replica = m.cfg.ReplicaID
-		st.Leases = &LeaseStats{
-			Acquired: m.leasesAcquired, Renewed: m.leasesRenewed,
-			Released: m.leasesReleased, Stolen: m.leasesStolen,
-			Lost: m.leasesLost, StaleWrites: m.staleWrites,
 		}
 	}
 	return st
 }
 
 // Replicas lists the presence records of every replica sharing this
-// manager's store (nil outside multi-replica mode).
+// manager's store: this replica's own alone for a fleet of one.
 func (m *Manager) Replicas() ([]ReplicaInfo, error) {
-	if m.ls == nil {
-		return nil, nil
-	}
 	return m.ls.Replicas()
 }

@@ -16,8 +16,8 @@ var (
 
 // RegisterMetrics wires this manager's accounting into a metrics registry
 // as scrape-time collector series mirrored from Stats(): the lifecycle
-// counters, the queue/running/retained gauges, and — in multi-replica
-// mode — the lease-protocol counters labeled with this replica's id.
+// counters, the queue/running/retained gauges, and the lease-protocol
+// counters labeled with this replica's id.
 // Values are snapshot at each exposition, so the job lifecycle carries no
 // extra instrumentation; register a Manager on at most one registry
 // (typically the per-server registry cmd/serve exposes on /metrics).
@@ -45,7 +45,7 @@ func (m *Manager) RegisterMetrics(r *obs.Registry) {
 	retained := r.Gauge("jobs_retained",
 		"Jobs still indexed, in any state.")
 	remoteRunning := r.Gauge("jobs_remote_running",
-		"Jobs running under another replica's lease (multi-replica mode).")
+		"Jobs running under another replica's lease.")
 	leaseOps := r.CounterVec("jobs_lease_operations_total",
 		"Lease-protocol events of this replica, by operation "+
 			"(acquire, renew, release, steal, lost, stale_reject).",
@@ -64,13 +64,11 @@ func (m *Manager) RegisterMetrics(r *obs.Registry) {
 		running.Set(float64(st.Running))
 		retained.Set(float64(st.Retained))
 		remoteRunning.Set(float64(st.RemoteRunning))
-		if st.Leases != nil {
-			leaseOps.With(st.Replica, "acquire").Store(st.Leases.Acquired)
-			leaseOps.With(st.Replica, "renew").Store(st.Leases.Renewed)
-			leaseOps.With(st.Replica, "release").Store(st.Leases.Released)
-			leaseOps.With(st.Replica, "steal").Store(st.Leases.Stolen)
-			leaseOps.With(st.Replica, "lost").Store(st.Leases.Lost)
-			leaseOps.With(st.Replica, "stale_reject").Store(st.Leases.StaleWrites)
-		}
+		leaseOps.With(st.Replica, "acquire").Store(st.Leases.Acquired)
+		leaseOps.With(st.Replica, "renew").Store(st.Leases.Renewed)
+		leaseOps.With(st.Replica, "release").Store(st.Leases.Released)
+		leaseOps.With(st.Replica, "steal").Store(st.Leases.Stolen)
+		leaseOps.With(st.Replica, "lost").Store(st.Leases.Lost)
+		leaseOps.With(st.Replica, "stale_reject").Store(st.Leases.StaleWrites)
 	})
 }
