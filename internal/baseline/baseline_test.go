@@ -262,6 +262,11 @@ func TestSingleTreeMatchesGainBias(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					for k, v := range chain.Val {
+						if v < -1e-9 {
+							t.Fatalf("rule %d shape %v p=%v gamma=%v: entry %d is %v", rule, shape, p, gamma, k, v)
+						}
+					}
 					for s, sum := range chain.RowSums() {
 						if math.Abs(sum-1) > 1e-9 {
 							t.Fatalf("rule %d shape %v p=%v gamma=%v: row %d sums to %v", rule, shape, p, gamma, s, sum)

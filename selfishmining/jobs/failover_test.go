@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -468,4 +469,111 @@ func TestResumeSurvivesClaimBeforeItsWrite(t *testing.T) {
 		t.Errorf("Resumes = %d, want 1", done.Resumes)
 	}
 	equalJobResults(t, "resumed past a stale record", reference(t, smallSpec), done.Result)
+}
+
+// releaseAfterResumeStore is a finalWriteGate whose lease release waits
+// until a resumed record's unleased write has come back, so the store
+// sees that write while the replica's own lease is still live and
+// refuses it. Its second Acquire fails: the resumed job's first claim
+// misses, and the next poll pass, not a worker, reads what the store
+// holds.
+type releaseAfterResumeStore struct {
+	*finalWriteGate
+	resumeWritten chan struct{}
+	written       sync.Once
+	acquires      atomic.Int32
+}
+
+func (s *releaseAfterResumeStore) Put(rec *Record) error {
+	err := s.DirStore.Put(rec)
+	if rec.Resumes > 0 {
+		s.written.Do(func() { close(s.resumeWritten) })
+	}
+	return err
+}
+
+func (s *releaseAfterResumeStore) Release(l Lease) error {
+	select {
+	case <-s.resumeWritten:
+	case <-time.After(10 * time.Second):
+	}
+	return s.DirStore.Release(l)
+}
+
+func (s *releaseAfterResumeStore) Acquire(id, owner string, ttl time.Duration) (Lease, error) {
+	if s.acquires.Add(1) == 2 {
+		return Lease{}, fmt.Errorf("%w: the second claim is refused", ErrLeaseHeld)
+	}
+	return s.DirStore.Acquire(id, owner, ttl)
+}
+
+// TestResumeDuringFinalWriteIsPersisted: a Resume that lands between a
+// job's final fenced write and its lease release writes unleased, and a
+// shared store refuses that write while the replica's own lease is
+// live. The resumed job must reach the store all the same, so a poll
+// pass that runs before any worker claims the job keeps it resumed
+// instead of adopting the cancellation from before the Resume.
+func TestResumeDuringFinalWriteIsPersisted(t *testing.T) {
+	ds, err := NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &releaseAfterResumeStore{
+		finalWriteGate: &finalWriteGate{DirStore: ds, reached: make(chan struct{}), release: make(chan struct{})},
+		resumeWritten:  make(chan struct{}),
+	}
+	cfg := fastReplicaConfig(store, "a")
+	cfg.LeaseTTL = time.Minute   // the lease must stay live across the release window
+	cfg.PollInterval = time.Hour // the test runs the poll pass itself
+	m := newTestManager(t, cfg)
+	t.Cleanup(store.open) // runs before the manager's Close
+	var once sync.Once
+	m.progressGate = func(id string, iter int) {
+		if iter == 2 {
+			once.Do(func() { m.Cancel(id) })
+		}
+	}
+	st, err := m.Submit(Request{Kind: KindAnalyze, Analyze: &smallSpec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-store.reached:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the job never wrote its final snapshot")
+	}
+	resumed := make(chan error, 1)
+	go func() {
+		_, err := m.Resume(st.ID)
+		resumed <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for got, _ := m.Get(st.ID); got.Resumes != 1; got, _ = m.Get(st.ID) {
+		if time.Now().After(deadline) {
+			t.Fatal("Resume never landed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	store.open()
+	if err := <-resumed; err != nil {
+		t.Fatal(err)
+	}
+	for {
+		m.mu.Lock()
+		claimed := store.acquires.Load() >= 2 && m.jobs[st.ID].inFlight == 0
+		m.mu.Unlock()
+		if claimed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the resumed job was never claimed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	m.pollOnce()
+	done := waitState(t, m, st.ID, StateDone)
+	if done.Resumes != 1 {
+		t.Errorf("Resumes = %d, want 1", done.Resumes)
+	}
+	equalJobResults(t, "resumed during the final write", reference(t, smallSpec), done.Result)
 }

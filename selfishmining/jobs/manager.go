@@ -73,12 +73,14 @@ type Config struct {
 	// before running them (fenced writes, heartbeat renewal) and
 	// publishes a presence record for /v1/stats; over a shared
 	// LeaseStore a poller also mirrors the store and steals expired
-	// leases. Required when Store implements LeaseStore; "local"
-	// otherwise.
+	// leases. Required when Store implements LeaseStore; it defaults to
+	// "local" otherwise.
 	ReplicaID string
 	// LeaseTTL is how long a job lease lives without renewal before
 	// other replicas may steal it (default 15s). Safety never depends
-	// on it — fencing tokens do — only failover latency.
+	// on it — fencing tokens do — only failover latency. A fleet of one
+	// has no replica to steal, so there it only sets the lease_expires
+	// a running job shows and the Heartbeat default.
 	LeaseTTL time.Duration
 	// Heartbeat is the lease-renewal (and presence-publish) period
 	// (default LeaseTTL/3). It must be shorter than LeaseTTL.
@@ -1169,12 +1171,15 @@ func (m *Manager) finish(j *job, err error, onDone func()) {
 	// is the lease released, so another replica's claim (Resume, or the
 	// post-shutdown re-queue) reads that snapshot. Until Release returns
 	// the job stays in flight here, so a poll pass cannot adopt the
-	// store's older running record over it; the lease itself leaves the
-	// job now, so a Resume landing meanwhile writes unfenced.
+	// store's older running record over it. The lease leaves the job
+	// now, so a Resume landing meanwhile writes unfenced — and a shared
+	// store refuses that write while our lease is live, so the resumed
+	// job is written once more after the release.
 	persist := m.persistFnLocked(j)
 	lease := *j.lease
 	j.lease = nil
 	j.inFlight++
+	resumes := j.resumes
 	m.mu.Unlock()
 	if state.Terminal() {
 		attrs := j.logAttrs("state", string(state))
@@ -1188,10 +1193,16 @@ func (m *Manager) finish(j *job, err error, onDone func()) {
 	persist()
 	released := m.ls.Release(lease) == nil
 	m.mu.Lock()
-	j.inFlight--
 	if released {
 		m.leasesReleased++
 	}
+	if j.resumes != resumes && j.lease == nil {
+		persist = m.persistFnLocked(j)
+		m.mu.Unlock()
+		persist()
+		m.mu.Lock()
+	}
+	j.inFlight--
 	m.mu.Unlock()
 }
 

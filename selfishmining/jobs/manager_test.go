@@ -308,6 +308,48 @@ func TestJobPriorityAndFIFO(t *testing.T) {
 	}
 }
 
+// TestSingleReplicaLeases: a Manager over a plain Store is a fleet of
+// one. It leases its jobs as "local", names itself in Stats and
+// Replicas, checks its heartbeat for readiness, and refuses a heartbeat
+// no shorter than the lease TTL, as every fleet does.
+func TestSingleReplicaLeases(t *testing.T) {
+	svc := selfishmining.NewService(selfishmining.ServiceConfig{})
+	if bad, err := New(svc, Config{LeaseTTL: time.Second, Heartbeat: time.Second}); err == nil {
+		_ = bad.Close(context.Background())
+		t.Error("New accepted a heartbeat as long as the lease TTL")
+	}
+	gate := make(chan struct{})
+	m := newTestManager(t, Config{Store: NewMemStore(), Workers: 1, LeaseTTL: time.Hour})
+	m.runGate = func(string) { <-gate }
+	st, err := m.Submit(Request{Kind: KindAnalyze, Analyze: &smallSpec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := waitState(t, m, st.ID, StateRunning)
+	if run.Owner != "local" || run.LeaseToken == 0 || run.LeaseExpires == nil {
+		t.Errorf("running job: owner %q, lease token %d, expiry set %v; want a lease owned by local",
+			run.Owner, run.LeaseToken, run.LeaseExpires != nil)
+	}
+	if stats := m.Stats(); stats.Replica != "local" || stats.Leases == nil || stats.Leases.Acquired != 1 {
+		t.Errorf("Stats: replica %q, leases %+v; want local with one acquired", stats.Replica, stats.Leases)
+	}
+	if reps, err := m.Replicas(); err != nil || len(reps) != 1 || reps[0].Replica != "local" {
+		t.Errorf("Replicas = %+v, %v; want local alone", reps, err)
+	}
+	if err := m.Ready(); err != nil {
+		t.Errorf("Ready = %v", err)
+	}
+	m.lastBeat.Store(time.Now().Add(-time.Hour).UnixNano())
+	if err := m.Ready(); !errors.Is(err, ErrHeartbeatStale) {
+		t.Errorf("Ready after a stalled heartbeat = %v, want ErrHeartbeatStale", err)
+	}
+	close(gate)
+	done := waitState(t, m, st.ID, StateDone)
+	if done.Owner != "" || done.LeaseToken != 0 {
+		t.Errorf("finished job still shows lease %q/%d", done.Owner, done.LeaseToken)
+	}
+}
+
 func TestJobQueueLimitAndClosed(t *testing.T) {
 	gate := make(chan struct{})
 	m := newTestManager(t, Config{Workers: 1, QueueLimit: 1})
